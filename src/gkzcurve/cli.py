@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 domain error (reported on stderr), 2 flag errors.
 The environment variable GKZ_MAX_TERMS caps stored series terms as a safety
-valve for accidental huge truncations.
+valve for accidental huge truncations; since only support points are
+enumerated, it bounds the build work as well.
 """
 
 from __future__ import annotations
@@ -93,6 +94,12 @@ def _max_terms() -> int | None:
         raise UsageError(f"GKZ_MAX_TERMS={raw!r} is not an integer")
 
 
+def _truncation(args) -> int:
+    if args.truncation < 0:
+        raise UsageError(f"--truncation must be >= 0, got {args.truncation}")
+    return args.truncation
+
+
 _POINTS = {
     "generic": PointClass.GENERIC,
     "smooth": PointClass.SMOOTH_STRATUM,
@@ -145,7 +152,7 @@ def _cmd_solve(args):
     beta = _parse_rational(args.beta)
     s = _parse_order(args.s) if args.s else slope(A)
     point = _POINTS[args.point or "smooth"]
-    members = solution_basis(A, beta, point, s=s, level=args.truncation,
+    members = solution_basis(A, beta, point, s=s, level=_truncation(args),
                              max_terms=_max_terms())
     payload = {
         "matrix": list(A.entries),
@@ -167,6 +174,7 @@ def _cmd_verify(args):
     A = _parse_matrix(args.matrix)
     beta = _parse_rational(args.beta)
     radius = args.ball_radius
+    level = _truncation(args)
     gens = named_generators(A, beta, radius)
     rows = []
     worst = Fraction(0)
@@ -192,7 +200,7 @@ def _cmd_verify(args):
     else:
         point = _POINTS[args.point or "smooth"]
         members = solution_basis(A, beta, point, s=slope(A),
-                                 level=args.truncation, max_terms=_max_terms())
+                                 level=level, max_terms=_max_terms())
         for member, report in verify_basis(A, members, beta, radius):
             worst = max(worst, report.max_violation)
             rows.append({

@@ -242,25 +242,55 @@ def _solve_integer_combination(rows, target) -> tuple[int, ...] | None:
     return m if tuple(got) == tuple(target) else None
 
 
+def lattice_points(basis: LatticeBasis, radius: int,
+                   bounds: dict[int, tuple[int | None, int | None]] | None = None):
+    """Yield (m, u(m)) for every m in Z^rank with sum |m_i| <= radius, in
+    lexicographic order of m, keeping only the points whose u(m) obeys bounds.
+
+    bounds maps a coordinate j of u to (lo, hi), either end None for unbounded.
+    The bound is enforced on the last coordinate m_k whose basis row touches j:
+    once m_1..m_{k-1} are fixed, u_j is affine in m_k and no later row changes
+    it, so the bound cuts the range of m_k to an integer interval.
+    """
+    rows = basis.rows
+    rank = len(rows)
+    closing = [[] for _ in rows]     # per level k: (j, sign, |row_k[j]|, lo, hi)
+    for j, (lo, hi) in (bounds or {}).items():
+        k = max(k for k, row in enumerate(rows) if row[j])   # L_A has no zero column
+        r = rows[k][j]
+        if r > 0:
+            closing[k].append((j, 1, r, lo, hi))
+        else:                        # lo <= p + c r <= hi  <=>  -hi <= -p + c|r| <= -lo
+            closing[k].append((j, -1, -r,
+                               None if hi is None else -hi,
+                               None if lo is None else -lo))
+
+    def rec(level, prefix, u, budget):
+        if level == rank:
+            yield tuple(prefix), u
+            return
+        c_lo, c_hi = -budget, budget
+        for j, sign, r, lo, hi in closing[level]:
+            q = sign * u[j]          # need lo <= q + c r <= hi
+            if lo is not None:
+                c_lo = max(c_lo, -((q - lo) // r))
+            if hi is not None:
+                c_hi = min(c_hi, (hi - q) // r)
+        row = rows[level]
+        for c in range(c_lo, c_hi + 1):
+            yield from rec(level + 1, prefix + [c],
+                           tuple(a + c * b for a, b in zip(u, row)),
+                           budget - abs(c))
+
+    yield from rec(0, [], (0,) * basis.matrix.n, radius)
+
+
 def lattice_ball(basis: LatticeBasis, radius: int):
     """All nonzero u(m) with sum |m_i| <= radius, paired with their coordinates.
 
     Deterministic order: coordinates in lexicographic order.
     """
-    rank = basis.rank
-    out = []
-
-    def rec(prefix, budget):
-        if len(prefix) == rank:
-            if any(prefix):
-                out.append((tuple(prefix), basis.combine(prefix)))
-            return
-        for c in range(-budget, budget + 1):
-            rec(prefix + [c], budget - abs(c))
-
-    rec([], radius)
-    out.sort(key=lambda t: t[0])
-    return out
+    return [(m, u) for m, u in lattice_points(basis, radius) if any(m)]
 
 
 # ---------------------------------------------------------------------------
@@ -336,28 +366,35 @@ class DeltaExponent:
     witness: tuple[int, ...]      # coefficients over the other entries, in order
 
 
-@lru_cache(maxsize=None)
-def _representable(gens: tuple[int, ...], value: int) -> bool:
-    if value < 0:
-        return False
-    if value == 0:
-        return True
-    return any(value >= g and _representable(gens, value - g) for g in gens)
-
-
 def _lex_witness(gens: tuple[int, ...], value: int) -> tuple[int, ...] | None:
     """Lexicographically smallest c in N^len(gens) with c . gens = value."""
     if not gens:
         return () if value == 0 else None
     g = gens[0]
+    rest = _membership(gens[1:], value)
     for c in range(value // g + 1):
-        if _representable(gens[1:], value - c * g):
-            rest = _lex_witness(gens[1:], value - c * g)
-            return (c,) + rest
+        if rest[value - c * g]:
+            return (c,) + _lex_witness(gens[1:], value - c * g)
     return None
 
 
 _DELTA_SEARCH_CAP = 100_000
+
+
+def _least_delta(others: tuple[int, ...], a_i: int) -> int:
+    """The least delta >= 0 with 1 + delta*a_i in the semigroup of others.
+
+    The membership table is doubled until it reaches a representable value."""
+    bound = 2 * (a_i + max(others))
+    while True:
+        member = _membership(others, bound)
+        top = (bound - 1) // a_i
+        for delta in range(min(top, _DELTA_SEARCH_CAP) + 1):
+            if member[1 + delta * a_i]:
+                return delta
+        if top >= _DELTA_SEARCH_CAP:
+            raise CurveError(f"delta search for entry {a_i} exceeded cap")
+        bound *= 2
 
 
 def delta_exponents(A: CurveMatrix) -> tuple[DeltaExponent, ...]:
@@ -371,11 +408,7 @@ def delta_exponents(A: CurveMatrix) -> tuple[DeltaExponent, ...]:
     out = []
     for i, a_i in enumerate(A.entries):
         others = tuple(a for j, a in enumerate(A.entries) if j != i)
-        delta = 0
-        while not _representable(others, 1 + delta * a_i):
-            delta += 1
-            if delta > _DELTA_SEARCH_CAP:
-                raise CurveError(f"delta search for entry {a_i} exceeded cap")
+        delta = _least_delta(others, a_i)
         witness = _lex_witness(others, 1 + delta * a_i)
         assert witness is not None
         assert sum(c * g for c, g in zip(witness, others)) == 1 + delta * a_i

@@ -25,6 +25,7 @@ from .curves import (
     LatticeBasis,
     lattice_basis,
     lattice_decompose,
+    lattice_points,
     make_curve,
     semigroup_member,
 )
@@ -89,7 +90,8 @@ def gamma_coefficient(v, u) -> Fraction:
     u_plus = tuple(x if x > 0 else 0 for x in u)
     u_minus = tuple(-x if x < 0 else 0 for x in u)
     den = falling_product(w, u_plus)
-    assert den != 0, "pole excluded by the negative-support guard"
+    if den == 0:
+        raise CurveError(f"pole at offset {u}: the negative-support guard failed")
     return falling_product(v, u_minus) / den
 
 
@@ -275,17 +277,39 @@ def series_from_json(data: dict, matrix: CurveMatrix | None = None) -> FormalSer
 # Gamma-series construction
 
 
-def _enumerate_ball(rank: int, radius: int):
-    """All m in Z^rank with sum |m_i| <= radius, lexicographic order."""
+def _support_bounds(v) -> dict[int, tuple[int | None, int | None]]:
+    """The negative-support guard of gamma_coefficient as bounds on the offset:
+    v_i + u_i >= 0 where v_i is a natural number, v_i + u_i <= -1 where v_i is a
+    negative integer; non-integer coordinates leave u_i free."""
+    bounds = {}
+    for i, z in enumerate(v):
+        if z.denominator == 1:
+            bounds[i] = (-int(z), None) if z >= 0 else (None, -1 - int(z))
+    return bounds
 
-    def rec(prefix, budget):
-        if len(prefix) == rank:
-            yield tuple(prefix)
-            return
-        for c in range(-budget, budget + 1):
-            yield from rec(prefix + [c], budget - abs(c))
 
-    yield from rec([], radius)
+class _GammaFactor:
+    """One coordinate of Gamma[v; u]: t -> (z)_{t_-} / (z + t)_{t_+}.
+
+    Filled on demand by the one-step ratios g(t+1) = g(t) / (z+t+1) and
+    g(t-1) = g(t) * (z+t).  The support bounds keep every divisor nonzero.
+    """
+
+    def __init__(self, z: Fraction):
+        self.z = z
+        self.up = [Fraction(1)]      # g(0), g(1), g(2), ...
+        self.down = [Fraction(1)]    # g(0), g(-1), g(-2), ...
+
+    def __call__(self, t: int) -> Fraction:
+        if t >= 0:
+            up = self.up
+            while len(up) <= t:
+                up.append(up[-1] / (self.z + len(up)))
+            return up[t]
+        down = self.down
+        while len(down) <= -t:
+            down.append(down[-1] * (self.z - len(down) + 1))
+        return down[-t]
 
 
 def gamma_series(A: CurveMatrix, base, level: int,
@@ -293,22 +317,20 @@ def gamma_series(A: CurveMatrix, base, level: int,
     """The Gamma-series x^v sum_{u in L_A} Gamma[v; u] x^u truncated at the
     enumeration level sum |m_i| <= level of the kernel coordinates.
 
-    The coefficient of x^v is 1 (the offset-0 term), and the negative-support
-    guard inside gamma_coefficient confines the support to the region where the
-    series is defined.
+    The coefficient of x^v is 1 (the offset-0 term).  Only offsets inside the
+    negative-support guard of gamma_coefficient are enumerated, and each of them
+    has a nonzero coefficient, so max_terms bounds the enumeration work too.
     """
     basis = lattice_basis(A)
     base = tuple(Fraction(x) for x in base)
     if len(base) != A.n:
         raise DimensionMismatchError(f"base of length {len(base)} for {A.n} variables")
+    factors = [_GammaFactor(z) for z in base]
     terms = {}
-    for m in _enumerate_ball(basis.rank, level):
-        u = basis.combine(m)
-        c = gamma_coefficient(base, u)
-        if c != 0:
-            terms[u] = c
-            if max_terms is not None and len(terms) > max_terms:
-                raise TermLimitError(f"more than {max_terms} stored terms")
+    for _, u in lattice_points(basis, level, _support_bounds(base)):
+        terms[u] = math.prod(g(t) for g, t in zip(factors, u) if t)
+        if max_terms is not None and len(terms) > max_terms:
+            raise TermLimitError(f"more than {max_terms} stored terms")
     return FormalSeries(base, terms, level, LatticeGammaSupport(basis, base))
 
 
@@ -388,7 +410,8 @@ def polynomial_exponent_index(A: CurveMatrix, beta) -> int | None:
         return None
     a_pen = A.entries[A.n - 2]
     q = int(beta) % a_pen
-    assert Fraction(int(beta) - q, a_pen).denominator == 1
+    if Fraction(int(beta) - q, a_pen).denominator != 1:
+        raise CurveError(f"beta={beta} - {q} is not divisible by {a_pen}")
     return q
 
 
@@ -420,7 +443,8 @@ def witness_series(A: CurveMatrix, beta, level: int,
         raise WrongAuxiliaryShapeError("witness series needs a smooth matrix")
     base = witness_base(A, beta)
     series = gamma_series(A, base, level, max_terms=max_terms)
-    assert series.terms.get((0,) * A.n) == 1
+    if series.terms.get((0,) * A.n) != 1:
+        raise CurveError(f"witness series at level {level} lacks its base term 1")
     return series
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from gkzcurve.cli import main
 
 
@@ -199,3 +201,30 @@ def test_term_cap_env(capsys, monkeypatch):
                            "--truncation", "12")
     assert code == 1
     assert "TermLimit" in err
+
+
+def test_term_cap_bounds_the_build_work(capsys, monkeypatch):
+    monkeypatch.setenv("GKZ_MAX_TERMS", "5")
+    code, out, err = run_cli(capsys, "solve", "--matrix", "1,2,3,4,5,6",
+                             "--beta", "1/2", "--truncation", "30")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "TermLimitError" in err
+
+
+@pytest.mark.parametrize("command,beta", [("solve", "4"), ("solve", "1/2"),
+                                          ("verify", "1/2")])
+def test_negative_truncation_is_a_flag_error(capsys, command, beta):
+    code, out, err = run_cli(capsys, command, "--matrix", "1,2,3", "--beta", beta,
+                             "--truncation", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "--truncation" in err
+
+
+def test_semigroup_of_far_apart_entries(capsys):
+    code, out, _ = run_cli(capsys, "semigroup", "--matrix", "2,100001", "--beta", "1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["frobenius"] == 99999
+    assert payload["delta_exponents"][0] == {"entry": 2, "delta": 50000, "witness": [1]}

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -21,7 +22,10 @@ from gkzcurve import (
     semigroup_member,
     semigroup_table,
 )
-from gkzcurve.curves import CurveKind, _representable
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gkzcurve.curves import CurveKind, _membership, lattice_points
 
 
 SMOOTH = [(1, 2, 3), (1, 2, 5), (1, 3, 4, 5), (1, 5), (1, 3, 4)]
@@ -141,6 +145,28 @@ def test_lattice_ball_levels():
     assert all(any(m) for m, _ in ball)
     # crosspolytope count minus origin
     assert len(ball) == 13 - 1
+    assert [m for m, _ in ball] == sorted(m for m, _ in ball)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    entries=st.sampled_from([(1, 2, 3), (1, 3, 4, 5), (2, 3), (3, 5, 7), (4, 6, 9)]),
+    radius=st.integers(0, 5),
+    raw=st.lists(st.tuples(st.none() | st.integers(-12, 12),
+                           st.none() | st.integers(-12, 12)), min_size=4, max_size=4),
+)
+def test_lattice_points_equal_the_filtered_ball(entries, radius, raw):
+    B = lattice_basis(make_curve(entries))
+    bounds = dict(enumerate(raw[:len(entries)]))
+
+    def inside(u):
+        return all((lo is None or lo <= u[j]) and (hi is None or u[j] <= hi)
+                   for j, (lo, hi) in bounds.items())
+
+    cube = itertools.product(range(-radius, radius + 1), repeat=B.rank)   # lexicographic
+    expected = [(m, B.combine(m)) for m in cube
+                if sum(abs(c) for c in m) <= radius and inside(B.combine(m))]
+    assert list(lattice_points(B, radius, bounds)) == expected
 
 
 def test_semigroup_membership_examples():
@@ -198,7 +224,14 @@ def test_delta_exponents_minimality(entries):
         others = tuple(a for j, a in enumerate(entries) if j != d.position)
         assert sum(c * g for c, g in zip(d.witness, others)) == 1 + d.delta * a_i
         for smaller in range(d.delta):
-            assert not _representable(others, 1 + smaller * a_i)
+            value = 1 + smaller * a_i
+            assert not _membership(others, value)[value]
+
+
+def test_delta_exponents_far_apart_entries():
+    # a recursive membership test overflows the stack here
+    ds = delta_exponents(make_curve((2, 100001)))
+    assert [(d.delta, d.witness) for d in ds] == [(50000, (1,)), (1, (50001,))]
 
 
 def test_beta_class_examples():

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkzcurve import (
     TrustedSeries,
@@ -25,12 +27,14 @@ from gkzcurve import (
     witness_defect,
     witness_series,
 )
+from gkzcurve.curves import CurveError, lattice_basis, lattice_points
 from gkzcurve.exponents import polynomial_exponent_index
 from gkzcurve.series import (
     BetaNotNaturalError,
     IndexOutOfRangeError,
     TermLimitError,
     WrongAuxiliaryShapeError,
+    _support_bounds,
     exponent_base,
     falling_product,
     generic_exponent_base,
@@ -219,6 +223,90 @@ def test_term_limit():
     A = make_curve((1, 2, 3))
     with pytest.raises(TermLimitError):
         gamma_series(A, (0, Fraction(1, 4), 0), 10, max_terms=3)
+
+
+def _ball(rank, radius):
+    """Every m in Z^rank with sum |m_i| <= radius, lexicographic."""
+    if rank == 0:
+        yield ()
+        return
+    for c in range(-radius, radius + 1):
+        for rest in _ball(rank - 1, radius - abs(c)):
+            yield (c,) + rest
+
+
+def reference_gamma_terms(A, v, level):
+    """Brute force: the whole sum |m_i| <= level ball, filtered by gamma_coefficient."""
+    basis = lattice_basis(A)
+    terms = {}
+    for m in _ball(basis.rank, level):
+        u = basis.combine(m)
+        c = gamma_coefficient(v, u)
+        if c != 0:
+            terms[u] = c
+    return terms
+
+
+def _oracle_bases(A):
+    n = A.n
+    bases = [
+        (0,) * n,
+        tuple(Fraction(k, 3) for k in range(n)),              # non-integer
+        tuple(-k for k in range(n)),                            # negative integers
+        tuple((-1) ** k * (k + 1) for k in range(n)),           # mixed signs
+    ]
+    if A.is_smooth and n >= 3:
+        for beta in (Fraction(1, 2), 4):
+            bases += [exponent_base(A, beta, j) for j in range(A.entries[-2])]
+            bases += [generic_exponent_base(A, beta, j) for j in range(A.entries[-1])]
+        bases += [witness_base(A, 0), witness_base(A, 4)]
+    return bases
+
+
+@pytest.mark.parametrize("entries", [
+    (1, 2, 3), (1, 3, 4, 5), (1, 3, 6, 8), (1, 2, 5),      # smooth
+    (1, 3, 5, 7), (1, 2, 3, 5),                            # auxiliary (1, a_1, ...)
+    (1, 5), (2, 3),                                        # n = 2
+    (3, 5, 7), (4, 6, 9),                                  # general
+])
+def test_gamma_series_matches_ball_oracle(entries):
+    A = make_curve(entries)
+    for v in _oracle_bases(A):
+        v = tuple(Fraction(x) for x in v)
+        for level in range(7):
+            got = gamma_series(A, v, level).terms
+            assert got == reference_gamma_terms(A, v, level), (v, level)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    entries=st.sampled_from([(1, 2, 3), (1, 3, 4, 5), (1, 3, 5, 7), (1, 5),
+                             (2, 3), (3, 5, 7)]),
+    coords=st.lists(st.tuples(st.integers(-6, 6), st.sampled_from([1, 1, 2, 3])),
+                    min_size=4, max_size=4),
+    level=st.integers(0, 6),
+)
+def test_gamma_series_matches_ball_oracle_property(entries, coords, level):
+    A = make_curve(entries)
+    v = tuple(Fraction(num, den) for num, den in coords[:A.n])
+    assert gamma_series(A, v, level).terms == reference_gamma_terms(A, v, level)
+
+
+@pytest.mark.parametrize("entries,base", [
+    ((1, 2, 3, 4, 5, 6), (0, 0, 0, 0, Fraction(1, 10), 0)),
+    ((1, 3, 5, 7), (0, 0, Fraction(1, 10), 0)),
+    ((1, 2, 3), (6, -1, 0)),
+])
+def test_every_enumerated_point_is_stored(entries, base):
+    A = make_curve(entries)
+    base = tuple(Fraction(x) for x in base)
+    points = list(lattice_points(lattice_basis(A), 6, _support_bounds(base)))
+    assert len(points) == len(gamma_series(A, base, 6).terms)
+
+
+def test_witness_series_needs_a_nonnegative_level():
+    with pytest.raises(CurveError):
+        witness_series(make_curve((1, 2, 3)), 4, -1)
 
 
 def test_substitution_example():
