@@ -27,14 +27,13 @@ from .curves import (
 )
 from .exponents import generic_exponents, singular_exponents
 from .irregularity import (
+    BasisMember,
     PointClass,
-    SheafKind,
-    SheafTag,
+    dimension_cells,
     stratum_dimension_table,
     dimension_table_diff,
     reference_dimension_table,
     gevrey_index_estimate,
-    irregularity_dimension,
     monodromy_rotations,
     slope,
     slope_subseries,
@@ -51,7 +50,6 @@ from .restriction import (
     restrict_to_plane,
 )
 from .series import series_from_json
-from .weyl import TrustedSeries, annihilation_report, named_generators
 
 
 class UsageError(Exception):
@@ -147,6 +145,28 @@ def _serialize_member(member) -> dict:
     }
 
 
+def _read_members(path: str, A: CurveMatrix) -> list[BasisMember]:
+    """Basis members from JSON emitted by solve: its whole output or the list
+    of its basis entries."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read --input {path}: {exc}")
+    entries = data.get("basis") if isinstance(data, dict) else data
+    if not isinstance(entries, list):
+        raise CurveError(f"{path} holds no list of basis entries")
+    members = []
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or "series" not in entry:
+            raise CurveError(f"basis entry {i} of {path} lacks 'series'")
+        series = series_from_json(entry["series"], matrix=A)
+        members.append(BasisMember(series, entry.get("label", "series"), series.base,
+                                   entry.get("is_solution", True),
+                                   entry.get("defect_generator")))
+    return members
+
+
 def _cmd_solve(args):
     A = _parse_matrix(args.matrix)
     beta = _parse_rational(args.beta)
@@ -175,42 +195,23 @@ def _cmd_verify(args):
     beta = _parse_rational(args.beta)
     radius = args.ball_radius
     level = _truncation(args)
-    gens = named_generators(A, beta, radius)
-    rows = []
-    worst = Fraction(0)
     if args.input:
-        with open(args.input) as fh:
-            data = json.load(fh)
-        entries = data["basis"] if isinstance(data, dict) else data
-        for entry in entries:
-            series = series_from_json(entry["series"], matrix=A)
-            defect = entry.get("defect_generator")
-            subset = gens if entry.get("is_solution", True) else \
-                [(n, op) for n, op in gens
-                 if n != defect and not n.startswith("box")]
-            report = annihilation_report(subset, TrustedSeries.from_series(series))
-            worst = max(worst, report.max_violation)
-            rows.append({
-                "label": entry.get("label", "series"),
-                "max_violation": str(report.max_violation),
-                "per_generator": [
-                    {"generator": r.name, "violation": str(r.violation)}
-                    for r in report.per_generator],
-            })
+        members = _read_members(args.input, A)
     else:
         point = _POINTS[args.point or "smooth"]
         members = solution_basis(A, beta, point, s=slope(A),
                                  level=level, max_terms=_max_terms())
-        for member, report in verify_basis(A, members, beta, radius):
-            worst = max(worst, report.max_violation)
-            rows.append({
-                "label": member.label,
-                "is_solution": member.is_solution,
-                "max_violation": str(report.max_violation),
-                "per_generator": [
-                    {"generator": r.name, "violation": str(r.violation)}
-                    for r in report.per_generator],
-            })
+    rows = []
+    worst = Fraction(0)
+    for member, report in verify_basis(A, members, beta, radius):
+        worst = max(worst, report.max_violation)
+        row = {"label": member.label}
+        if not args.input:              # the --input row format has no is_solution
+            row["is_solution"] = member.is_solution
+        row["max_violation"] = str(report.max_violation)
+        row["per_generator"] = [{"generator": r.name, "violation": str(r.violation)}
+                                for r in report.per_generator]
+        rows.append(row)
     payload = {
         "matrix": list(A.entries),
         "beta": str(beta),
@@ -219,7 +220,7 @@ def _cmd_verify(args):
         "series": rows,
     }
     _emit(payload, args.format)
-    return 0
+    return 0 if worst == 0 else 1
 
 
 def _cmd_gevrey_index(args):
@@ -297,18 +298,10 @@ def _cmd_irregularity_table(args):
         raise UsageError("need --beta, or --beta-special with --beta-generic")
     beta = _parse_rational(args.beta)
     degrees = (0, 1) if args.ext_degree is None else (args.ext_degree,)
-    cells = []
-    for kind in (SheafKind.HOLOMORPHIC, SheafKind.GEVREY_FORMAL, SheafKind.GEVREY_QUOTIENT):
-        tag = SheafTag.holomorphic() if kind is SheafKind.HOLOMORPHIC \
-            else SheafTag(kind, s)
-        for point in (PointClass.DEEP_STRATUM, PointClass.SMOOTH_STRATUM):
-            for degree in degrees:
-                ans = irregularity_dimension(A, beta, point, tag, degree)
-                cells.append({
-                    "sheaf": kind.value, "beta": str(beta), "point": point.value,
-                    "degree": degree,
-                    "dimension": ans.value if ans.covered else "not_covered",
-                })
+    cells = [{"sheaf": kind.value, "beta": str(beta), "point": point.value,
+              "degree": degree,
+              "dimension": ans.value if ans.covered else "not_covered"}
+             for kind, point, degree, ans in dimension_cells(A, beta, s, degrees)]
     payload = {"matrix": list(A.entries), "s": "inf" if s is None else str(s),
                "beta": str(beta), "cells": cells}
     _emit(payload, args.format, _table_text)
@@ -363,7 +356,7 @@ def _cmd_b_function(args):
     if args.weight == "first":
         bf = b_function(A, WeightTag.FIRST_COORDINATE)
         weight_label = "(1,0,...,0)"
-    elif args.weight.startswith("e"):
+    elif args.weight[:1] == "e" and args.weight[1:].isdecimal():
         i = int(args.weight[1:])
         bf = b_function(A, ("standard_basis", i))
         weight_label = f"e_{i}"

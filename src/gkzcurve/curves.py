@@ -116,7 +116,8 @@ class LatticeBasis:
     For smooth matrices the rows have the fixed shape
         u^i     = -a_i e_1 + e_i          (i = 2..n-2 and i = n)
         u^{n-1} = a_{n-1} e_1 - e_{n-1}
-    so that membership and coordinates can be read off directly.
+    Both kinds are lower triangular: row k (0-based) has a nonzero entry in
+    slot k+1 and zeros beyond it, so coordinates come from back-substitution.
     """
 
     matrix: CurveMatrix
@@ -180,66 +181,34 @@ def lattice_basis(A: CurveMatrix) -> LatticeBasis:
             rows.append(tuple(row))
             coeffs = [x * c for c in coeffs] + [y]
             g = g_new
-    basis = LatticeBasis(A, tuple(rows))
-    for row in basis.rows:
-        assert A.weight(row) == 0
-    return basis
+    for k, row in enumerate(rows):
+        if A.weight(row) != 0 or row[k + 1] == 0 or any(row[k + 2:]):
+            raise CurveError(f"kernel row {k} = {row} is not a lower-triangular "
+                             f"element of L_A")
+    return LatticeBasis(A, tuple(rows))
 
 
 def lattice_decompose(basis: LatticeBasis, u) -> tuple[int, ...] | None:
-    """Coordinates m with u = sum m_i u^i, or None when u is not in L_A."""
-    A = basis.matrix
-    n = A.n
-    if len(u) != n:
-        raise DimensionMismatchError(f"vector of length {len(u)} for {n} variables")
-    u = tuple(int(x) for x in u)
-    if sum(ai * ui for ai, ui in zip(A.entries, u)) != 0:
-        return None
-    if A.is_smooth:
-        # coordinates are visible in slots 2..n
-        m = []
-        for i in range(2, n + 1):
-            m.append(-u[n - 2] if i == n - 1 else u[i - 1])
-        if basis.combine(m) != u:
-            return None
-        return tuple(m)
-    return _solve_integer_combination(basis.rows, u)
+    """Coordinates m with u = sum m_i u^i, or None when u is not in L_A.
 
-
-def _solve_integer_combination(rows, target) -> tuple[int, ...] | None:
-    """Solve sum m_i rows[i] = target over Z by exact elimination."""
-    k = len(rows)
-    n = len(target)
-    # system: for each coordinate j, sum_i m_i rows[i][j] = target[j]
-    aug = [[Fraction(rows[i][j]) for i in range(k)] + [Fraction(target[j])]
-           for j in range(n)]
-    pivots = []
-    r = 0
-    for col in range(k):
-        pivot = next((i for i in range(r, n) if aug[i][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pr = aug[r]
-        for i in range(n):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col] / pr[col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], pr)]
-        pivots.append((r, col))
-        r += 1
-    sol = [Fraction(0)] * k
-    for row_idx, col in pivots:
-        sol[col] = aug[row_idx][k] / aug[row_idx][col]
-    # consistency rows
-    for i in range(n):
-        if all(aug[i][c] == 0 for c in range(k)) and aug[i][k] != 0:
+    Back-substitution on the lower-triangular rows: slot k+1 of u, once the
+    rows above k are subtracted, fixes m_k; a remainder, a fractional entry or
+    a leftover in slot 0 means u is not in L_A."""
+    rows = basis.rows
+    if len(u) != basis.matrix.n:
+        raise DimensionMismatchError(
+            f"vector of length {len(u)} for {basis.matrix.n} variables")
+    res = list(u)
+    m = [0] * len(rows)
+    for k in range(len(rows) - 1, -1, -1):
+        row = rows[k]
+        q, r = divmod(res[k + 1], row[k + 1])
+        if r:
             return None
-    if any(s.denominator != 1 for s in sol):
-        return None
-    m = tuple(int(s) for s in sol)
-    # verify (elimination above does not track dependent rows exhaustively)
-    got = [sum(m[i] * rows[i][j] for i in range(k)) for j in range(n)]
-    return m if tuple(got) == tuple(target) else None
+        m[k] = q
+        for j in range(k + 2):
+            res[j] -= q * row[j]
+    return tuple(m) if res[0] == 0 else None
 
 
 def lattice_points(basis: LatticeBasis, radius: int,

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-import numpy as np
-
 from .curves import CurveError, CurveKind, CurveMatrix, semigroup_member
 from .exponents import polynomial_exponent_index
 from .series import (
@@ -56,9 +54,10 @@ class SheafTag:
 
     def __post_init__(self):
         if self.kind is SheafKind.HOLOMORPHIC:
-            assert self.order is None
-        elif self.order is not None:
-            assert self.order >= 1
+            if self.order is not None:
+                raise CurveError("the holomorphic sheaf takes no Gevrey order")
+        elif self.order is not None and self.order < 1:
+            raise CurveError(f"Gevrey order s = {self.order} is below 1")
 
     @classmethod
     def holomorphic(cls) -> "SheafTag":
@@ -383,10 +382,23 @@ def gevrey_index_estimate(stream, window: int | None = None) -> float:
     if window is None:
         window = len(points) // 2
     points = points[-window:]
-    rows = np.array([[math.lgamma(k + 1.0), float(k), 1.0] for k, _ in points])
-    rhs = np.array([_log_abs(c) for _, c in points])
-    coeffs, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
-    return max(1.0, 1.0 + float(coeffs[0]))
+    # exact normal equations (X^T X) b = X^T y on the float data, solved for
+    # b_0 by Cramer's rule
+    rows = [(Fraction(math.lgamma(k + 1.0)), Fraction(k), Fraction(1))
+            for k, _ in points]
+    rhs = [Fraction(_log_abs(c)) for _, c in points]
+    gram = [[sum(r[i] * r[j] for r in rows) for j in range(3)] for i in range(3)]
+    moment = [sum(r[i] * y for r, y in zip(rows, rhs)) for i in range(3)]
+    det = _det3(gram)
+    if det == 0:
+        raise InsufficientDataError(f"{len(points)} points do not fix a 3-term fit")
+    lead = _det3([[moment[i]] + gram[i][1:] for i in range(3)]) / det
+    return max(1.0, 1.0 + float(lead))
+
+
+def _det3(m) -> Fraction:
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 # ---------------------------------------------------------------------------
@@ -397,11 +409,24 @@ _TABLE_SHEAVES = (SheafKind.HOLOMORPHIC, SheafKind.GEVREY_FORMAL, SheafKind.GEVR
 _TABLE_POINTS = (PointClass.DEEP_STRATUM, PointClass.SMOOTH_STRATUM)
 
 
+def dimension_cells(A: CurveMatrix, beta, s, degrees):
+    """Yield (sheaf kind, point, degree, DimensionAnswer) for the three sheaves
+    (the Gevrey ones of order s) on both strata of Y and the given Ext degrees,
+    in table order."""
+    for kind in _TABLE_SHEAVES:
+        tag = SheafTag.holomorphic() if kind is SheafKind.HOLOMORPHIC \
+            else SheafTag(kind, None if s is None else Fraction(s))
+        for point in _TABLE_POINTS:
+            for degree in degrees:
+                yield kind, point, degree, irregularity_dimension(A, beta, point, tag, degree)
+
+
 def stratum_dimension_table(A: CurveMatrix, beta_special, beta_generic, s) -> dict:
     """The 24 germ dimensions at a natural and a non-natural parameter, for the
     three sheaves, both strata of Y, and Ext degrees 0 and 1 (s >= slope).
 
-    Keys are (sheaf kind value, beta label, point value, degree)."""
+    Keys are (sheaf kind value, beta label, point value, degree).  Raises
+    CurveError when the published results leave a cell open (general matrices)."""
     if not _is_natural(beta_special):
         raise CurveError(f"beta_special = {beta_special} is not a natural number")
     if _is_natural(beta_generic):
@@ -409,15 +434,12 @@ def stratum_dimension_table(A: CurveMatrix, beta_special, beta_generic, s) -> di
     if not (s is None or Fraction(s) >= slope(A)):
         raise CurveError(f"s = {s} is below the slope {slope(A)}")
     out = {}
-    for kind in _TABLE_SHEAVES:
-        tag = SheafTag.holomorphic() if kind is SheafKind.HOLOMORPHIC \
-            else SheafTag(kind, None if s is None else Fraction(s))
-        for blabel, beta in (("special", beta_special), ("generic", beta_generic)):
-            for point in _TABLE_POINTS:
-                for degree in (0, 1):
-                    ans = irregularity_dimension(A, beta, point, tag, degree)
-                    assert ans.covered
-                    out[(kind.value, blabel, point.value, degree)] = ans.value
+    for blabel, beta in (("special", beta_special), ("generic", beta_generic)):
+        for kind, point, degree, ans in dimension_cells(A, beta, s, (0, 1)):
+            key = (kind.value, blabel, point.value, degree)
+            if not ans.covered:
+                raise CurveError(f"cell {key} of the table is not covered for {A}")
+            out[key] = ans.value
     return out
 
 

@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import gkzcurve
 
 from gkzcurve.cli import main
 
@@ -228,3 +233,100 @@ def test_semigroup_of_far_apart_entries(capsys):
     payload = json.loads(out)
     assert payload["frobenius"] == 99999
     assert payload["delta_exponents"][0] == {"entry": 2, "delta": 50000, "witness": [1]}
+
+
+def _one_line_error(code, out, err, expected_code):
+    assert code == expected_code
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_gevrey_order_below_one_is_a_domain_error(capsys):
+    _one_line_error(*run_cli(capsys, "irregularity-table", "--matrix", "1,2,3",
+                             "--beta", "4", "--s", "1/2"), 1)
+
+
+def test_table_reproduction_of_a_general_matrix_is_a_domain_error(capsys):
+    # the holomorphic rows are published for smooth matrices only
+    _one_line_error(*run_cli(capsys, "irregularity-table", "--matrix", "2,3,5",
+                             "--beta-special", "4", "--beta-generic", "1/2",
+                             "--s", "2"), 1)
+
+
+@pytest.mark.parametrize("weight", ["ex", "e", "e\u00b2"])
+def test_b_function_bad_weight_is_a_flag_error(capsys, weight):
+    _one_line_error(*run_cli(capsys, "b-function", "--matrix", "1,2,3",
+                             "--weight", weight), 2)
+
+
+@pytest.fixture
+def solved(tmp_path, capsys):
+    """solve --matrix 1,2,3 --beta 4 --truncation 10, parsed."""
+    code, out, _ = run_cli(capsys, "solve", "--matrix", "1,2,3", "--beta", "4",
+                           "--truncation", "10")
+    assert code == 0
+    return json.loads(out)
+
+
+def _verify_file(capsys, path, beta="4"):
+    return run_cli(capsys, "verify", "--matrix", "1,2,3", "--beta", beta,
+                   "--input", str(path))
+
+
+@pytest.mark.parametrize("content", [None, "not json", "\udcff"])
+def test_verify_unreadable_input_is_a_flag_error(tmp_path, capsys, content):
+    path = tmp_path / "basis.json"
+    if content is not None:
+        path.write_bytes(content.encode("utf-8", "surrogateescape"))
+    _one_line_error(*_verify_file(capsys, path), 2)
+
+
+@pytest.mark.parametrize("key", ["series", "base_exponent", "terms", "truncation",
+                                 "offset", "coeff"])
+def test_verify_input_missing_key_is_a_domain_error(tmp_path, capsys, solved, key):
+    entry = solved["basis"][0]
+    holder = {"series": entry, "offset": entry["series"]["terms"][0],
+              "coeff": entry["series"]["terms"][0]}.get(key, entry["series"])
+    del holder[key]
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps(solved))
+    code, out, err = _verify_file(capsys, path)
+    _one_line_error(code, out, err, 1)
+    assert repr(key) in err
+
+
+def test_verify_input_short_offset_is_a_domain_error(tmp_path, capsys):
+    # window-descriptor series (the gap route) never decompose an offset, so a
+    # short one was silently cut by zip and "verified"
+    code, out, _ = run_cli(capsys, "solve", "--matrix", "3,5,7", "--beta", "2",
+                           "--truncation", "6")
+    assert code == 0
+    data = json.loads(out)
+    term = data["basis"][0]["series"]["terms"][0]
+    term["offset"] = term["offset"][:-1]
+    path = tmp_path / "gap.json"
+    path.write_text(json.dumps(data))
+    _one_line_error(*run_cli(capsys, "verify", "--matrix", "3,5,7", "--beta", "2",
+                             "--input", str(path)), 1)
+
+
+def test_verify_exits_1_on_a_violation(tmp_path, capsys, solved):
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps(solved))
+    code, out, _ = _verify_file(capsys, path, beta="5")
+    assert code == 1
+    data = json.loads(out)
+    assert data["max_violation"] != "0"
+    assert [row["label"] for row in data["series"]] == ["exponent[1]", "witness"]
+    assert all("is_solution" not in row for row in data["series"])
+    code, out, _ = _verify_file(capsys, path, beta="4")
+    assert code == 0 and json.loads(out)["max_violation"] == "0"
+
+
+def test_cli_import_leaves_numpy_out():
+    src = os.path.dirname(os.path.dirname(gkzcurve.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, gkzcurve.cli; print('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"

@@ -135,7 +135,17 @@ def test_lattice_decompose_roundtrip(entries):
     rng = random.Random(hash(entries) & 0xFFFF)
     for _ in range(50):
         m = tuple(rng.randint(-10, 10) for _ in range(B.rank))
-        assert lattice_decompose(B, B.combine(m)) == m
+        u = B.combine(m)
+        assert lattice_decompose(B, u) == m
+        # off L_A: one coordinate moved, so A.u != 0
+        off = list(u)
+        off[rng.randrange(A.n)] += rng.choice([-1, 1])
+        assert lattice_decompose(B, tuple(off)) is None
+        # A.u = 0 but not integral: a half of a lattice vector with an odd entry
+        half = tuple(Fraction(x, 2) for x in B.combine(tuple(2 * c + 1 for c in m)))
+        assert A.weight(half) == 0
+        if any(x.denominator != 1 for x in half):
+            assert lattice_decompose(B, half) is None
 
 
 def test_lattice_ball_levels():

@@ -297,6 +297,14 @@ def test_gevrey_estimate_controls():
         gevrey_index_estimate(grow[:10])
 
 
+def test_gevrey_estimate_is_exact_on_a_model_stream():
+    # log|k! 2^k| = lgamma(k+1) + k log 2 lies on the fitted surface with s = 2
+    stream = [(k, Fraction(math.factorial(k) * 2 ** k)) for k in range(80)]
+    assert abs(gevrey_index_estimate(stream) - 2.0) < 1e-9
+    with pytest.raises(InsufficientDataError):
+        gevrey_index_estimate(stream, window=2)
+
+
 def test_gevrey_estimate_witness_stream():
     A = make_curve((1, 2, 3))
     est = gevrey_index_estimate(slope_subseries(A, 0, "witness", 120))

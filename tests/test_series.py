@@ -27,13 +27,14 @@ from gkzcurve import (
     witness_defect,
     witness_series,
 )
-from gkzcurve.curves import CurveError, lattice_basis, lattice_points
+from gkzcurve.curves import CurveError, lattice_basis, lattice_decompose, lattice_points
 from gkzcurve.exponents import polynomial_exponent_index
 from gkzcurve.series import (
     BetaNotNaturalError,
     IndexOutOfRangeError,
     TermLimitError,
     WrongAuxiliaryShapeError,
+    _closed_form_coefficient,
     _support_bounds,
     exponent_base,
     falling_product,
@@ -302,6 +303,48 @@ def test_every_enumerated_point_is_stored(entries, base):
     base = tuple(Fraction(x) for x in base)
     points = list(lattice_points(lattice_basis(A), 6, _support_bounds(base)))
     assert len(points) == len(gamma_series(A, base, 6).terms)
+
+
+def _closed_form_mismatches(A, beta, j, level):
+    """Stored terms of exponent_series with kernel coordinates m >= 0 that differ
+    from _closed_form_coefficient, and the number of such terms checked."""
+    basis = lattice_basis(A)
+    bad, checked = [], 0
+    for u, c in exponent_series(A, beta, j, level).terms.items():
+        m = lattice_decompose(basis, u)
+        if all(x >= 0 for x in m):
+            checked += 1
+            if c != _closed_form_coefficient(A, beta, j, m):
+                bad.append((u, m, c))
+    return bad, checked
+
+
+@pytest.mark.parametrize("entries", [
+    (1, 2, 3), (1, 2, 5), (1, 4, 6), (1, 3, 6, 8), (1, 2, 3, 4, 5, 6),
+    (1, 3, 5, 7),                                          # auxiliary of (3, 5, 7)
+])
+@pytest.mark.parametrize("beta", [0, 4, Fraction(1, 2), Fraction(-7, 3)])
+def test_exponent_series_matches_closed_form(entries, beta):
+    A = make_curve(entries)
+    for j in range(A.entries[-2]):
+        for level in range(9):
+            bad, checked = _closed_form_mismatches(A, beta, j, level)
+            assert checked > 0 and bad == [], (j, level, bad[:3])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    tail=st.lists(st.integers(2, 11), min_size=2, max_size=4, unique=True),
+    beta=st.tuples(st.integers(-12, 12), st.sampled_from([1, 2, 3, 5])),
+    j_seed=st.integers(0, 100),
+    level=st.integers(0, 5),
+)
+def test_exponent_series_matches_closed_form_property(tail, beta, j_seed, level):
+    A = make_curve([1] + sorted(tail))
+    beta = Fraction(*beta)
+    j = j_seed % A.entries[-2]
+    bad, checked = _closed_form_mismatches(A, beta, j, level)
+    assert checked > 0 and bad == []
 
 
 def test_witness_series_needs_a_nonnegative_level():
