@@ -201,6 +201,8 @@ def _cmd_verify(args):
         point = _POINTS[args.point or "smooth"]
         members = solution_basis(A, beta, point, s=slope(A),
                                  level=level, max_terms=_max_terms())
+    if not members:
+        raise CurveError("the basis is empty: nothing was checked")
     rows = []
     worst = Fraction(0)
     for member, report in verify_basis(A, members, beta, radius):

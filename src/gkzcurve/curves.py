@@ -276,8 +276,16 @@ class SemigroupTable:
     frobenius: int
 
 
+# Largest membership table built, checked before allocation: filling 5 million
+# entries takes ~90 MB and ~5 s.  (2, 100001) needs 200 002.
+MEMBERSHIP_TABLE_CAP = 5_000_000
+
+
 @lru_cache(maxsize=None)
 def _membership(entries: tuple[int, ...], bound: int) -> tuple[bool, ...]:
+    if bound >= MEMBERSHIP_TABLE_CAP:
+        raise CurveError(f"semigroup table of {entries} up to {bound} exceeds "
+                         f"{MEMBERSHIP_TABLE_CAP} entries")
     dp = [False] * (bound + 1)
     dp[0] = True
     for v in range(1, bound + 1):
@@ -379,8 +387,9 @@ def delta_exponents(A: CurveMatrix) -> tuple[DeltaExponent, ...]:
         others = tuple(a for j, a in enumerate(A.entries) if j != i)
         delta = _least_delta(others, a_i)
         witness = _lex_witness(others, 1 + delta * a_i)
-        assert witness is not None
-        assert sum(c * g for c, g in zip(witness, others)) == 1 + delta * a_i
+        target = 1 + delta * a_i
+        if witness is None or sum(c * g for c, g in zip(witness, others)) != target:
+            raise CurveError(f"no witness of {target} over {others}")
         out.append(DeltaExponent(i, delta, witness))
     return tuple(out)
 

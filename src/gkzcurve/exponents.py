@@ -69,7 +69,8 @@ def standard_weight(A: CurveMatrix) -> WeightVector:
     if n >= 3:
         w[n - 2] = Fraction(a[n - 2]) - Fraction(1, 4)
     w[n - 1] = Fraction(a[n - 1]) + 1
-    assert weight_is_admissible(A, w), w
+    if not weight_is_admissible(A, w):
+        raise InvalidWeightError(f"standard weight {tuple(w)} of {a} is not admissible")
     return WeightVector(tuple(w))
 
 
@@ -95,7 +96,9 @@ def initial_ideal_generators(A: CurveMatrix, omega: WeightVector | None = None) 
         gens.append(WeylOperator.monomial(n, (0,) * n, exp))
     for gen, toric in zip(gens, toric_generators(A)):
         # the initial form of d_1^{a_i} - d_i is the generator up to sign
-        assert set(initial_form(toric, omega.entries).terms) == set(gen.terms)
+        if set(initial_form(toric, omega.entries).terms) != set(gen.terms):
+            raise CurveError(f"{gen} is not the initial form of {toric} "
+                             f"under {omega.entries}")
     return gens
 
 

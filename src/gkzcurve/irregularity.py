@@ -232,7 +232,8 @@ def _general_basis(A, beta, point, s, level, max_terms) -> list[BasisMember]:
     t = int(beta) // A.entries[-1] + 1
     w = tuple(0 if i < A.n - 1 else t for i in range(A.n))
     shifted = beta - A.entries[-1] * t
-    assert shifted < 0
+    if shifted >= 0:
+        raise CurveError(f"shifted parameter {shifted} is not negative")
     if point is PointClass.GENERIC:
         members = _smooth_generic_basis(aux, shifted, level, max_terms)
     else:

@@ -130,7 +130,8 @@ def auxiliary_restriction(A: CurveMatrix, beta) -> tuple[ModuleDescriptor, Restr
         q_ops.append(WeylOperator.monomial(nv, (0,) * nv, tuple(left))
                      - WeylOperator.monomial(nv, (0,) * nv, tuple(right)))
         diff = tuple(l - r for l, r in zip(left, right))
-        assert aux.weight(diff) == 0
+        if aux.weight(diff) != 0:
+            raise CurveError(f"{diff} is not in the kernel of {aux.entries}")
     p1_exp = tuple(A.entries[0] if j == 0 else 0 for j in range(nv))
     p1 = (WeylOperator.monomial(nv, (0,) * nv, p1_exp)
           - WeylOperator.monomial(nv, (0,) * nv,

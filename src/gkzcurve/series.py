@@ -249,33 +249,69 @@ class FormalSeries:
         return out
 
 
+def _json_list(x, what: str) -> list:
+    if not isinstance(x, list):
+        raise CurveError(f"{what} is a {type(x).__name__}, not a list")
+    return x
+
+
+def _json_int(x, what: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise CurveError(f"{what} {x!r} is not an integer")
+    return x
+
+
+def _json_rational(x, what: str) -> Fraction:
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise CurveError(f"{what} {x!r} is not an integer or a rational string")
+    try:
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError):
+        raise CurveError(f"{what} {x!r} is not a rational number") from None
+
+
 def series_from_json(data: dict, matrix: CurveMatrix | None = None) -> FormalSeries:
     """Rebuild a series from its JSON form; lattice descriptors need the matrix.
 
     Raises CurveError when a required key (of the series or of a term) is
-    missing or an offset's length differs from the base exponent's."""
+    missing or holds a value of the wrong kind: exponents and coefficients are
+    integers or rational strings, offsets lists of integers as long as the base
+    exponent, the truncation an integer."""
     if not isinstance(data, dict):
         raise CurveError("series JSON is not an object")
     for key in ("base_exponent", "terms", "truncation"):
         if key not in data:
             raise CurveError(f"series JSON lacks {key!r}")
-    base = tuple(Fraction(x) for x in data["base_exponent"])
+    base = tuple(_json_rational(x, "base_exponent entry")
+                 for x in _json_list(data["base_exponent"], "base_exponent"))
+    truncation = _json_int(data["truncation"], "truncation")
     terms = {}
-    for t in data["terms"]:
+    for t in _json_list(data["terms"], "terms"):
         if not isinstance(t, dict) or "offset" not in t or "coeff" not in t:
             raise CurveError(f"series term {t!r} lacks 'offset' or 'coeff'")
-        if len(t["offset"]) != len(base):
-            raise CurveError(f"offset {t['offset']} has length {len(t['offset'])}, "
+        offset = tuple(_json_int(x, "offset entry")
+                       for x in _json_list(t["offset"], "offset"))
+        if len(offset) != len(base):
+            raise CurveError(f"offset {list(offset)} has length {len(offset)}, "
                              f"base_exponent has {len(base)}")
-        terms[tuple(t["offset"])] = Fraction(t["coeff"])
+        terms[offset] = _json_rational(t["coeff"], "coeff")
     kind = data.get("descriptor", "finite")
     if kind == "lattice":
         if matrix is None:
             raise CurveError("lattice descriptor needs the curve matrix")
         descriptor = LatticeGammaSupport(lattice_basis(matrix), base)
     elif kind == "x0_section":
-        aux = make_curve(data["aux_matrix"])
-        aux_base = tuple(Fraction(x) for x in data["aux_base"])
+        for key in ("aux_matrix", "aux_base"):
+            if key not in data:
+                raise CurveError(f"x0_section series JSON lacks {key!r}")
+        aux = make_curve(_json_int(x, "aux_matrix entry")
+                         for x in _json_list(data["aux_matrix"], "aux_matrix"))
+        aux_base = tuple(_json_rational(x, "aux_base entry")
+                         for x in _json_list(data["aux_base"], "aux_base"))
+        if len(aux_base) != aux.n or len(base) != aux.n - 1:
+            raise CurveError(f"x0_section of {aux.n} auxiliary variables needs an "
+                             f"aux_base of length {aux.n} and a base_exponent of "
+                             f"length {aux.n - 1}")
         descriptor = SectionSupport(LatticeGammaSupport(lattice_basis(aux), aux_base))
     elif kind == "finite":
         descriptor = FiniteSupport()
@@ -286,7 +322,7 @@ def series_from_json(data: dict, matrix: CurveMatrix | None = None) -> FormalSer
         descriptor = WindowSupport(lambda off, _s=stored: tuple(off) in _s)
     else:
         raise CurveError(f"cannot rebuild a series with descriptor {kind!r}")
-    return FormalSeries(base, terms, int(data["truncation"]), descriptor)
+    return FormalSeries(base, terms, truncation, descriptor)
 
 
 # ---------------------------------------------------------------------------

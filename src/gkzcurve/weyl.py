@@ -19,7 +19,7 @@ from .curves import (
     lattice_ball,
     lattice_basis,
 )
-from .series import FormalSeries, WindowSupport, falling_product
+from .series import FormalSeries, WindowSupport
 
 
 class NotSmoothError(CurveError):
@@ -250,6 +250,126 @@ class TrustedSeries:
         return self.series.coefficient_known(offset, self.trusted_level)
 
 
+class _FallingFactors(dict):
+    """t -> prod_{j<g} (p + q t - q j), i.e. q^g (p/q + t)_g, filled on demand."""
+
+    def __init__(self, p: int, q: int, g: int):
+        super().__init__()
+        self.p, self.q, self.g = p, q, g
+
+    def __missing__(self, t: int) -> int:
+        z = self.p + self.q * t
+        f = self[t] = math.prod(range(z, z - self.q * self.g, -self.q))
+        return f
+
+
+class _Certainty(dict):
+    """offset -> whether the series certifies its coefficient there, filled on
+    demand: each offset is classified by the series' descriptor at most once."""
+
+    def __init__(self, S: TrustedSeries):
+        super().__init__()
+        self.trusted = S
+
+    def __missing__(self, offset: tuple[int, ...]) -> bool:
+        ok = self[offset] = self.trusted.coefficient_known(offset) is not None
+        return ok
+
+
+class _Window(dict):
+    """offset -> whether an operator image is exact there, filled on demand.
+
+    That holds when every operator term's unique contributor offset is
+    certified by the series, or the term's falling factor vanishes on it.
+    Called with any integer sequence, it is the image's trust predicate."""
+
+    def __init__(self, known: _Certainty, plan):
+        super().__init__()
+        self.known, self.plan = known, plan
+
+    def __missing__(self, offset: tuple[int, ...]) -> bool:
+        ok = True
+        for shift, _, slots in self.plan:
+            contrib = tuple(o - s for o, s in zip(offset, shift))
+            if not self.known[contrib] and all(table[contrib[i]] for i, table in slots):
+                ok = False
+                break
+        self[offset] = ok
+        return ok
+
+    def __call__(self, offset) -> bool:
+        return self[tuple(int(x) for x in offset)]
+
+
+class _SeriesKernel:
+    """Integer-scaled view of one trusted series, shared by every operator
+    applied to it.
+
+    With the base exponent p_i/q_i per coordinate, the falling factor of the
+    exponent at offset u is
+
+        (p_i/q_i + u_i)_g = prod_{j<g} (p_i + q_i u_i - q_i j) / q_i^g,
+
+    an integer over q_i^g, and the stored coefficients are integers over one
+    common denominator; so an operator image accumulates integers over one
+    denominator per operator.  The integer falling factors and the certainty
+    of each offset are memoized per series, whatever the operators.
+    """
+
+    def __init__(self, S: TrustedSeries):
+        src = S.series
+        self.num = tuple(b.numerator for b in src.base)
+        self.den = tuple(b.denominator for b in src.base)
+        self.scale = math.lcm(*(c.denominator for c in src.terms.values()))
+        self.terms = [(u, c.numerator * (self.scale // c.denominator))
+                      for u, c in src.terms.items()]
+        self.known = _Certainty(S)
+        self._falling: dict[tuple[int, int], _FallingFactors] = {}
+
+    def falling(self, i: int, g: int) -> _FallingFactors:
+        table = self._falling.get((i, g))
+        if table is None:
+            table = self._falling[(i, g)] = _FallingFactors(self.num[i], self.den[i], g)
+        return table
+
+    def image(self, P: WeylOperator):
+        """P applied to the series: (sums, denominator, window).
+
+        sums maps every offset that received a nonzero contribution to the
+        integer numerator of its coefficient over denominator (zero where the
+        contributions cancel); the coefficient is exact where window holds.
+        """
+        nvars = len(self.num)
+        if P.nvars != nvars:
+            raise DimensionMismatchError(
+                f"operator on {P.nvars} variables against {nvars}-variable series")
+        scales = [c.denominator * math.prod(q ** gi for q, gi in zip(self.den, g))
+                  for (_, g), c in P.terms.items()]
+        lcm = math.lcm(*scales)
+        plan = []
+        for ((a, g), c), s in zip(P.terms.items(), scales):
+            slots = tuple((i, self.falling(i, gi)) for i, gi in enumerate(g) if gi)
+            plan.append((tuple(ai - gi for ai, gi in zip(a, g)),
+                         c.numerator * (lcm // s), slots))
+
+        sums: dict[tuple[int, ...], int] = {}
+        for u, n in self.terms:
+            for shift, mult, slots in plan:
+                f = 1
+                for i, table in slots:
+                    f *= table[u[i]]
+                    if not f:
+                        break
+                if f:
+                    w = tuple(ui + si for ui, si in zip(u, shift))
+                    sums[w] = sums.get(w, 0) + n * mult * f
+        return sums, self.scale * lcm, _Window(self.known, plan)
+
+
+def _trusted(S) -> TrustedSeries:
+    return TrustedSeries.from_series(S) if isinstance(S, FormalSeries) else S
+
+
 def apply(P: WeylOperator, S) -> TrustedSeries:
     """Exact term-by-term action of an operator on a (trusted) series.
 
@@ -260,49 +380,25 @@ def apply(P: WeylOperator, S) -> TrustedSeries:
     falling factorial); everything else is dropped, so all stored output
     coefficients are exact values of P applied to the full series.
     """
-    if isinstance(S, FormalSeries):
-        S = TrustedSeries.from_series(S)
+    S = _trusted(S)
+    sums, den, window = _SeriesKernel(S).image(P)
+    kept = {w: Fraction(n, den) for w, n in sums.items() if n and window[w]}
     src = S.series
-    if P.nvars != src.nvars:
-        raise DimensionMismatchError(
-            f"operator on {P.nvars} variables against {src.nvars}-variable series")
-
-    accum: dict[tuple[int, ...], Fraction] = {}
-    for u, c in src.terms.items():
-        e = src.exponent(u)
-        for (a, g), pc in P.terms.items():
-            f = falling_product(e, g)
-            if f == 0:
-                continue
-            w = tuple(ui - gi + ai for ui, gi, ai in zip(u, g, a))
-            accum[w] = accum.get(w, Fraction(0)) + c * pc * f
-
-    cache: dict[tuple[int, ...], bool] = {}
-
-    def certified(offset) -> bool:
-        offset = tuple(int(x) for x in offset)
-        if offset in cache:
-            return cache[offset]
-        ok = True
-        for (a, g) in P.terms:
-            contrib = tuple(o + gi - ai for o, gi, ai in zip(offset, g, a))
-            if S.coefficient_known(contrib) is None:
-                if falling_product(src.exponent(contrib), g) != 0:
-                    ok = False
-                    break
-        cache[offset] = ok
-        return ok
-
-    kept = {w: c for w, c in accum.items() if c != 0 and certified(w)}
-    out = FormalSeries(src.base, kept, src.truncation, WindowSupport(certified))
+    out = FormalSeries(src.base, kept, src.truncation, WindowSupport(window))
     return TrustedSeries(out, max(-1, S.trusted_level - P.order_bound()))
 
 
 @dataclass(frozen=True)
 class GeneratorViolation:
+    """One generator applied to a series: the largest certified coefficient of
+    the image (violation), how many certified coefficients are nonzero
+    (trusted_terms), and at how many certified offsets some contribution
+    landed (certified; 0 means the window held no evidence at all)."""
+
     name: str
     violation: Fraction
     trusted_terms: int
+    certified: int
 
 
 @dataclass(frozen=True)
@@ -319,8 +415,10 @@ def annihilation_report(generators, S) -> AnnihilationReport:
     """Apply each generator and report the largest coefficient surviving on the
     trusted window; 0 means annihilation is verified there.
 
-    generators: iterable of WeylOperator or (name, WeylOperator) pairs.
+    generators: iterable of WeylOperator or (name, WeylOperator) pairs.  All of
+    them run against one integer-scaled kernel of the series.
     """
+    kernel = _SeriesKernel(_trusted(S))
     rows = []
     worst = Fraction(0)
     for idx, gen in enumerate(generators):
@@ -328,10 +426,16 @@ def annihilation_report(generators, S) -> AnnihilationReport:
             name, op = gen
         else:
             name, op = f"generator[{idx}]", gen
-        result = apply(op, S)
-        terms = result.series.terms
-        violation = max((abs(c) for c in terms.values()), default=Fraction(0))
-        rows.append(GeneratorViolation(name, violation, len(terms)))
+        sums, den, window = kernel.image(op)
+        count = nonzero = top = 0
+        for w, n in sums.items():
+            if window[w]:
+                count += 1
+                if n:
+                    nonzero += 1
+                    top = max(top, abs(n))
+        violation = Fraction(top, den)
+        rows.append(GeneratorViolation(name, violation, nonzero, count))
         worst = max(worst, violation)
     return AnnihilationReport(worst, tuple(rows))
 

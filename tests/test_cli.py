@@ -310,6 +310,60 @@ def test_verify_input_short_offset_is_a_domain_error(tmp_path, capsys):
                              "--input", str(path)), 1)
 
 
+@pytest.mark.parametrize("field,value", [("coeff", "x"), ("truncation", "ten"),
+                                         ("terms", 5), ("offset", [0, 1.5, 0]),
+                                         ("offset", 5), ("coeff", "1/0")])
+def test_verify_input_bad_value_is_a_domain_error(tmp_path, capsys, solved, field,
+                                                  value):
+    series = solved["basis"][0]["series"]
+    holder = series["terms"][0] if field in ("coeff", "offset") else series
+    holder[field] = value
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps(solved))
+    code, out, err = _verify_file(capsys, path)
+    _one_line_error(code, out, err, 1)
+    assert field in err
+
+
+@pytest.mark.parametrize("field,value", [("aux_matrix", None), ("aux_base", None),
+                                         ("aux_base", ["0", "1/2"]),
+                                         ("aux_matrix", [1, 2, "x"])])
+def test_verify_input_bad_section_is_a_domain_error(tmp_path, capsys, field, value):
+    code, out, _ = run_cli(capsys, "solve", "--matrix", "2,3", "--beta", "1/2",
+                           "--truncation", "4")
+    assert code == 0
+    data = json.loads(out)
+    series = data["basis"][0]["series"]
+    assert series["descriptor"] == "x0_section"
+    if value is None:
+        del series[field]
+    else:
+        series[field] = value
+    path = tmp_path / "section.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "verify", "--matrix", "2,3", "--beta", "1/2",
+                             "--input", str(path))
+    _one_line_error(code, out, err, 1)
+    assert field in err
+
+
+@pytest.mark.parametrize("args", [("--point", "deep"), ("--input", "EMPTY")])
+def test_verify_of_an_empty_basis_is_a_domain_error(tmp_path, capsys, args):
+    empty = tmp_path / "empty.json"
+    empty.write_text("[]")
+    args = tuple(str(empty) if a == "EMPTY" else a for a in args)
+    code, out, err = run_cli(capsys, "verify", "--matrix", "1,2,3", "--beta", "4", *args)
+    _one_line_error(code, out, err, 1)
+    assert "nothing was checked" in err
+
+
+def test_semigroup_table_over_the_cap_is_a_domain_error(capsys):
+    code, out, err = run_cli(capsys, "semigroup", "--matrix", "1000003,1000033",
+                             "--beta", "1")
+    _one_line_error(code, out, err, 1)
+    assert "exceeds" in err
+
+
 def test_verify_exits_1_on_a_violation(tmp_path, capsys, solved):
     path = tmp_path / "basis.json"
     path.write_text(json.dumps(solved))

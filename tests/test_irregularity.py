@@ -218,6 +218,22 @@ def test_gap_parameter_sweep_all_gaps():
                     assert report.max_violation == 0, (entries, beta, member.label)
 
 
+def test_certified_window_per_generator():
+    # at truncation 0 almost no generator has a certified offset where a
+    # contribution landed: max_violation 0 there rests on 6 offsets in total
+    A = make_curve((1, 3, 6, 8))
+    beta = Fraction(1, 3)
+    counts = {}
+    for level in (0, 8):
+        basis = solution_basis(A, beta, PointClass.SMOOTH_STRATUM, s=slope(A),
+                               level=level)
+        counts[level] = [row.certified for _, report in verify_basis(A, basis, beta, 3)
+                         for row in report.per_generator]
+    assert len(counts[0]) == 210
+    assert sum(c == 0 for c in counts[0]) == 204
+    assert len(counts[8]) == 210 and min(counts[8]) >= 2
+
+
 def test_monodromy_examples():
     assert monodromy_rotations(make_curve((1, 2, 3)), 0) == [0, Fraction(1, 2)]
     assert monodromy_rotations(make_curve((1, 2, 3)), Fraction(1, 2)) == [

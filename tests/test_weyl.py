@@ -1,11 +1,15 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gkzcurve import (
     FormalSeries,
+    PointClass,
     TrustedSeries,
     WeylOperator,
     annihilation_report,
@@ -16,10 +20,13 @@ from gkzcurve import (
     initial_form,
     make_curve,
     named_generators,
+    slope,
+    solution_basis,
     toric_generators,
 )
-from gkzcurve.curves import DimensionMismatchError, NotInKernelError
-from gkzcurve.series import FiniteSupport
+from gkzcurve.curves import CurveError, DimensionMismatchError, NotInKernelError
+from gkzcurve.series import FiniteSupport, WindowSupport, falling_product
+from gkzcurve.weyl import GeneratorViolation
 
 
 def x(i, n=2):
@@ -243,3 +250,172 @@ def test_operator_repr():
     assert repr(WeylOperator.zero(2)) == "0"
     E = euler_operator(make_curve((2, 3)), 0)
     assert "x1 d1" in repr(E)
+
+
+# ---------------------------------------------------------------------------
+# Oracle for the integer-scaled kernel: the Fraction loop apply used to run
+
+
+def reference_apply(P, S):
+    """Term-by-term action over Fractions, as apply computed it before the
+    integer-scaled kernel.  Also returns the offsets where a nonzero
+    contribution landed."""
+    if isinstance(S, FormalSeries):
+        S = TrustedSeries.from_series(S)
+    src = S.series
+    if P.nvars != src.nvars:
+        raise DimensionMismatchError(
+            f"operator on {P.nvars} variables against {src.nvars}-variable series")
+
+    accum: dict[tuple[int, ...], Fraction] = {}
+    for u, c in src.terms.items():
+        e = src.exponent(u)
+        for (a, g), pc in P.terms.items():
+            f = falling_product(e, g)
+            if f == 0:
+                continue
+            w = tuple(ui - gi + ai for ui, gi, ai in zip(u, g, a))
+            accum[w] = accum.get(w, Fraction(0)) + c * pc * f
+
+    cache: dict[tuple[int, ...], bool] = {}
+
+    def certified(offset) -> bool:
+        offset = tuple(int(x) for x in offset)
+        if offset in cache:
+            return cache[offset]
+        ok = True
+        for (a, g) in P.terms:
+            contrib = tuple(o + gi - ai for o, gi, ai in zip(offset, g, a))
+            if S.coefficient_known(contrib) is None:
+                if falling_product(src.exponent(contrib), g) != 0:
+                    ok = False
+                    break
+        cache[offset] = ok
+        return ok
+
+    kept = {w: c for w, c in accum.items() if c != 0 and certified(w)}
+    out = FormalSeries(src.base, kept, src.truncation, WindowSupport(certified))
+    return TrustedSeries(out, max(-1, S.trusted_level - P.order_bound())), list(accum)
+
+
+def reference_rows(generators, S):
+    rows = []
+    for name, op in generators:
+        result, landed = reference_apply(op, S)
+        terms = result.series.terms
+        window = result.series.descriptor.predicate
+        rows.append(GeneratorViolation(
+            name, max((abs(c) for c in terms.values()), default=Fraction(0)),
+            len(terms), sum(1 for w in landed if window(w))))
+    return rows
+
+
+def fraction_operator(rng, n):
+    """Two terms x^a d^g with small exponents and non-integer coefficients."""
+    terms = {}
+    for _ in range(2):
+        a = tuple(rng.randint(0, 1) for _ in range(n))
+        g = tuple(rng.randint(0, 2) for _ in range(n))
+        terms[(a, g)] = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
+    return WeylOperator(n, terms)
+
+
+def series_variant(S: TrustedSeries, variant: str, rng) -> TrustedSeries:
+    """plain; perturbed (one stored coefficient off by 1/2, so generators leave
+    nonzero violations); chained (the image of a derivative, whose trust is a
+    window predicate)."""
+    src = S.series
+    if variant == "perturbed" and src.terms:
+        terms = dict(src.terms)
+        off = rng.choice(sorted(terms))
+        terms[off] += Fraction(1, 2)
+        return TrustedSeries(FormalSeries(src.base, terms, src.truncation,
+                                          src.descriptor), S.trusted_level)
+    if variant == "chained":
+        return apply(WeylOperator.d(src.nvars, rng.randrange(src.nvars)), S)
+    return S
+
+
+def assert_kernel_matches_reference(generators, S, rng):
+    n = S.nvars
+    for name, op in generators:
+        got = apply(op, S)
+        want, landed = reference_apply(op, S)
+        assert list(got.series.terms.items()) == list(want.series.terms.items()), name
+        assert got.trusted_level == want.trusted_level
+        sample = set(landed) | set(S.series.terms)
+        sample |= {tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(20)}
+        for off in sample:
+            assert (got.series.descriptor.predicate(off)
+                    == want.series.descriptor.predicate(off)), (name, off)
+    report = annihilation_report(generators, S)
+    rows = reference_rows(generators, S)
+    assert list(report.per_generator) == rows
+    assert report.max_violation == max((r.violation for r in rows), default=0)
+    return report
+
+
+def basis_series(entries, beta, point, level):
+    A = make_curve(entries)
+    members = solution_basis(A, beta, point, s=slope(A), level=level)
+    return A, [TrustedSeries.from_series(m.series) for m in members]
+
+
+KERNEL_SWEEP = [
+    ((1, 2, 3), Fraction(1, 2)), ((1, 2, 3), 4), ((1, 2, 3), Fraction(-7, 3)),
+    ((1, 3, 6, 8), Fraction(1, 3)), ((1, 3, 6, 8), 2), ((1, 5), Fraction(1, 2)),
+    ((2, 3), Fraction(1, 2)), ((2, 3), 1), ((3, 5, 7), 2), ((3, 5, 7), 8),
+]
+
+
+@pytest.mark.parametrize("entries,beta", KERNEL_SWEEP)
+def test_kernel_matches_fraction_reference(entries, beta):
+    rng = random.Random(f"{entries} {beta}")
+    violations = 0
+    for point in (PointClass.SMOOTH_STRATUM, PointClass.GENERIC):
+        for level in (0, 4):
+            A, series = basis_series(entries, beta, point, level)
+            gens = named_generators(A, beta, 2)
+            gens += [("random", fraction_operator(rng, A.n))]
+            # the first members and the last, which is the witness when there is one
+            for S in series[:2] + series[2:][-1:]:
+                for variant in ("plain", "perturbed", "chained"):
+                    report = assert_kernel_matches_reference(
+                        gens, series_variant(S, variant, rng), rng)
+                    violations += sum(r.violation != 0 for r in report.per_generator)
+    assert violations > 0
+
+
+@st.composite
+def curves(draw):
+    n = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        rest = draw(st.lists(st.integers(2, 9), min_size=n - 1, max_size=n - 1,
+                             unique=True))
+        return (1,) + tuple(sorted(rest))
+    entries = tuple(sorted(draw(st.lists(st.integers(2, 9), min_size=n, max_size=n,
+                                         unique=True))))
+    assume(math.gcd(*entries) == 1)
+    return entries
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    entries=curves(),
+    beta=st.one_of(st.integers(-3, 9),
+                   st.builds(Fraction, st.integers(-9, 9), st.sampled_from([2, 3, 5]))),
+    point=st.sampled_from([PointClass.SMOOTH_STRATUM, PointClass.GENERIC]),
+    level=st.integers(0, 5),
+    variant=st.sampled_from(["plain", "perturbed", "chained"]),
+    seed=st.integers(0, 2**16),
+)
+def test_kernel_matches_fraction_reference_property(entries, beta, point, level,
+                                                    variant, seed):
+    rng = random.Random(seed)
+    try:
+        A, series = basis_series(entries, beta, point, level)
+    except CurveError:        # e.g. natural beta on a smooth 2-entry matrix
+        assume(False)
+    gens = named_generators(A, beta, 2) + [("random", fraction_operator(rng, A.n))]
+    for S in series[:2]:
+        assert_kernel_matches_reference(gens, series_variant(S, variant, rng), rng)
