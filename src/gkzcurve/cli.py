@@ -92,10 +92,10 @@ def _max_terms() -> int | None:
         raise UsageError(f"GKZ_MAX_TERMS={raw!r} is not an integer")
 
 
-def _truncation(args) -> int:
-    if args.truncation < 0:
-        raise UsageError(f"--truncation must be >= 0, got {args.truncation}")
-    return args.truncation
+def _nonnegative(value: int, flag: str) -> int:
+    if value < 0:
+        raise UsageError(f"{flag} must be >= 0, got {value}")
+    return value
 
 
 _POINTS = {
@@ -151,7 +151,7 @@ def _read_members(path: str, A: CurveMatrix) -> list[BasisMember]:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise UsageError(f"cannot read --input {path}: {exc}")
     entries = data.get("basis") if isinstance(data, dict) else data
     if not isinstance(entries, list):
@@ -172,7 +172,8 @@ def _cmd_solve(args):
     beta = _parse_rational(args.beta)
     s = _parse_order(args.s) if args.s else slope(A)
     point = _POINTS[args.point or "smooth"]
-    members = solution_basis(A, beta, point, s=s, level=_truncation(args),
+    members = solution_basis(A, beta, point, s=s,
+                             level=_nonnegative(args.truncation, "--truncation"),
                              max_terms=_max_terms())
     payload = {
         "matrix": list(A.entries),
@@ -193,8 +194,8 @@ def _cmd_solve(args):
 def _cmd_verify(args):
     A = _parse_matrix(args.matrix)
     beta = _parse_rational(args.beta)
-    radius = args.ball_radius
-    level = _truncation(args)
+    radius = _nonnegative(args.ball_radius, "--ball-radius")
+    level = _nonnegative(args.truncation, "--truncation")
     if args.input:
         members = _read_members(args.input, A)
     else:
@@ -203,6 +204,10 @@ def _cmd_verify(args):
                                  level=level, max_terms=_max_terms())
     if not members:
         raise CurveError("the basis is empty: nothing was checked")
+    for member in members:
+        if member.series.is_zero():
+            raise CurveError(f"series {member.label!r} has no nonzero term: "
+                             f"nothing was checked")
     rows = []
     worst = Fraction(0)
     for member, report in verify_basis(A, members, beta, radius):
@@ -227,7 +232,7 @@ def _cmd_verify(args):
 
 def _cmd_gevrey_index(args):
     A = _parse_matrix(args.matrix)
-    terms = args.terms
+    terms = _nonnegative(args.terms, "--terms")
     if args.stream == "witness":
         beta = _parse_rational(args.beta) if args.beta else Fraction(0)
         stream = slope_subseries(A, beta, "witness", terms)
@@ -251,10 +256,13 @@ def _cmd_gevrey_index(args):
         "slope": str(slope(A)),
     }
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("k,coefficient\n")
-            for k, c in stream:
-                fh.write(f"{k},{c}\n")
+        try:
+            with open(args.csv, "w") as fh:
+                fh.write("k,coefficient\n")
+                for k, c in stream:
+                    fh.write(f"{k},{c}\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write --csv {args.csv}: {exc}")
         payload["csv"] = args.csv
     _emit(payload, args.format)
     return 0

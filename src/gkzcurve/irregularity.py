@@ -16,6 +16,7 @@ from .curves import CurveError, CurveKind, CurveMatrix, semigroup_member
 from .exponents import polynomial_exponent_index
 from .series import (
     FormalSeries,
+    IndexOutOfRangeError,
     SubstitutionResult,
     exponent_series,
     gamma_series,
@@ -329,30 +330,39 @@ def slope_subseries(A: CurveMatrix, beta, which, count: int = 200):
 
     which = "witness": c_m = (-1)^{a_n m} (a_n m)! / (a_{n-1} m)! at k = a_{n-1} m.
     which = ("exponent", j): c_m = ((beta-j)/a_{n-1})_{a_n m} / (a_{n-1} m)!
-    (falling factorial), defined when (beta-j)/a_{n-1} is not a natural number.
+    (falling factorial), defined for 0 <= j < a_{n-1} when (beta-j)/a_{n-1} is
+    not a natural number.
 
     Both streams realize the Gevrey index a_n/a_{n-1}.  Returns a list of
     (k, Fraction) pairs.
+
+    Both are one recurrence: the witness stream is the exponent stream of
+    theta = -1, since (-1)_k = (-1)^k k!, and with theta = p/q
+        c_{m+1} / c_m = prod_{a_n m <= i < a_n (m+1)} (p - q i)
+                        / (q^{a_n} prod_{a_{n-1} m < i <= a_{n-1} (m+1)} i),
+    the Gamma-series ratio along the ray.  So a stream of `count` terms costs
+    O(count * a_n) multiplies, and Fraction's normalisation only takes gcds
+    against the small step factors.
     """
     a_pen, a_top = A.entries[-2], A.entries[-1]
-    out = []
     if which == "witness":
-        for m in range(count):
-            c = Fraction((-1) ** (a_top * m) * math.factorial(a_top * m),
-                         math.factorial(a_pen * m))
-            out.append((a_pen * m, c))
-        return out
-    kind, j = which
-    if kind != "exponent":
-        raise CurveError(f"unknown subseries selector {which!r}")
-    theta = Fraction(Fraction(beta) - j, a_pen)
-    if theta.denominator == 1 and theta >= 0:
-        raise CurveError("the exponent-ray stream terminates for the polynomial slot")
+        theta = Fraction(-1)
+    else:
+        kind, j = which
+        if kind != "exponent":
+            raise CurveError(f"unknown subseries selector {which!r}")
+        if not 0 <= j < a_pen:
+            raise IndexOutOfRangeError(f"j={j} outside 0..{a_pen - 1}")
+        theta = Fraction(Fraction(beta) - j, a_pen)
+        if theta.denominator == 1 and theta >= 0:
+            raise CurveError("the exponent-ray stream terminates for the polynomial slot")
+    p, q = theta.numerator, theta.denominator
+    out = []
+    c = Fraction(1)
     for m in range(count):
-        num = Fraction(1)
-        for i in range(a_top * m):
-            num *= theta - i
-        out.append((a_pen * m, num / math.factorial(a_pen * m)))
+        out.append((a_pen * m, c))
+        c *= Fraction(math.prod(p - q * i for i in range(a_top * m, a_top * (m + 1))),
+                      q ** a_top * math.prod(range(a_pen * m + 1, a_pen * (m + 1) + 1)))
     return out
 
 

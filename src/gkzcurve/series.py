@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -261,9 +262,17 @@ def _json_int(x, what: str) -> int:
     return x
 
 
+# solve writes rationals as str(Fraction): "p" or "p/q".  Fraction itself
+# would also parse decimals and exponents, and "1e999999999" builds a
+# billion-digit integer before anything can check it.
+_RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _json_rational(x, what: str) -> Fraction:
     if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise CurveError(f"{what} {x!r} is not an integer or a rational string")
+    if isinstance(x, str) and not _RATIONAL_TEXT.fullmatch(x):
+        raise CurveError(f"{what} {x!r} is not a rational string p or p/q")
     try:
         return Fraction(x)
     except (ValueError, ZeroDivisionError):

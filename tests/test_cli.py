@@ -1,9 +1,14 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import gkzcurve
 
@@ -187,6 +192,32 @@ def test_gevrey_index_command(capsys, tmp_path):
     assert csv.read_text().startswith("k,coefficient\n0,1\n")
 
 
+def test_gevrey_index_csv_to_an_unwritable_path_is_a_flag_error(capsys, tmp_path):
+    csv = tmp_path / "missing" / "stream.csv"
+    code, out, err = run_cli(capsys, "gevrey-index", "--matrix", "1,2,3",
+                             "--terms", "40", "--csv", str(csv))
+    _one_line_error(code, out, err, 2)
+    assert "--csv" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("gevrey-index", "--matrix", "1,2,3", "--terms", "-5"),
+    ("verify", "--matrix", "1,2,3", "--beta", "4", "--ball-radius", "-1"),
+])
+def test_negative_count_flag_is_a_flag_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    _one_line_error(code, out, err, 2)
+    assert f"{argv[-2]} must be >= 0" in err
+
+
+@pytest.mark.parametrize("j", ["7", "-1", "3"])
+def test_gevrey_index_exponent_index_out_of_range_is_a_domain_error(capsys, j):
+    code, out, err = run_cli(capsys, "gevrey-index", "--matrix", "1,3,5",
+                             "--stream", "exponent", "--beta", "1/2", "--j", j)
+    _one_line_error(code, out, err, 1)
+    assert "IndexOutOfRangeError" in err
+
+
 def test_domain_error_exit_code(capsys):
     code, out, err = run_cli(capsys, "exponents", "--matrix", "2,4,6", "--beta", "1")
     assert code == 1
@@ -273,7 +304,8 @@ def _verify_file(capsys, path, beta="4"):
                    "--input", str(path))
 
 
-@pytest.mark.parametrize("content", [None, "not json", "\udcff"])
+@pytest.mark.parametrize("content", [None, "not json", "\udcff",
+                                     pytest.param("[" * 100000, id="deep-nesting")])
 def test_verify_unreadable_input_is_a_flag_error(tmp_path, capsys, content):
     path = tmp_path / "basis.json"
     if content is not None:
@@ -312,7 +344,8 @@ def test_verify_input_short_offset_is_a_domain_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("field,value", [("coeff", "x"), ("truncation", "ten"),
                                          ("terms", 5), ("offset", [0, 1.5, 0]),
-                                         ("offset", 5), ("coeff", "1/0")])
+                                         ("offset", 5), ("coeff", "1/0"),
+                                         ("coeff", "1e5")])
 def test_verify_input_bad_value_is_a_domain_error(tmp_path, capsys, solved, field,
                                                   value):
     series = solved["basis"][0]["series"]
@@ -357,6 +390,21 @@ def test_verify_of_an_empty_basis_is_a_domain_error(tmp_path, capsys, args):
     assert "nothing was checked" in err
 
 
+def test_verify_of_a_zero_series_is_a_domain_error(tmp_path, capsys, solved):
+    # a series with no nonzero term is annihilated by everything
+    solved["basis"][1]["series"]["terms"] = []
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps(solved))
+    code, out, err = _verify_file(capsys, path)
+    _one_line_error(code, out, err, 1)
+    assert "'witness' has no nonzero term" in err
+    # (2,3) at truncation 1: the x_0 = 0 slice of the second member is empty
+    code, out, err = run_cli(capsys, "verify", "--matrix", "2,3", "--beta", "1/2",
+                             "--truncation", "1")
+    _one_line_error(code, out, err, 1)
+    assert "nothing was checked" in err
+
+
 def test_semigroup_table_over_the_cap_is_a_domain_error(capsys):
     code, out, err = run_cli(capsys, "semigroup", "--matrix", "1000003,1000033",
                              "--beta", "1")
@@ -384,3 +432,92 @@ def test_cli_import_leaves_numpy_out():
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+_json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 5),
+    st.integers(-10**40, 10**40), st.integers(10**300, 10**301),
+    st.floats(), st.text(max_size=6),
+    st.sampled_from(["lattice", "x0_section", "finite", "window", "1/2", "-3",
+                     "1/0", "x", "1e5", "toric[2]"]),
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.dictionaries(st.text(max_size=3), children,
+                                               max_size=4)),
+    max_leaves=12)
+
+
+def _edit(document, path, action, value):
+    """Walk down the entries that path picks, then replace, delete or add one."""
+    node = document
+    for depth, pick in enumerate(path):
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        if not keys:
+            break
+        key = keys[pick % len(keys)]
+        if depth + 1 < len(path) and isinstance(node[key], (dict, list)):
+            node = node[key]
+        elif action == "replace":
+            node[key] = value
+            return
+        elif action == "delete":
+            del node[key]
+            return
+        else:
+            break
+    if isinstance(node, dict):
+        node[str(path[-1])] = value
+    else:
+        node.append(value)
+
+
+def _edited(document, edits):
+    document = copy.deepcopy(document)
+    for path, action, value in edits:
+        _edit(document, path, action, value)
+    return document
+
+
+_edit_lists = st.lists(st.tuples(st.lists(st.integers(0, 10**6), min_size=1, max_size=7),
+                                  st.sampled_from(["replace", "delete", "add"]),
+                                  _json_values),
+                       min_size=1, max_size=3)
+# solve outputs with a lattice, an x0_section and a window descriptor
+_FUZZED_BASES = [("1,2,3", "4", "4"), ("2,3", "1/2", "4"), ("3,5,7", "2", "4")]
+
+
+@pytest.fixture(scope="module")
+def solved_documents():
+    documents = []
+    for matrix, beta, level in _FUZZED_BASES:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["solve", "--matrix", matrix, "--beta", beta,
+                         "--truncation", level]) == 0
+        documents.append((matrix, beta, json.loads(out.getvalue())))
+    return documents
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_verify_input_fuzz_never_escapes(tmp_path, capsys, solved_documents, data):
+    # solve's output with random edits (wrong types, missing and extra keys,
+    # nested lists, huge integers), or random JSON: exit 1 or 2 with a one-line
+    # error, or a report; never a traceback.  An edit can leave a valid series
+    # (a new label, an extra key), so exit 0 with max_violation 0 stays possible.
+    matrix, beta, solved = data.draw(st.sampled_from(solved_documents))
+    document = data.draw(st.one_of(_json_values,
+                                   st.builds(_edited, st.just(solved), _edit_lists)))
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, "verify", "--matrix", matrix, "--beta", beta,
+                             "--input", str(path))
+    if out:
+        report = json.loads(out)
+        assert code == (0 if report["max_violation"] == "0" else 1), (code, out)
+    else:
+        assert code in (1, 2), (code, err)
+        assert err.count("\n") == 1 and err.startswith("error: "), err

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkzcurve import (
     PointClass,
@@ -20,7 +22,7 @@ from gkzcurve import (
     verify_basis,
 )
 from gkzcurve.irregularity import InsufficientDataError, SlopeTooSmallError
-from gkzcurve.series import FormalSeries, FiniteSupport
+from gkzcurve.series import FormalSeries, FiniteSupport, IndexOutOfRangeError
 
 
 def test_slope_values():
@@ -331,3 +333,71 @@ def test_gevrey_estimate_exponent_stream():
     A = make_curve((1, 2, 3))
     est = gevrey_index_estimate(slope_subseries(A, Fraction(1, 2), ("exponent", 0), 120))
     assert abs(est - 1.5) < 0.05
+
+
+def reference_slope_subseries(A, beta, which, count):
+    """The direct loop: every falling factorial rebuilt from scratch."""
+    a_pen, a_top = A.entries[-2], A.entries[-1]
+    out = []
+    if which == "witness":
+        for m in range(count):
+            c = Fraction((-1) ** (a_top * m) * math.factorial(a_top * m),
+                         math.factorial(a_pen * m))
+            out.append((a_pen * m, c))
+        return out
+    _, j = which
+    theta = Fraction(Fraction(beta) - j, a_pen)
+    for m in range(count):
+        num = Fraction(1)
+        for i in range(a_top * m):
+            num *= theta - i
+        out.append((a_pen * m, num / math.factorial(a_pen * m)))
+    return out
+
+
+def stream_selectors(A, beta):
+    """The witness and every exponent index whose stream does not terminate."""
+    a_pen = A.entries[-2]
+    thetas = [Fraction(Fraction(beta) - j, a_pen) for j in range(a_pen)]
+    return ["witness"] + [("exponent", j) for j, theta in enumerate(thetas)
+                          if theta.denominator != 1 or theta < 0]
+
+
+@pytest.mark.parametrize("entries", [(1, 2, 3), (1, 3, 5), (1, 2, 5), (1, 3, 4, 5),
+                                     (3, 5, 7), (1, 2)])
+def test_slope_subseries_matches_reference(entries):
+    A = make_curve(entries)
+    for beta in (0, Fraction(1, 2), Fraction(5, 2), 4, Fraction(-7, 3)):
+        for which in stream_selectors(A, beta):
+            expected = reference_slope_subseries(A, beta, which, 60)
+            for count in (0, 1, 2, 60):
+                assert slope_subseries(A, beta, which, count) == expected[:count], \
+                    (entries, beta, which, count)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    entries=st.lists(st.integers(2, 9), min_size=1, max_size=3, unique=True),
+    smooth=st.booleans(),
+    beta=st.one_of(st.integers(-6, 12),
+                   st.builds(Fraction, st.integers(-30, 30), st.integers(1, 7))),
+    pick=st.integers(0, 10),
+    count=st.integers(0, 80),
+)
+def test_slope_subseries_matches_reference_property(entries, smooth, beta, pick,
+                                                    count):
+    entries = sorted(entries)
+    if smooth or len(entries) == 1 or math.gcd(*entries) != 1:
+        entries = [1] + entries
+    A = make_curve(entries)
+    selectors = stream_selectors(A, beta)
+    which = selectors[pick % len(selectors)]
+    assert slope_subseries(A, beta, which, count) == \
+        reference_slope_subseries(A, beta, which, count)
+
+
+@pytest.mark.parametrize("j", [-1, 2, 7])
+def test_slope_subseries_exponent_index_range(j):
+    A = make_curve((1, 2, 3))
+    with pytest.raises(IndexOutOfRangeError):
+        slope_subseries(A, Fraction(1, 2), ("exponent", j), 4)
