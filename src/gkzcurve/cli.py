@@ -49,7 +49,7 @@ from .restriction import (
     restrict_hyperplane,
     restrict_to_plane,
 )
-from .series import series_from_json
+from .series import RATIONAL_TEXT, series_from_json
 
 
 class UsageError(Exception):
@@ -65,10 +65,12 @@ def _parse_matrix(text: str) -> CurveMatrix:
 
 
 def _parse_rational(text: str) -> Fraction:
+    if not RATIONAL_TEXT.fullmatch(text):
+        raise UsageError(f"not a rational number p or p/q: {text!r}")
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"not a rational number {text!r}: {exc}")
+    except ZeroDivisionError:
+        raise UsageError(f"zero denominator in {text!r}") from None
 
 
 def _parse_order(text: str):

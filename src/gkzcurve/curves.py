@@ -9,10 +9,11 @@ numerical semigroup N*a_1 + ... + N*a_n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+
+from .records import record
 
 
 class CurveError(Exception):
@@ -44,7 +45,7 @@ class CurveKind(Enum):
     GENERAL = "general"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CurveMatrix:
     """Row matrix A = (a_1 ... a_n), 0 < a_1 < ... < a_n, n >= 2.
 
@@ -109,7 +110,7 @@ def make_curve(entries) -> CurveMatrix:
 # Integer kernel
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LatticeBasis:
     """A Z-basis (u^2, ..., u^n) of L_A = ker_Z(A), one row per index i = 2..n.
 
@@ -266,7 +267,7 @@ def lattice_ball(basis: LatticeBasis, radius: int):
 # Numerical semigroup
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SemigroupTable:
     """Membership of 0..bound in N*a_1 + ... + N*a_n, plus the largest gap."""
 
@@ -336,7 +337,7 @@ def semigroup_gaps(A: CurveMatrix) -> tuple[int, ...]:
 # auxiliary smooth curve.
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DeltaExponent:
     position: int                 # 0-based index into entries
     delta: int
@@ -404,7 +405,7 @@ class BetaClass(Enum):
     NON_INTEGER = "non_integer"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BetaClassification:
     category: BetaClass
     residue: Fraction | None      # beta mod 1, only for NON_INTEGER

@@ -8,10 +8,10 @@ exponents v^j.  At generic points the a_n exponents w^j play the same role.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .curves import CurveError, CurveMatrix
+from .records import record
 from .series import (
     exponent_base,
     generic_exponent_base,
@@ -26,7 +26,7 @@ class InvalidWeightError(CurveError):
     """Weight vector violates the admissibility conditions."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class WeightVector:
     """A positive rational weight on the n variables, admissible when
 
@@ -102,7 +102,7 @@ def initial_ideal_generators(A: CurveMatrix, omega: WeightVector | None = None) 
     return gens
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StandardPair:
     """A pair (monomial, face): the monomial exponent in N^n together with the
     set of indices allowed to vary freely."""
@@ -125,7 +125,7 @@ def standard_pairs(A: CurveMatrix) -> list[StandardPair]:
     return out
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExponentVector:
     """A starting exponent of a series solution, with its negative-support data.
 

@@ -8,12 +8,12 @@ answer return a NotCovered value instead of a guess.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .curves import CurveError, CurveKind, CurveMatrix, semigroup_member
 from .exponents import polynomial_exponent_index
+from .records import record
 from .series import (
     FormalSeries,
     IndexOutOfRangeError,
@@ -48,7 +48,7 @@ class SheafKind(Enum):
     GEVREY_QUOTIENT = "gevrey_quotient"    # order-s series modulo convergent
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SheafTag:
     kind: SheafKind
     order: Fraction | None = None      # None encodes s = infinity
@@ -76,7 +76,7 @@ class SheafTag:
         return self.order is None or self.order >= bound
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DimensionAnswer:
     """A germ dimension, or None when the published results do not cover the query."""
 
@@ -157,7 +157,7 @@ def irregularity_dimension(A: CurveMatrix, beta, point: PointClass,
 # Solution bases
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BasisMember:
     series: FormalSeries
     label: str
@@ -306,23 +306,6 @@ def monodromy_rotations(A: CurveMatrix, beta) -> list[Fraction]:
     return sorted(out)
 
 
-def gevrey_rescale(series: FormalSeries, s, axis: int):
-    """Coefficients with the axis-exponent factorial raised to 1 - s, as floats.
-
-    Diagnostic only: order-s series become convergent.  Returns (offset, float)
-    pairs in sorted offset order."""
-    s = float(s)
-    out = []
-    for off, c in series.sorted_terms():
-        i = float(series.base[axis] + off[axis])
-        try:
-            factor = math.gamma(i + 1.0) ** (1.0 - s)
-        except ValueError:
-            factor = 0.0        # gamma pole: infinite factorial, killed for s > 1
-        out.append((off, float(c) * factor))
-    return out
-
-
 def slope_subseries(A: CurveMatrix, beta, which, count: int = 200):
     """Exact coefficient stream of the one-variable subsum along the ray
     (0, ..., 0, a_n, a_{n-1}) of the kernel coordinates, indexed by the
@@ -394,20 +377,28 @@ def gevrey_index_estimate(stream, window: int | None = None) -> float:
         window = len(points) // 2
     points = points[-window:]
     # exact normal equations (X^T X) b = X^T y on the float data, solved for
-    # b_0 by Cramer's rule
-    rows = [(Fraction(math.lgamma(k + 1.0)), Fraction(k), Fraction(1))
-            for k, _ in points]
-    rhs = [Fraction(_log_abs(c)) for _, c in points]
+    # b_0 by Cramer's rule.  The lgamma column is scaled to integers by 2^ex
+    # and y by 2^ey, which scales b_0 by 2^(ey - ex): all sums are in int.
+    lgammas, ex = _dyadic_integers([math.lgamma(k + 1.0) for k, _ in points])
+    rhs, ey = _dyadic_integers([_log_abs(c) for _, c in points])
+    rows = [(x, k, 1) for x, (k, _) in zip(lgammas, points)]
     gram = [[sum(r[i] * r[j] for r in rows) for j in range(3)] for i in range(3)]
     moment = [sum(r[i] * y for r, y in zip(rows, rhs)) for i in range(3)]
     det = _det3(gram)
     if det == 0:
         raise InsufficientDataError(f"{len(points)} points do not fix a 3-term fit")
-    lead = _det3([[moment[i]] + gram[i][1:] for i in range(3)]) / det
+    lead = Fraction(_det3([[moment[i]] + gram[i][1:] for i in range(3)]) << ex, det << ey)
     return max(1.0, 1.0 + float(lead))
 
 
-def _det3(m) -> Fraction:
+def _dyadic_integers(values: list[float]) -> tuple[list[int], int]:
+    """Integers n_i and one e >= 0 with values[i] == n_i / 2^e exactly."""
+    ratios = [v.as_integer_ratio() for v in values]
+    e = max(d.bit_length() - 1 for _, d in ratios)
+    return [n << (e - d.bit_length() + 1) for n, d in ratios], e
+
+
+def _det3(m):
     (a, b, c), (d, e, f), (g, h, i) = m
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 

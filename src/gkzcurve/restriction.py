@@ -10,7 +10,6 @@ else fails loudly rather than guessing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -22,6 +21,7 @@ from .curves import (
     delta_exponents,
     make_curve,
 )
+from .records import record
 from .series import IndexOutOfRangeError
 from .weyl import NotSmoothError, WeylOperator
 
@@ -39,7 +39,7 @@ class Caveat(Enum):
     GENERIC_BETA_ONLY = "generic_beta_only"     # holds for all but finitely many beta
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ModuleDescriptor:
     """A hypergeometric module M_A(beta) appearing as a restriction summand."""
 
@@ -48,7 +48,7 @@ class ModuleDescriptor:
     caveat: Caveat
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RestrictionWitness:
     """Operators certifying the auxiliary restriction of a general curve:
     P_1 = d_0^{a_1} - d_1 and Q_i = d_0 d_i^{delta_i} - d^{rho_i}, all binomials
@@ -148,7 +148,7 @@ class WeightTag(Enum):
     FIRST_COORDINATE = "first_coordinate"       # (1, 0, ..., 0)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BFunction:
     """Monic polynomial in the weighted Euler operator, given by its roots
     (with multiplicity, sorted)."""

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .curves import (
@@ -31,6 +30,7 @@ from .curves import (
     make_curve,
     semigroup_member,
 )
+from .records import record
 
 
 class BetaNotNaturalError(CurveError):
@@ -262,16 +262,17 @@ def _json_int(x, what: str) -> int:
     return x
 
 
-# solve writes rationals as str(Fraction): "p" or "p/q".  Fraction itself
-# would also parse decimals and exponents, and "1e999999999" builds a
-# billion-digit integer before anything can check it.
-_RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+# solve writes rationals as str(Fraction): "p" or "p/q", and the CLI's rational
+# flags take the same.  Fraction itself would also parse decimals and
+# exponents, and "1e999999999" builds a billion-digit integer before anything
+# can check it.
+RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def _json_rational(x, what: str) -> Fraction:
     if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise CurveError(f"{what} {x!r} is not an integer or a rational string")
-    if isinstance(x, str) and not _RATIONAL_TEXT.fullmatch(x):
+    if isinstance(x, str) and not RATIONAL_TEXT.fullmatch(x):
         raise CurveError(f"{what} {x!r} is not a rational string p or p/q")
     try:
         return Fraction(x)
@@ -545,7 +546,7 @@ def witness_defect(A: CurveMatrix, beta) -> FormalSeries:
 # Minimal negative support
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MinimalSupportAnswer:
     status: bool | None            # True / False / None = unknown at this radius
     witness: tuple[int, ...] | None
@@ -593,7 +594,7 @@ def has_minimal_negative_support(A: CurveMatrix, v, radius: int = 3) -> MinimalS
 # x_0 = 0 substitution and contiguity
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SubstitutionResult:
     series: FormalSeries
     dropped: int                   # parent terms with nonzero x_0-exponent

@@ -8,7 +8,6 @@ are equal exactly when their normal-form term maps coincide.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .curves import (
@@ -19,6 +18,7 @@ from .curves import (
     lattice_ball,
     lattice_basis,
 )
+from .records import record
 from .series import FormalSeries, WindowSupport
 
 
@@ -230,7 +230,7 @@ def initial_form(P: WeylOperator, omega) -> WeylOperator:
 # Action on series
 
 
-@dataclass
+@record
 class TrustedSeries:
     """A formal series together with the level up to which its stored
     coefficients exhaust the support exactly."""
@@ -388,7 +388,7 @@ def apply(P: WeylOperator, S) -> TrustedSeries:
     return TrustedSeries(out, max(-1, S.trusted_level - P.order_bound()))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GeneratorViolation:
     """One generator applied to a series: the largest certified coefficient of
     the image (violation), how many certified coefficients are nonzero
@@ -401,7 +401,7 @@ class GeneratorViolation:
     certified: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AnnihilationReport:
     max_violation: Fraction
     per_generator: tuple[GeneratorViolation, ...]

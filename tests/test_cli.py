@@ -434,6 +434,45 @@ def test_cli_import_leaves_numpy_out():
     assert result.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_dataclasses_and_inspect_out():
+    # both cost every command ~30 ms of import and generated-code exec; the
+    # import still loads all six modules
+    src = os.path.dirname(os.path.dirname(gkzcurve.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = ("import sys, gkzcurve.cli; "
+             "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules)); "
+             "print(sorted(m for m in sys.modules if m.startswith('gkzcurve.')))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    banned, loaded = result.stdout.splitlines()
+    assert banned == "[]"
+    for module in ("curves", "exponents", "irregularity", "restriction", "series", "weyl"):
+        assert f"'gkzcurve.{module}'" in loaded
+
+
+@pytest.mark.parametrize("text", ["1e3", "0.5"])
+@pytest.mark.parametrize("argv", [
+    ("exponents", "--matrix", "1,2,3", "--beta", "{}"),
+    ("irregularity-table", "--matrix", "1,2,3", "--beta", "1/2", "--s", "{}"),
+    ("irregularity-table", "--matrix", "1,2,3", "--beta-special", "{}",
+     "--beta-generic", "1/2", "--s", "2"),
+    ("irregularity-table", "--matrix", "1,2,3", "--beta-special", "4",
+     "--beta-generic", "{}", "--s", "2"),
+], ids=["beta", "s", "beta-special", "beta-generic"])
+def test_rational_flags_take_p_or_p_over_q_only(capsys, argv, text):
+    code, out, err = run_cli(capsys, *(a.format(text) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "p or p/q" in err and repr(text) in err
+
+
+def test_rational_flags_keep_p_over_q_and_inf(capsys):
+    code, out, _ = run_cli(capsys, "irregularity-table", "--matrix", "1,2,3",
+                           "--beta=-3/2", "--s", "inf")
+    assert code == 0
+    assert '"s": "inf"' in out and '"beta": "-3/2"' in out
+
+
 _json_leaves = st.one_of(
     st.none(), st.booleans(), st.integers(-5, 5),
     st.integers(-10**40, 10**40), st.integers(10**300, 10**301),

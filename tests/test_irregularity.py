@@ -12,7 +12,6 @@ from gkzcurve import (
     dimension_table_diff,
     reference_dimension_table,
     gevrey_index_estimate,
-    gevrey_rescale,
     irregularity_dimension,
     make_curve,
     monodromy_rotations,
@@ -21,8 +20,8 @@ from gkzcurve import (
     solution_basis,
     verify_basis,
 )
-from gkzcurve.irregularity import InsufficientDataError, SlopeTooSmallError
-from gkzcurve.series import FormalSeries, FiniteSupport, IndexOutOfRangeError
+from gkzcurve.irregularity import InsufficientDataError, SlopeTooSmallError, _log_abs
+from gkzcurve.series import IndexOutOfRangeError
 
 
 def test_slope_values():
@@ -254,20 +253,6 @@ def test_monodromy_zero_iff_integer():
         assert zeros == (1 if beta.denominator == 1 else 0)
 
 
-def test_gevrey_rescale():
-    series = FormalSeries((0, 0), {(0, 2): Fraction(5)}, 0, FiniteSupport())
-    out = dict(gevrey_rescale(series, 2, axis=1))
-    assert out[(0, 2)] == pytest.approx(2.5)
-    identity = dict(gevrey_rescale(series, 1, axis=1))
-    assert identity[(0, 2)] == pytest.approx(5.0)
-
-
-def test_gevrey_rescale_monotone_in_order():
-    series = FormalSeries((0, 0), {(0, 6): Fraction(99)}, 0, FiniteSupport())
-    vals = [abs(dict(gevrey_rescale(series, s, axis=1))[(0, 6)]) for s in (1, 2, 3)]
-    assert vals[0] > vals[1] > vals[2]
-
-
 def test_slope_subseries_values():
     A = make_curve((1, 2, 3))
     stream = dict(slope_subseries(A, 0, "witness", 4))
@@ -401,3 +386,57 @@ def test_slope_subseries_exponent_index_range(j):
     A = make_curve((1, 2, 3))
     with pytest.raises(IndexOutOfRangeError):
         slope_subseries(A, Fraction(1, 2), ("exponent", j), 4)
+
+
+def reference_gevrey_index_estimate(stream, window=None):
+    """The Fraction loop: each float made exact, the normal equations summed
+    in Fractions."""
+    points = sorted((k, c) for k, c in stream if c != 0)
+    if len(points) < 16:
+        raise InsufficientDataError(f"{len(points)} nonzero coefficients < 16")
+    points = points[-(len(points) // 2 if window is None else window):]
+    rows = [(Fraction(math.lgamma(k + 1.0)), Fraction(k), Fraction(1)) for k, _ in points]
+    rhs = [Fraction(_log_abs(c)) for _, c in points]
+    gram = [[sum(r[i] * r[j] for r in rows) for j in range(3)] for i in range(3)]
+    moment = [sum(r[i] * y for r, y in zip(rows, rhs)) for i in range(3)]
+
+    def det3(m):
+        (a, b, c), (d, e, f), (g, h, i) = m
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+    det = det3(gram)
+    if det == 0:
+        raise InsufficientDataError(f"{len(points)} points do not fix a 3-term fit")
+    lead = det3([[moment[i]] + gram[i][1:] for i in range(3)]) / det
+    return max(1.0, 1.0 + float(lead))
+
+
+@pytest.mark.parametrize("entries", [(1, 2, 3), (1, 3, 5), (1, 2, 5), (1, 3, 4, 5),
+                                     (3, 5, 7), (1, 2)])
+def test_gevrey_index_estimate_matches_reference(entries):
+    # the integer-scaled sums give the same rational lead, so the same float
+    A = make_curve(entries)
+    for beta in (0, Fraction(1, 2), Fraction(5, 2), 4, Fraction(-7, 3)):
+        for which in stream_selectors(A, beta):
+            stream = slope_subseries(A, beta, which, 60)
+            for window in (None, 3, 17, 60):
+                assert gevrey_index_estimate(stream, window) == \
+                    reference_gevrey_index_estimate(stream, window), (entries, beta, which)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ks=st.lists(st.integers(0, 400), min_size=0, max_size=40, unique=True),
+    coeffs=st.lists(st.builds(Fraction, st.integers(-10**30, 10**30),
+                              st.integers(1, 10**30)), min_size=40, max_size=40),
+    window=st.one_of(st.none(), st.integers(1, 40)),
+)
+def test_gevrey_index_estimate_matches_reference_property(ks, coeffs, window):
+    stream = list(zip(ks, coeffs))
+    try:
+        want = reference_gevrey_index_estimate(stream, window)
+    except InsufficientDataError:
+        with pytest.raises(InsufficientDataError):
+            gevrey_index_estimate(stream, window)
+        return
+    assert gevrey_index_estimate(stream, window) == want

@@ -14,3 +14,21 @@ def test_no_assert_statements_in_the_package():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_no_dataclasses_typing_or_inspect_imports_in_the_package():
+    # each costs every gkz command import time; records.record replaces dataclass
+    banned = {"dataclasses", "typing", "inspect"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {m}" for m in modules
+                      if m.split(".")[0] in banned]
+    assert found == []
