@@ -1,96 +1,135 @@
 """Exact Gevrey-series solutions and irregularity data for hypergeometric
-systems of affine monomial curves."""
+systems of affine monomial curves.
 
-from .curves import (
-    BetaClass,
-    BetaClassification,
-    CurveError,
-    CurveKind,
-    CurveMatrix,
-    DeltaExponent,
-    GcdNotOneError,
-    LatticeBasis,
-    NotIncreasingError,
-    SemigroupTable,
-    TooShortError,
-    beta_class,
-    delta_exponents,
-    frobenius_number,
-    isomorphic_parameters,
-    lattice_ball,
-    lattice_basis,
-    lattice_decompose,
-    make_curve,
-    semigroup_gaps,
-    semigroup_member,
-    semigroup_table,
-)
-from .exponents import (
-    ExponentVector,
-    StandardPair,
-    WeightVector,
-    generic_exponents,
-    initial_ideal_generators,
-    polynomial_exponent_index,
-    singular_exponents,
-    standard_pairs,
-    standard_weight,
-)
-from .irregularity import (
-    BasisMember,
-    DimensionAnswer,
-    PointClass,
-    SheafKind,
-    SheafTag,
-    stratum_dimension_table,
-    dimension_table_diff,
-    reference_dimension_table,
-    gevrey_index_estimate,
-    irregularity_dimension,
-    monodromy_rotations,
-    slope,
-    slope_subseries,
-    solution_basis,
-    verify_basis,
-)
-from .restriction import (
-    BFunction,
-    Caveat,
-    ModuleDescriptor,
-    UnsupportedShapeError,
-    WeightTag,
-    auxiliary_restriction,
-    b_function,
-    generic_rank,
-    restrict_first_variable,
-    restrict_hyperplane,
-    restrict_to_plane,
-)
-from .series import (
-    FormalSeries,
-    MinimalSupportAnswer,
-    apply_contiguity,
-    exponent_series,
-    gamma_coefficient,
-    gamma_series,
-    has_minimal_negative_support,
-    inverse_contiguity,
-    negative_support,
-    series_from_json,
-    substitute_x0,
-    witness_defect,
-    witness_series,
-)
-from .weyl import (
-    AnnihilationReport,
-    TrustedSeries,
-    WeylOperator,
-    annihilation_report,
-    apply,
-    box_operator,
-    euler_operator,
-    initial_form,
-    named_generators,
-    series_match_on_window,
-    toric_generators,
-)
+The six submodules are registered in sys.modules when the package is
+imported, but each one's body runs only on first attribute access, so a
+command compiles and runs only the modules it uses.  `import gkzcurve.<m>`,
+`from gkzcurve.<m> import name` and every package-level name below work as
+for eager modules.
+"""
+
+import importlib.util
+import sys
+
+# home module of every package-level name
+_EXPORTS = {
+    "curves": (
+        "BetaClass",
+        "BetaClassification",
+        "CurveError",
+        "CurveKind",
+        "CurveMatrix",
+        "DeltaExponent",
+        "GcdNotOneError",
+        "LatticeBasis",
+        "NotIncreasingError",
+        "SemigroupTable",
+        "TooShortError",
+        "beta_class",
+        "delta_exponents",
+        "frobenius_number",
+        "isomorphic_parameters",
+        "lattice_ball",
+        "lattice_basis",
+        "lattice_decompose",
+        "make_curve",
+        "semigroup_gaps",
+        "semigroup_member",
+        "semigroup_table",
+    ),
+    "exponents": (
+        "ExponentVector",
+        "StandardPair",
+        "WeightVector",
+        "generic_exponents",
+        "initial_ideal_generators",
+        "singular_exponents",
+        "standard_pairs",
+        "standard_weight",
+    ),
+    "irregularity": (
+        "BasisMember",
+        "DimensionAnswer",
+        "PointClass",
+        "SheafKind",
+        "SheafTag",
+        "stratum_dimension_table",
+        "dimension_table_diff",
+        "reference_dimension_table",
+        "gevrey_index_estimate",
+        "irregularity_dimension",
+        "monodromy_rotations",
+        "slope",
+        "slope_subseries",
+        "solution_basis",
+        "verify_basis",
+    ),
+    "restriction": (
+        "BFunction",
+        "Caveat",
+        "ModuleDescriptor",
+        "UnsupportedShapeError",
+        "WeightTag",
+        "auxiliary_restriction",
+        "b_function",
+        "generic_rank",
+        "restrict_first_variable",
+        "restrict_hyperplane",
+        "restrict_to_plane",
+    ),
+    "series": (
+        "FormalSeries",
+        "MinimalSupportAnswer",
+        "apply_contiguity",
+        "exponent_series",
+        "gamma_coefficient",
+        "gamma_series",
+        "has_minimal_negative_support",
+        "inverse_contiguity",
+        "negative_support",
+        "polynomial_exponent_index",
+        "series_from_json",
+        "substitute_x0",
+        "witness_defect",
+        "witness_series",
+    ),
+    "weyl": (
+        "AnnihilationReport",
+        "TrustedSeries",
+        "WeylOperator",
+        "annihilation_report",
+        "apply",
+        "box_operator",
+        "euler_operator",
+        "initial_form",
+        "named_generators",
+        "series_match_on_window",
+        "toric_generators",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_HOME)
+
+
+def _lazy_module(name):
+    """Register the submodule in sys.modules; its body runs on first attribute access."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    loader.exec_module(module)
+    return module
+
+
+globals().update({name: _lazy_module(name) for name in _EXPORTS})
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[_HOME[name]], name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME))

@@ -15,7 +15,14 @@ import os
 import sys
 from fractions import Fraction
 
+# lazily loaded modules: their names are read at call time, so a command
+# that never calls into one does not compile it
+from . import exponents as _exponents
+from . import irregularity as _irregularity
+from . import restriction as _restriction
+from . import series as _series
 from .curves import (
+    RATIONAL_TEXT,
     CurveError,
     CurveMatrix,
     beta_class,
@@ -25,31 +32,6 @@ from .curves import (
     semigroup_gaps,
     semigroup_member,
 )
-from .exponents import generic_exponents, singular_exponents
-from .irregularity import (
-    BasisMember,
-    PointClass,
-    dimension_cells,
-    stratum_dimension_table,
-    dimension_table_diff,
-    reference_dimension_table,
-    gevrey_index_estimate,
-    monodromy_rotations,
-    slope,
-    slope_subseries,
-    solution_basis,
-    verify_basis,
-)
-from .restriction import (
-    WeightTag,
-    auxiliary_restriction,
-    b_function,
-    generic_rank,
-    restrict_first_variable,
-    restrict_hyperplane,
-    restrict_to_plane,
-)
-from .series import RATIONAL_TEXT, series_from_json
 
 
 class UsageError(Exception):
@@ -100,13 +82,6 @@ def _nonnegative(value: int, flag: str) -> int:
     return value
 
 
-_POINTS = {
-    "generic": PointClass.GENERIC,
-    "smooth": PointClass.SMOOTH_STRATUM,
-    "deep": PointClass.DEEP_STRATUM,
-}
-
-
 def _emit(payload, fmt: str, table_renderer=None):
     if fmt == "table" and table_renderer is not None:
         print(table_renderer(payload))
@@ -123,9 +98,9 @@ def _cmd_exponents(args):
     beta = _parse_rational(args.beta)
     kind = args.point or "smooth"
     if kind == "generic":
-        vectors = generic_exponents(A, beta)
+        vectors = _exponents.generic_exponents(A, beta)
     elif kind == "smooth":
-        vectors = singular_exponents(A, beta)
+        vectors = _exponents.singular_exponents(A, beta)
     else:
         raise UsageError("exponents supports --point smooth|generic")
     payload = [[_rat_json(x) for x in e.vector] for e in vectors]
@@ -147,7 +122,7 @@ def _serialize_member(member) -> dict:
     }
 
 
-def _read_members(path: str, A: CurveMatrix) -> list[BasisMember]:
+def _read_members(path: str, A: CurveMatrix) -> list[_irregularity.BasisMember]:
     """Basis members from JSON emitted by solve: its whole output or the list
     of its basis entries."""
     try:
@@ -162,28 +137,28 @@ def _read_members(path: str, A: CurveMatrix) -> list[BasisMember]:
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "series" not in entry:
             raise CurveError(f"basis entry {i} of {path} lacks 'series'")
-        series = series_from_json(entry["series"], matrix=A)
-        members.append(BasisMember(series, entry.get("label", "series"), series.base,
-                                   entry.get("is_solution", True),
-                                   entry.get("defect_generator")))
+        series = _series.series_from_json(entry["series"], matrix=A)
+        members.append(_irregularity.BasisMember(
+            series, entry.get("label", "series"), series.base,
+            entry.get("is_solution", True), entry.get("defect_generator")))
     return members
 
 
 def _cmd_solve(args):
     A = _parse_matrix(args.matrix)
     beta = _parse_rational(args.beta)
-    s = _parse_order(args.s) if args.s else slope(A)
-    point = _POINTS[args.point or "smooth"]
-    members = solution_basis(A, beta, point, s=s,
-                             level=_nonnegative(args.truncation, "--truncation"),
-                             max_terms=_max_terms())
+    s = _parse_order(args.s) if args.s else _irregularity.slope(A)
+    point = _irregularity.PointClass(args.point or "smooth")
+    members = _irregularity.solution_basis(
+        A, beta, point, s=s, level=_nonnegative(args.truncation, "--truncation"),
+        max_terms=_max_terms())
     payload = {
         "matrix": list(A.entries),
         "beta": str(beta),
         "point": point.value,
         "s": "inf" if s is None else str(s),
         "truncation": args.truncation,
-        "slope": str(slope(A)),
+        "slope": str(_irregularity.slope(A)),
         "basis": [_serialize_member(m) for m in members],
     }
     caveats = sorted({c for m in members for c in m.caveats})
@@ -201,9 +176,9 @@ def _cmd_verify(args):
     if args.input:
         members = _read_members(args.input, A)
     else:
-        point = _POINTS[args.point or "smooth"]
-        members = solution_basis(A, beta, point, s=slope(A),
-                                 level=level, max_terms=_max_terms())
+        point = _irregularity.PointClass(args.point or "smooth")
+        members = _irregularity.solution_basis(A, beta, point, s=_irregularity.slope(A),
+                                               level=level, max_terms=_max_terms())
     if not members:
         raise CurveError("the basis is empty: nothing was checked")
     for member in members:
@@ -212,7 +187,7 @@ def _cmd_verify(args):
                              f"nothing was checked")
     rows = []
     worst = Fraction(0)
-    for member, report in verify_basis(A, members, beta, radius):
+    for member, report in _irregularity.verify_basis(A, members, beta, radius):
         worst = max(worst, report.max_violation)
         row = {"label": member.label}
         if not args.input:              # the --input row format has no is_solution
@@ -237,25 +212,25 @@ def _cmd_gevrey_index(args):
     terms = _nonnegative(args.terms, "--terms")
     if args.stream == "witness":
         beta = _parse_rational(args.beta) if args.beta else Fraction(0)
-        stream = slope_subseries(A, beta, "witness", terms)
+        stream = _irregularity.slope_subseries(A, beta, "witness", terms)
     elif args.stream == "exponent":
         if args.beta is None:
             raise UsageError("--stream exponent needs --beta")
-        stream = slope_subseries(A, _parse_rational(args.beta),
-                                 ("exponent", args.j), terms)
+        stream = _irregularity.slope_subseries(A, _parse_rational(args.beta),
+                                               ("exponent", args.j), terms)
     elif args.stream == "factorial":
         stream = [(k, Fraction(math.factorial(k))) for k in range(terms)]
     elif args.stream == "inverse-factorial":
         stream = [(k, Fraction(1, math.factorial(k))) for k in range(terms)]
     else:
         raise UsageError(f"unknown stream {args.stream!r}")
-    estimate = gevrey_index_estimate(stream)
+    estimate = _irregularity.gevrey_index_estimate(stream)
     payload = {
         "matrix": list(A.entries),
         "stream": args.stream,
         "terms": terms,
         "estimate": round(estimate, 6),
-        "slope": str(slope(A)),
+        "slope": str(_irregularity.slope(A)),
     }
     if args.csv:
         try:
@@ -288,9 +263,9 @@ def _cmd_irregularity_table(args):
             raise UsageError("reproduction mode needs both --beta-special and --beta-generic")
         b_esp = _parse_rational(args.beta_special)
         b_gen = _parse_rational(args.beta_generic)
-        computed = stratum_dimension_table(A, b_esp, b_gen, s)
-        expected = reference_dimension_table(A)
-        diff = dimension_table_diff(A, b_esp, b_gen, s)
+        computed = _irregularity.stratum_dimension_table(A, b_esp, b_gen, s)
+        expected = _irregularity.reference_dimension_table(A)
+        diff = _irregularity.dimension_table_diff(A, b_esp, b_gen, s)
         cells = [{"sheaf": k[0], "beta": k[1], "point": k[2], "degree": k[3],
                   "dimension": computed[k], "expected": expected[k]}
                  for k in sorted(expected)]
@@ -313,7 +288,8 @@ def _cmd_irregularity_table(args):
     cells = [{"sheaf": kind.value, "beta": str(beta), "point": point.value,
               "degree": degree,
               "dimension": ans.value if ans.covered else "not_covered"}
-             for kind, point, degree, ans in dimension_cells(A, beta, s, degrees)]
+             for kind, point, degree, ans
+             in _irregularity.dimension_cells(A, beta, s, degrees)]
     payload = {"matrix": list(A.entries), "s": "inf" if s is None else str(s),
                "beta": str(beta), "cells": cells}
     _emit(payload, args.format, _table_text)
@@ -336,16 +312,16 @@ def _cmd_restrict(args):
     if mode == "hyperplane":
         if args.index is None:
             raise UsageError("--mode hyperplane needs --index")
-        desc = restrict_hyperplane(A, beta, args.index)
+        desc = _restriction.restrict_hyperplane(A, beta, args.index)
         payload["summands"] = [_descriptor_json(desc)]
     elif mode == "x1":
         payload["summands"] = [_descriptor_json(d)
-                               for d in restrict_first_variable(A, beta)]
+                               for d in _restriction.restrict_first_variable(A, beta)]
     elif mode == "plane":
         payload["summands"] = [_descriptor_json(d)
-                               for d in restrict_to_plane(A, beta)]
+                               for d in _restriction.restrict_to_plane(A, beta)]
     elif mode == "aux":
-        desc, witness = auxiliary_restriction(A, beta)
+        desc, witness = _restriction.auxiliary_restriction(A, beta)
         payload["summands"] = [_descriptor_json(desc)]
         payload["auxiliary_matrix"] = list(witness.auxiliary.entries)
         payload["p1"] = repr(witness.p1)
@@ -355,7 +331,7 @@ def _cmd_restrict(args):
              "witness": list(d.witness)} for d in witness.deltas]
     else:
         raise UsageError(f"unknown mode {mode!r}")
-    payload["generic_rank"] = generic_rank(A)
+    payload["generic_rank"] = _restriction.generic_rank(A)
     caveats = sorted({s["caveat"] for s in payload["summands"]})
     if "generic_beta_only" in caveats:
         sys.stderr.write("caveat: parameter formulas hold for all but finitely many beta\n")
@@ -366,11 +342,11 @@ def _cmd_restrict(args):
 def _cmd_b_function(args):
     A = _parse_matrix(args.matrix)
     if args.weight == "first":
-        bf = b_function(A, WeightTag.FIRST_COORDINATE)
+        bf = _restriction.b_function(A, _restriction.WeightTag.FIRST_COORDINATE)
         weight_label = "(1,0,...,0)"
     elif args.weight[:1] == "e" and args.weight[1:].isdecimal():
         i = int(args.weight[1:])
-        bf = b_function(A, ("standard_basis", i))
+        bf = _restriction.b_function(A, ("standard_basis", i))
         weight_label = f"e_{i}"
     else:
         raise UsageError("--weight must be 'first' or 'e<i>' (e.g. e2)")
@@ -390,7 +366,7 @@ def _cmd_b_function(args):
 def _cmd_monodromy(args):
     A = _parse_matrix(args.matrix)
     beta = _parse_rational(args.beta)
-    rotations = monodromy_rotations(A, beta)
+    rotations = _irregularity.monodromy_rotations(A, beta)
     payload = {
         "matrix": list(A.entries),
         "beta": str(beta),
@@ -503,9 +479,27 @@ _HANDLERS = {
 }
 
 
+_RATIONAL_FLAGS = ("--beta", "--s", "--beta-special", "--beta-generic")
+
+
+def _join_negative_rationals(argv: list[str]) -> list[str]:
+    """Write `--beta -3/2` as `--beta=-3/2`: argparse reads a separate token
+    "-3/2" as an option (only -N and -N.M count as negative numbers)."""
+    out = []
+    for arg in argv:
+        if (out and out[-1] in _RATIONAL_FLAGS and arg.startswith("-")
+                and RATIONAL_TEXT.fullmatch(arg)):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = parser.parse_args(_join_negative_rationals(argv))
     try:
         return _HANDLERS[args.command](args)
     except UsageError as exc:

@@ -9,11 +9,18 @@ numerical semigroup N*a_1 + ... + N*a_n.
 from __future__ import annotations
 
 import math
+import re
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
 from .records import record
+
+# solve writes rationals as str(Fraction): "p" or "p/q", and the CLI's rational
+# flags take the same.  Fraction itself would also parse decimals and
+# exponents, and "1e999999999" builds a billion-digit integer before anything
+# can check it.
+RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 class CurveError(Exception):

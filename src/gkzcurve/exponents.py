@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+# lazily loaded modules: their names are read at call time, so a command
+# that never calls into one does not compile it
+from . import weyl as _weyl
 from .curves import CurveError, CurveMatrix
 from .records import record
 from .series import (
@@ -19,7 +22,6 @@ from .series import (
     negative_support,
     polynomial_exponent_index,
 )
-from .weyl import NotSmoothError, WeylOperator, initial_form, toric_generators
 
 
 class InvalidWeightError(CurveError):
@@ -60,7 +62,7 @@ def standard_weight(A: CurveMatrix) -> WeightVector:
     """A fixed admissible weight: (1, a_2 + 1/4, ..., a_{n-2} + 1/4,
     a_{n-1} - 1/4, a_n + 1).  Construction is checked; failure is a bug."""
     if not A.is_smooth:
-        raise NotSmoothError(f"{A.entries} is not smooth")
+        raise _weyl.NotSmoothError(f"{A.entries} is not smooth")
     n = A.n
     a = A.entries
     w = [Fraction(1)] * n
@@ -74,14 +76,15 @@ def standard_weight(A: CurveMatrix) -> WeightVector:
     return WeightVector(tuple(w))
 
 
-def initial_ideal_generators(A: CurveMatrix, omega: WeightVector | None = None) -> list[WeylOperator]:
+def initial_ideal_generators(A: CurveMatrix,
+                             omega: WeightVector | None = None) -> list[_weyl.WeylOperator]:
     """Monomial generators of the initial ideal of the toric ideal:
     {d_i : 2 <= i <= n-2} + {d_1^{a_{n-1}}, d_n} for n >= 3, and {d_2} for n = 2.
 
     Each generator is checked to be the omega-initial form of the matching
     toric generator d_1^{a_i} - d_i."""
     if not A.is_smooth:
-        raise NotSmoothError(f"{A.entries} is not smooth")
+        raise _weyl.NotSmoothError(f"{A.entries} is not smooth")
     if omega is None:
         omega = standard_weight(A)
     if not weight_is_admissible(A, omega.entries):
@@ -93,10 +96,10 @@ def initial_ideal_generators(A: CurveMatrix, omega: WeightVector | None = None) 
             exp = tuple(A.entries[n - 2] if j == 0 else 0 for j in range(n))
         else:
             exp = tuple(1 if j == i - 1 else 0 for j in range(n))
-        gens.append(WeylOperator.monomial(n, (0,) * n, exp))
-    for gen, toric in zip(gens, toric_generators(A)):
+        gens.append(_weyl.WeylOperator.monomial(n, (0,) * n, exp))
+    for gen, toric in zip(gens, _weyl.toric_generators(A)):
         # the initial form of d_1^{a_i} - d_i is the generator up to sign
-        if set(initial_form(toric, omega.entries).terms) != set(gen.terms):
+        if set(_weyl.initial_form(toric, omega.entries).terms) != set(gen.terms):
             raise CurveError(f"{gen} is not the initial form of {toric} "
                              f"under {omega.entries}")
     return gens
@@ -115,7 +118,7 @@ def standard_pairs(A: CurveMatrix) -> list[StandardPair]:
     """The a_{n-1} standard pairs (d_1^j, {n-1}), j = 0..a_{n-1}-1, of the
     initial ideal of a smooth matrix."""
     if not A.is_smooth:
-        raise NotSmoothError(f"{A.entries} is not smooth")
+        raise _weyl.NotSmoothError(f"{A.entries} is not smooth")
     n = A.n
     a_pen = A.entries[n - 2]
     out = []

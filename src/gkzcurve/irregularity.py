@@ -11,21 +11,12 @@ import math
 from enum import Enum
 from fractions import Fraction
 
+# lazily loaded modules: their names are read at call time, so a command
+# that never calls into one does not compile it
+from . import series as _series
+from . import weyl as _weyl
 from .curves import CurveError, CurveKind, CurveMatrix, semigroup_member
-from .exponents import polynomial_exponent_index
 from .records import record
-from .series import (
-    FormalSeries,
-    IndexOutOfRangeError,
-    SubstitutionResult,
-    exponent_series,
-    gamma_series,
-    generic_exponent_base,
-    inverse_contiguity,
-    substitute_x0,
-    witness_series,
-)
-from .weyl import TrustedSeries, annihilation_report, named_generators
 
 
 class SlopeTooSmallError(CurveError):
@@ -159,7 +150,7 @@ def irregularity_dimension(A: CurveMatrix, beta, point: PointClass,
 
 @record(frozen=True)
 class BasisMember:
-    series: FormalSeries
+    series: _series.FormalSeries
     label: str
     exponent: tuple[Fraction, ...]
     is_solution: bool              # False only for the witness series
@@ -173,23 +164,23 @@ def _witness_defect_name(A: CurveMatrix) -> str:
 
 def _smooth_singular_basis(A, beta, s, level, max_terms) -> list[BasisMember]:
     sigma = slope(A)
-    q = polynomial_exponent_index(A, beta)
+    q = _series.polynomial_exponent_index(A, beta)
     s_frac = None if s is None else Fraction(s)
     below = s_frac is not None and s_frac < sigma
     if below:
         if q is None:
             raise SlopeTooSmallError(
                 f"no classes of order {s} < slope {sigma} for beta = {beta}")
-        poly = exponent_series(A, beta, q, level, max_terms=max_terms)
+        poly = _series.exponent_series(A, beta, q, level, max_terms=max_terms)
         return [BasisMember(poly, f"exponent[{q}]", poly.base, True, None)]
     out = []
     for j in range(A.entries[A.n - 2]):
         if j == q:
             continue
-        ser = exponent_series(A, beta, j, level, max_terms=max_terms)
+        ser = _series.exponent_series(A, beta, j, level, max_terms=max_terms)
         out.append(BasisMember(ser, f"exponent[{j}]", ser.base, True, None))
     if q is not None:
-        wit = witness_series(A, beta, level, max_terms=max_terms)
+        wit = _series.witness_series(A, beta, level, max_terms=max_terms)
         out.append(BasisMember(wit, "witness", wit.base, False,
                                _witness_defect_name(A)))
     return out
@@ -198,14 +189,14 @@ def _smooth_singular_basis(A, beta, s, level, max_terms) -> list[BasisMember]:
 def _smooth_generic_basis(A, beta, level, max_terms) -> list[BasisMember]:
     out = []
     for j in range(A.entries[-1]):
-        base = generic_exponent_base(A, beta, j)
-        ser = gamma_series(A, base, level, max_terms=max_terms)
+        base = _series.generic_exponent_base(A, beta, j)
+        ser = _series.gamma_series(A, base, level, max_terms=max_terms)
         out.append(BasisMember(ser, f"generic[{j}]", base, True, None))
     return out
 
 
 def _substituted(A, member: BasisMember, caveat=()) -> BasisMember:
-    sub: SubstitutionResult = substitute_x0(member.series, A)
+    sub = _series.substitute_x0(member.series, A)
     return BasisMember(sub.series, member.label + "|x0=0", sub.series.base,
                        member.is_solution, member.defect_generator,
                        member.caveats + tuple(caveat))
@@ -243,7 +234,8 @@ def _general_basis(A, beta, point, s, level, max_terms) -> list[BasisMember]:
     note = (f"parameter reached through beta'={shifted} and division by d_n^{t}",)
     for m in members:
         sub = _substituted(A, m)
-        lifted = inverse_contiguity(TrustedSeries.from_series(sub.series), w)
+        trusted = _weyl.TrustedSeries.from_series(sub.series)
+        lifted = _series.inverse_contiguity(trusted, w)
         out.append(BasisMember(lifted.series, sub.label + f"*d^-{t}",
                                lifted.series.base, sub.is_solution,
                                sub.defect_generator, sub.caveats + note))
@@ -277,7 +269,7 @@ def verify_basis(A: CurveMatrix, members, beta, ball_radius: int = 3):
     Solutions are checked against the full set; the witness is checked against
     everything except its defect generator.  Returns a list of
     (member, AnnihilationReport) pairs."""
-    gens = named_generators(A, beta, ball_radius)
+    gens = _weyl.named_generators(A, beta, ball_radius)
     out = []
     for m in members:
         if m.is_solution:
@@ -285,7 +277,7 @@ def verify_basis(A: CurveMatrix, members, beta, ball_radius: int = 3):
         else:
             subset = [(name, op) for name, op in gens
                       if name != m.defect_generator and not name.startswith("box")]
-        out.append((m, annihilation_report(subset, m.series)))
+        out.append((m, _weyl.annihilation_report(subset, m.series)))
     return out
 
 
@@ -335,7 +327,7 @@ def slope_subseries(A: CurveMatrix, beta, which, count: int = 200):
         if kind != "exponent":
             raise CurveError(f"unknown subseries selector {which!r}")
         if not 0 <= j < a_pen:
-            raise IndexOutOfRangeError(f"j={j} outside 0..{a_pen - 1}")
+            raise _series.IndexOutOfRangeError(f"j={j} outside 0..{a_pen - 1}")
         theta = Fraction(Fraction(beta) - j, a_pen)
         if theta.denominator == 1 and theta >= 0:
             raise CurveError("the exponent-ray stream terminates for the polynomial slot")

@@ -13,6 +13,10 @@ import math
 from enum import Enum
 from fractions import Fraction
 
+# lazily loaded modules: their names are read at call time, so a command
+# that never calls into one does not compile it
+from . import series as _series
+from . import weyl as _weyl
 from .curves import (
     CurveError,
     CurveMatrix,
@@ -22,8 +26,6 @@ from .curves import (
     make_curve,
 )
 from .records import record
-from .series import IndexOutOfRangeError
-from .weyl import NotSmoothError, WeylOperator
 
 
 class WrongShapeError(CurveError):
@@ -55,8 +57,8 @@ class RestrictionWitness:
     of the auxiliary toric ideal (the exponent differences lie in ker_Z(A'))."""
 
     auxiliary: CurveMatrix
-    p1: WeylOperator
-    q_operators: tuple[WeylOperator, ...]
+    p1: _weyl.WeylOperator
+    q_operators: tuple[_weyl.WeylOperator, ...]
     deltas: tuple[DeltaExponent, ...]
 
 
@@ -64,9 +66,9 @@ def restrict_hyperplane(A: CurveMatrix, beta, i: int) -> ModuleDescriptor:
     """Restriction of a smooth-curve module to (x_i = 0), i = 2..n: the module
     of the matrix with column i removed, same parameter, valid for every beta."""
     if not A.is_smooth:
-        raise NotSmoothError(f"{A.entries} is not smooth")
+        raise _weyl.NotSmoothError(f"{A.entries} is not smooth")
     if not 2 <= i <= A.n:
-        raise IndexOutOfRangeError(f"i={i} outside 2..{A.n}")
+        raise _series.IndexOutOfRangeError(f"i={i} outside 2..{A.n}")
     if A.n < 3:
         raise WrongShapeError("dropping a column of a 1x2 matrix leaves no curve")
     entries = tuple(a for j, a in enumerate(A.entries, start=1) if j != i)
@@ -92,7 +94,7 @@ def restrict_to_plane(A: CurveMatrix, beta) -> list[ModuleDescriptor]:
     """Restriction of a smooth-curve module to (x_1 = ... = x_{n-2} = 0):
     k = gcd(a_{n-1}, a_n) summands M_(a_{n-1}/k, a_n/k)((beta - i)/k)."""
     if not A.is_smooth:
-        raise NotSmoothError(f"{A.entries} is not smooth")
+        raise _weyl.NotSmoothError(f"{A.entries} is not smooth")
     if A.n < 3:
         raise WrongShapeError("need at least 3 variables")
     an1, an = A.entries[-2], A.entries[-1]
@@ -115,6 +117,7 @@ def auxiliary_restriction(A: CurveMatrix, beta) -> tuple[ModuleDescriptor, Restr
         raise WrongShapeError("auxiliary restriction applies to general matrices")
     if math.gcd(*A.entries) != 1:
         raise GcdNotOneError(f"gcd{A.entries} != 1")
+    monomial = _weyl.WeylOperator.monomial
     aux = A.auxiliary()
     nv = aux.n
     deltas = delta_exponents(A)
@@ -127,15 +130,14 @@ def auxiliary_restriction(A: CurveMatrix, beta) -> tuple[ModuleDescriptor, Restr
         others = [j for j in range(A.n) if j != d.position]
         for slot, c in zip(others, d.witness):
             right[slot + 1] = c
-        q_ops.append(WeylOperator.monomial(nv, (0,) * nv, tuple(left))
-                     - WeylOperator.monomial(nv, (0,) * nv, tuple(right)))
+        q_ops.append(monomial(nv, (0,) * nv, tuple(left))
+                     - monomial(nv, (0,) * nv, tuple(right)))
         diff = tuple(l - r for l, r in zip(left, right))
         if aux.weight(diff) != 0:
             raise CurveError(f"{diff} is not in the kernel of {aux.entries}")
     p1_exp = tuple(A.entries[0] if j == 0 else 0 for j in range(nv))
-    p1 = (WeylOperator.monomial(nv, (0,) * nv, p1_exp)
-          - WeylOperator.monomial(nv, (0,) * nv,
-                                  tuple(1 if j == 1 else 0 for j in range(nv))))
+    p1 = (monomial(nv, (0,) * nv, p1_exp)
+          - monomial(nv, (0,) * nv, tuple(1 if j == 1 else 0 for j in range(nv))))
     witness = RestrictionWitness(aux, p1, tuple(q_ops), deltas)
     return (ModuleDescriptor(A, Fraction(beta), Caveat.GENERIC_BETA_ONLY), witness)
 
@@ -174,7 +176,7 @@ def b_function(A: CurveMatrix, weight) -> BFunction:
         if not A.is_smooth:
             raise UnsupportedShapeError(f"e_{i} weight covered for smooth matrices only")
         if not 2 <= i <= A.n:
-            raise IndexOutOfRangeError(f"i={i} outside 2..{A.n}")
+            raise _series.IndexOutOfRangeError(f"i={i} outside 2..{A.n}")
         return BFunction((Fraction(0),), Caveat.PROVEN_FOR_THIS_BETA)
     if weight is WeightTag.FIRST_COORDINATE:
         if not A.is_smooth:

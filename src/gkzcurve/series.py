@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 from fractions import Fraction
 
 from .curves import (
+    RATIONAL_TEXT,
     CurveError,
     CurveMatrix,
     DimensionMismatchError,
@@ -260,13 +260,6 @@ def _json_int(x, what: str) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         raise CurveError(f"{what} {x!r} is not an integer")
     return x
-
-
-# solve writes rationals as str(Fraction): "p" or "p/q", and the CLI's rational
-# flags take the same.  Fraction itself would also parse decimals and
-# exponents, and "1e999999999" builds a billion-digit integer before anything
-# can check it.
-RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def _json_rational(x, what: str) -> Fraction:
