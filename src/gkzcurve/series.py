@@ -113,15 +113,18 @@ class LatticeGammaSupport:
     def __init__(self, basis: LatticeBasis, base):
         self.basis = basis
         self.base = tuple(Fraction(x) for x in base)
-        self._nsupp = negative_support(self.base)
+        self._bounds = tuple((i, lo, hi) for i, (lo, hi)
+                             in _support_bounds(self.base).items())
 
     def classify(self, offset):
+        """The negative-support guard of gamma_coefficient in integers: the
+        bounds gamma_series enumerates with (_support_bounds)."""
         m = lattice_decompose(self.basis, offset)
         if m is None:
             return None
-        w = tuple(b + o for b, o in zip(self.base, offset))
-        if negative_support(w) != self._nsupp:
-            return None
+        for i, lo, hi in self._bounds:
+            if lo is not None and offset[i] < lo or hi is not None and offset[i] > hi:
+                return None
         return sum(abs(c) for c in m)
 
     def json_fields(self) -> dict:
@@ -217,13 +220,17 @@ class FormalSeries:
         offset = tuple(int(c) for c in offset)
         if offset in self.terms:
             return self.terms[offset]
+        return Fraction(0) if self.certifies(offset, threshold) else None
+
+    def certifies(self, offset: tuple[int, ...], threshold: int | None = None) -> bool:
+        """Whether the descriptor proves the coefficient at an offset that is
+        not stored to be exactly 0 (threshold as in coefficient_known)."""
         level = self.descriptor.classify(offset)
         if level is None:
-            return Fraction(0)
+            return True
         if level is UNKNOWN:
-            return None
-        limit = self.truncation if threshold is None else threshold
-        return Fraction(0) if level <= limit else None
+            return False
+        return level <= (self.truncation if threshold is None else threshold)
 
     def sorted_terms(self):
         return sorted(self.terms.items())
@@ -663,24 +670,29 @@ def inverse_contiguity(trusted, w):
     A solution for beta pulls back to a solution for beta + A.w, exactly on the
     Euler side and window-verified on the toric side.
     """
-    from .weyl import TrustedSeries
+    from .weyl import TrustedSeries, _FallingFactors
     src = trusted.series
     w = tuple(int(x) for x in w)
     if len(w) != src.nvars or any(x < 0 for x in w):
         raise DimensionMismatchError(f"bad derivative multi-index {w}")
+    # (v_i + t)_{w_i} = F_i[t] / q_i^{w_i} with v_i = p_i/q_i
+    slots = [(i, _FallingFactors(b.numerator, b.denominator, wi))
+             for i, (b, wi) in enumerate(zip(src.base, w)) if wi]
+    scale = math.prod(b.denominator ** wi for b, wi in zip(src.base, w))
     terms = {}
     for u, c in src.terms.items():
         target = tuple(ui + wi for ui, wi in zip(u, w))
-        factor = falling_product(src.exponent(target), w)
+        factor = math.prod(table[target[i]] for i, table in slots)
         if factor == 0:
             raise ContiguityError(f"zero falling factorial at offset {u}")
-        terms[target] = c / factor
+        terms[target] = c * scale / factor
 
     def trusted_at(offset):
+        offset = tuple(int(x) for x in offset)
         shifted = tuple(o - wi for o, wi in zip(offset, w))
         if trusted.coefficient_known(shifted) is None:
             return False
-        return falling_product(src.exponent(offset), w) != 0
+        return all(table[offset[i]] for i, table in slots)
 
     out = FormalSeries(src.base, terms, src.truncation, WindowSupport(trusted_at))
     return TrustedSeries(out, trusted.trusted_level)

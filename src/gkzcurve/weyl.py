@@ -46,7 +46,7 @@ class WeylOperator:
                 c = Fraction(c)
                 if c != 0:
                     key = (tuple(a), tuple(g))
-                    self.terms[key] = self.terms.get(key, Fraction(0)) + c
+                    self.terms[key] = self.terms[key] + c if key in self.terms else c
             self.terms = {k: v for k, v in self.terms.items() if v != 0}
 
     # -- constructors -------------------------------------------------------
@@ -189,13 +189,14 @@ def box_operator(A: CurveMatrix, u) -> WeylOperator:
     if len(u) != A.n:
         raise DimensionMismatchError(f"vector of length {len(u)} for {A.n} variables")
     u = tuple(int(x) for x in u)
-    if A.weight(u) != 0:
+    if sum(a * x for a, x in zip(A.entries, u)):
         raise NotInKernelError(f"{u} is not in ker_Z{A.entries}")
+    if not any(u):
+        return WeylOperator.zero(A.n)
     plus = tuple(x if x > 0 else 0 for x in u)
     minus = tuple(-x if x < 0 else 0 for x in u)
     z = (0,) * A.n
-    return (WeylOperator.monomial(A.n, z, plus)
-            - WeylOperator.monomial(A.n, z, minus))
+    return WeylOperator(A.n, {(z, plus): 1, (z, minus): -1})
 
 
 def toric_generators(A: CurveMatrix) -> list[WeylOperator]:
@@ -263,21 +264,51 @@ class _FallingFactors(dict):
         return f
 
 
+# A kernel keys every offset by one int: coordinate i sits in bits
+# [64 i, 64 i + 64) as u_i + 2^63.  Packing is linear, so an operator term's
+# shift is one integer addition and a window contributor one subtraction.
+# Stored offsets, operator shifts and queried offsets are checked against
+# +-OFFSET_LIMIT; every offset the kernel derives from them (an image offset,
+# then its contributors) has coordinates of size at most 3 * OFFSET_LIMIT < 2^63,
+# so it still fits its field.
+OFFSET_LIMIT = 1 << 61
+_WIDTH = 64
+_BIAS = 1 << 63
+_MASK = (1 << _WIDTH) - 1
+
+
+def _pack(offset) -> int:
+    key = 0
+    for c in reversed(offset):
+        if not -OFFSET_LIMIT <= c <= OFFSET_LIMIT:
+            raise CurveError(f"offset coordinate {c} is outside the kernel's "
+                             f"range [-2^61, 2^61]")
+        key = key << _WIDTH | c + _BIAS
+    return key
+
+
+def _unpack(key: int, nvars: int) -> tuple[int, ...]:
+    return tuple((key >> (_WIDTH * i) & _MASK) - _BIAS for i in range(nvars))
+
+
 class _Certainty(dict):
-    """offset -> whether the series certifies its coefficient there, filled on
-    demand: each offset is classified by the series' descriptor at most once."""
+    """packed offset -> None where the series certifies its coefficient, else
+    the offset's coordinates; filled on demand, so each offset is classified by
+    the series' descriptor at most once.  Stored offsets are certified."""
 
-    def __init__(self, S: TrustedSeries):
-        super().__init__()
-        self.trusted = S
+    def __init__(self, S: TrustedSeries, keys):
+        super().__init__(dict.fromkeys(keys))
+        self.series, self.level = S.series, S.trusted_level
 
-    def __missing__(self, offset: tuple[int, ...]) -> bool:
-        ok = self[offset] = self.trusted.coefficient_known(offset) is not None
-        return ok
+    def __missing__(self, key: int):
+        offset = _unpack(key, self.series.nvars)
+        out = self[key] = None if self.series.certifies(offset, self.level) else offset
+        return out
 
 
 class _Window(dict):
-    """offset -> whether an operator image is exact there, filled on demand.
+    """packed offset -> whether an operator image is exact there, filled on
+    demand.
 
     That holds when every operator term's unique contributor offset is
     certified by the series, or the term's falling factor vanishes on it.
@@ -287,18 +318,19 @@ class _Window(dict):
         super().__init__()
         self.known, self.plan = known, plan
 
-    def __missing__(self, offset: tuple[int, ...]) -> bool:
+    def __missing__(self, key: int) -> bool:
+        known = self.known
         ok = True
         for shift, _, slots in self.plan:
-            contrib = tuple(o - s for o, s in zip(offset, shift))
-            if not self.known[contrib] and all(table[contrib[i]] for i, table in slots):
+            contrib = known[key - shift]
+            if contrib is not None and all(table[contrib[i]] for i, table in slots):
                 ok = False
                 break
-        self[offset] = ok
+        self[key] = ok
         return ok
 
     def __call__(self, offset) -> bool:
-        return self[tuple(int(x) for x in offset)]
+        return self[_pack([int(x) for x in offset])]
 
 
 class _SeriesKernel:
@@ -312,19 +344,22 @@ class _SeriesKernel:
 
     an integer over q_i^g, and the stored coefficients are integers over one
     common denominator; so an operator image accumulates integers over one
-    denominator per operator.  The integer falling factors and the certainty
-    of each offset are memoized per series, whatever the operators.
+    denominator per operator.  Offsets are packed ints (see _pack); the integer
+    falling factors and the certainty of each offset are memoized per series,
+    whatever the operators.
     """
 
     def __init__(self, S: TrustedSeries):
         src = S.series
+        self.nvars = src.nvars
         self.num = tuple(b.numerator for b in src.base)
         self.den = tuple(b.denominator for b in src.base)
         self.scale = math.lcm(*(c.denominator for c in src.terms.values()))
-        self.terms = [(u, c.numerator * (self.scale // c.denominator))
+        self.terms = [(_pack(u), u, c.numerator * (self.scale // c.denominator))
                       for u, c in src.terms.items()]
-        self.known = _Certainty(S)
+        self.known = _Certainty(S, (key for key, _, _ in self.terms))
         self._falling: dict[tuple[int, int], _FallingFactors] = {}
+        self._zero = _pack((0,) * self.nvars)
 
     def falling(self, i: int, g: int) -> _FallingFactors:
         table = self._falling.get((i, g))
@@ -335,25 +370,24 @@ class _SeriesKernel:
     def image(self, P: WeylOperator):
         """P applied to the series: (sums, denominator, window).
 
-        sums maps every offset that received a nonzero contribution to the
-        integer numerator of its coefficient over denominator (zero where the
-        contributions cancel); the coefficient is exact where window holds.
+        sums maps every packed offset that received a nonzero contribution to
+        the integer numerator of its coefficient over denominator (zero where
+        the contributions cancel); the coefficient is exact where window holds.
         """
-        nvars = len(self.num)
-        if P.nvars != nvars:
+        if P.nvars != self.nvars:
             raise DimensionMismatchError(
-                f"operator on {P.nvars} variables against {nvars}-variable series")
+                f"operator on {P.nvars} variables against {self.nvars}-variable series")
         scales = [c.denominator * math.prod(q ** gi for q, gi in zip(self.den, g))
                   for (_, g), c in P.terms.items()]
         lcm = math.lcm(*scales)
         plan = []
         for ((a, g), c), s in zip(P.terms.items(), scales):
             slots = tuple((i, self.falling(i, gi)) for i, gi in enumerate(g) if gi)
-            plan.append((tuple(ai - gi for ai, gi in zip(a, g)),
-                         c.numerator * (lcm // s), slots))
+            shift = _pack([ai - gi for ai, gi in zip(a, g)]) - self._zero
+            plan.append((shift, c.numerator * (lcm // s), slots))
 
-        sums: dict[tuple[int, ...], int] = {}
-        for u, n in self.terms:
+        sums: dict[int, int] = {}
+        for key, u, n in self.terms:
             for shift, mult, slots in plan:
                 f = 1
                 for i, table in slots:
@@ -361,7 +395,7 @@ class _SeriesKernel:
                     if not f:
                         break
                 if f:
-                    w = tuple(ui + si for ui, si in zip(u, shift))
+                    w = key + shift
                     sums[w] = sums.get(w, 0) + n * mult * f
         return sums, self.scale * lcm, _Window(self.known, plan)
 
@@ -382,8 +416,9 @@ def apply(P: WeylOperator, S) -> TrustedSeries:
     """
     S = _trusted(S)
     sums, den, window = _SeriesKernel(S).image(P)
-    kept = {w: Fraction(n, den) for w, n in sums.items() if n and window[w]}
     src = S.series
+    kept = {_unpack(w, src.nvars): Fraction(n, den)
+            for w, n in sums.items() if n and window[w]}
     out = FormalSeries(src.base, kept, src.truncation, WindowSupport(window))
     return TrustedSeries(out, max(-1, S.trusted_level - P.order_bound()))
 

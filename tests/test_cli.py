@@ -344,6 +344,24 @@ def test_verify_input_short_offset_is_a_domain_error(tmp_path, capsys):
                              "--input", str(path)), 1)
 
 
+@pytest.mark.parametrize("shift", [1, -1])
+def test_verify_input_offset_past_the_kernel_range_is_a_domain_error(tmp_path, capsys,
+                                                                    solved, shift):
+    from gkzcurve.weyl import OFFSET_LIMIT
+    term = solved["basis"][0]["series"]["terms"][0]
+    path = tmp_path / "basis.json"
+    # at the limit the offset is checked (and is not a term of the series)
+    term["offset"][0] = shift * OFFSET_LIMIT
+    path.write_text(json.dumps(solved))
+    code, out, _ = _verify_file(capsys, path)
+    assert code == 1 and json.loads(out)["max_violation"] != "0"
+    term["offset"][0] = shift * (OFFSET_LIMIT + 1)
+    path.write_text(json.dumps(solved))
+    code, out, err = _verify_file(capsys, path)
+    _one_line_error(code, out, err, 1)
+    assert "outside the kernel's range" in err
+
+
 @pytest.mark.parametrize("field,value", [("coeff", "x"), ("truncation", "ten"),
                                          ("terms", 5), ("offset", [0, 1.5, 0]),
                                          ("offset", 5), ("coeff", "1/0"),

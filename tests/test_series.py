@@ -31,7 +31,11 @@ from gkzcurve.curves import CurveError, lattice_basis, lattice_decompose, lattic
 from gkzcurve.exponents import polynomial_exponent_index
 from gkzcurve.series import (
     BetaNotNaturalError,
+    ContiguityError,
+    FiniteSupport,
+    FormalSeries,
     IndexOutOfRangeError,
+    LatticeGammaSupport,
     TermLimitError,
     WrongAuxiliaryShapeError,
     _closed_form_coefficient,
@@ -305,6 +309,36 @@ def test_every_enumerated_point_is_stored(entries, base):
     assert len(points) == len(gamma_series(A, base, 6).terms)
 
 
+def negative_support_classify(descriptor, offset):
+    """LatticeGammaSupport.classify by the negative_support rule over Fractions."""
+    m = lattice_decompose(descriptor.basis, offset)
+    if m is None:
+        return None
+    w = tuple(b + o for b, o in zip(descriptor.base, offset))
+    if negative_support(w) != negative_support(descriptor.base):
+        return None
+    return sum(abs(c) for c in m)
+
+
+@pytest.mark.parametrize("entries", [(1, 2, 3), (1, 3, 6, 8), (1, 3, 5, 7), (2, 3),
+                                     (3, 5, 7)])
+def test_integer_classify_matches_the_negative_support_rule(entries):
+    A = make_curve(entries)
+    basis = lattice_basis(A)
+    rng = random.Random(str(entries))
+    guarded = 0
+    for v in _oracle_bases(A):
+        descriptor = LatticeGammaSupport(basis, v)
+        offsets = [basis.combine([rng.randint(-6, 6) for _ in range(basis.rank)])
+                   for _ in range(80)]
+        offsets += [tuple(rng.randint(-9, 9) for _ in range(A.n)) for _ in range(20)]
+        for u in offsets:
+            want = negative_support_classify(descriptor, u)
+            assert descriptor.classify(u) == want, (v, u)
+            guarded += want is None and lattice_decompose(basis, u) is not None
+    assert guarded > 0
+
+
 def _closed_form_mismatches(A, beta, j, level):
     """Stored terms of exponent_series with kernel coordinates m >= 0 that differ
     from _closed_form_coefficient, and the number of such terms checked."""
@@ -462,6 +496,15 @@ def test_inverse_contiguity_roundtrip():
     lifted = inverse_contiguity(phi, (0, 0, 2))
     back = apply_contiguity(lifted, (0, 0, 2))
     assert back.series.terms == phi.series.terms
+
+
+def test_inverse_contiguity_raises_on_a_vanishing_factor():
+    # (0 + (-1) + 1)_1 = 0 at the only term
+    single = FormalSeries((Fraction(0), Fraction(1, 2)), {(-1, 0): 1}, 0, FiniteSupport())
+    with pytest.raises(ContiguityError):
+        inverse_contiguity(TrustedSeries.from_series(single), (1, 0))
+    assert inverse_contiguity(TrustedSeries.from_series(single), (0, 1)).series.terms == {
+        (-1, 1): Fraction(2, 3)}
 
 
 def test_serialization_roundtrip():

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -18,15 +19,23 @@ from gkzcurve import (
     euler_operator,
     exponent_series,
     initial_form,
+    inverse_contiguity,
     make_curve,
     named_generators,
     slope,
     solution_basis,
     toric_generators,
 )
-from gkzcurve.curves import CurveError, DimensionMismatchError, NotInKernelError
-from gkzcurve.series import FiniteSupport, WindowSupport, falling_product
-from gkzcurve.weyl import GeneratorViolation
+from gkzcurve.curves import (
+    CurveError,
+    DimensionMismatchError,
+    NotInKernelError,
+    lattice_ball,
+    lattice_basis,
+    semigroup_member,
+)
+from gkzcurve.series import ContiguityError, FiniteSupport, WindowSupport, falling_product
+from gkzcurve.weyl import OFFSET_LIMIT, GeneratorViolation, _pack, _unpack
 
 
 def x(i, n=2):
@@ -311,11 +320,12 @@ def reference_rows(generators, S):
 
 
 def fraction_operator(rng, n):
-    """Two terms x^a d^g with small exponents and non-integer coefficients."""
+    """Two terms x^a d^g with non-integer coefficients; a term shifts each
+    coordinate by -5..5."""
     terms = {}
     for _ in range(2):
-        a = tuple(rng.randint(0, 1) for _ in range(n))
-        g = tuple(rng.randint(0, 2) for _ in range(n))
+        a = tuple(rng.randint(0, 5) for _ in range(n))
+        g = tuple(rng.randint(0, 5) for _ in range(n))
         terms[(a, g)] = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
     return WeylOperator(n, terms)
 
@@ -338,6 +348,7 @@ def series_variant(S: TrustedSeries, variant: str, rng) -> TrustedSeries:
 
 def assert_kernel_matches_reference(generators, S, rng):
     n = S.nvars
+    reach = 1 + max(c for _, op in generators for a, g in op.terms for c in a + g)
     for name, op in generators:
         got = apply(op, S)
         want, landed = reference_apply(op, S)
@@ -345,6 +356,12 @@ def assert_kernel_matches_reference(generators, S, rng):
         assert got.trusted_level == want.trusted_level
         sample = set(landed) | set(S.series.terms)
         sample |= {tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(20)}
+        # far coordinates; the margin keeps every contributor in range, since a
+        # chained series checks the range of the offsets its predicate is asked
+        far = OFFSET_LIMIT - reach
+        sample |= {tuple(rng.choice([-far, far, rng.randint(-far, far),
+                                     rng.randint(-4, 4)]) for _ in range(n))
+                   for _ in range(20)}
         for off in sample:
             assert (got.series.descriptor.predicate(off)
                     == want.series.descriptor.predicate(off)), (name, off)
@@ -419,3 +436,174 @@ def test_kernel_matches_fraction_reference_property(entries, beta, point, level,
     gens = named_generators(A, beta, 2) + [("random", fraction_operator(rng, A.n))]
     for S in series[:2]:
         assert_kernel_matches_reference(gens, series_variant(S, variant, rng), rng)
+
+
+# ---------------------------------------------------------------------------
+# Packed offsets and their range
+
+
+def test_pack_round_trips_at_the_ends_of_the_range():
+    ends = (-OFFSET_LIMIT, -OFFSET_LIMIT + 1, -1, 0, 1, OFFSET_LIMIT - 1, OFFSET_LIMIT)
+    for n in (1, 2, 3):
+        zero = _pack((0,) * n)
+        for u in itertools.product(ends, repeat=n):
+            assert _unpack(_pack(u), n) == u
+            # a shift is one addition, also where a sum leaves the packable range
+            for s in itertools.product((-OFFSET_LIMIT, -5, 5, OFFSET_LIMIT), repeat=n):
+                total = tuple(a + b for a, b in zip(u, s))
+                assert _unpack(_pack(u) + _pack(s) - zero, n) == total
+    for bad in (OFFSET_LIMIT + 1, -OFFSET_LIMIT - 1, 2 * OFFSET_LIMIT):
+        with pytest.raises(CurveError, match="outside"):
+            _pack((0, bad, 0))
+
+
+def test_kernel_rejects_offsets_and_shifts_past_the_range():
+    base = (Fraction(1, 2), Fraction(0))
+    far = FormalSeries(base, {(OFFSET_LIMIT + 1, 0): 1}, 0, FiniteSupport())
+    with pytest.raises(CurveError, match="outside"):
+        apply(WeylOperator.d(2, 0), far)
+    with pytest.raises(CurveError, match="outside"):
+        annihilation_report([WeylOperator.d(2, 0)], far)
+    edge = FormalSeries(base, {(OFFSET_LIMIT, 0): 1}, 0, FiniteSupport())
+    assert apply(WeylOperator.d(2, 0), edge).series.terms == {
+        (OFFSET_LIMIT - 1, 0): OFFSET_LIMIT + Fraction(1, 2)}
+    long_shift = WeylOperator.monomial(2, (OFFSET_LIMIT + 1, 0), (0, 0))
+    with pytest.raises(CurveError, match="outside"):
+        apply(long_shift, monomial_series(2, (0, 0)))
+
+
+def test_window_predicate_checks_the_range():
+    A = make_curve((1, 2, 3))
+    phi = exponent_series(A, Fraction(1, 2), 0, 4)
+    predicate = apply(toric_generators(A)[0], phi).series.descriptor.predicate
+    assert predicate((OFFSET_LIMIT, -OFFSET_LIMIT, 0)) in (True, False)
+    for bad in ((OFFSET_LIMIT + 1, 0, 0), (0, 0, -OFFSET_LIMIT - 1)):
+        with pytest.raises(CurveError, match="outside"):
+            predicate(bad)
+
+
+def test_each_offset_is_classified_at_most_once_per_series():
+    rng = random.Random(7)
+    classified = 0
+    for entries, beta in KERNEL_SWEEP:
+        A, series = basis_series(entries, beta, PointClass.SMOOTH_STRATUM, 4)
+        gens = named_generators(A, beta, 2)
+        for S in series:
+            for S in (S, series_variant(S, "chained", rng)):
+                descriptor = S.series.descriptor
+                calls = collections.Counter()
+
+                def counting(offset, _classify=descriptor.classify, _calls=calls):
+                    _calls[tuple(offset)] += 1
+                    return _classify(offset)
+
+                descriptor.classify = counting
+                try:
+                    annihilation_report(gens, S)
+                finally:
+                    del descriptor.classify
+                assert max(calls.values(), default=1) == 1, entries
+                assert not set(calls) & set(S.series.terms), entries
+                classified += len(calls)
+    assert classified > 0
+
+
+# ---------------------------------------------------------------------------
+# Box operators against their construction as two subtracted monomials
+
+
+def monomial_box_operator(A, u):
+    """d^{u_+} - d^{u_-} as box_operator built it before: two monomials
+    subtracted, membership checked by the Fraction weight."""
+    u = tuple(int(x) for x in u)
+    if A.weight(u) != 0:
+        raise NotInKernelError(f"{u} is not in ker_Z{A.entries}")
+    z = (0,) * A.n
+    return (WeylOperator.monomial(A.n, z, tuple(max(x, 0) for x in u))
+            - WeylOperator.monomial(A.n, z, tuple(max(-x, 0) for x in u)))
+
+
+def monomial_named_generators(A, beta, radius):
+    out = [("euler", euler_operator(A, beta))]
+    if A.is_smooth:
+        for i in range(1, A.n):
+            u = [0] * A.n
+            u[0], u[i] = A.entries[i], -1
+            out.append((f"toric[{i + 1}]", monomial_box_operator(A, u)))
+    seen = set()
+    for m, u in lattice_ball(lattice_basis(A), radius):
+        if next(x for x in m if x) > 0 and u not in seen:
+            seen.add(u)
+            out.append((f"box{list(m)}", monomial_box_operator(A, u)))
+    return out
+
+
+@pytest.mark.parametrize("entries", sorted({e for e, _ in KERNEL_SWEEP}))
+def test_named_generators_match_the_monomial_construction(entries):
+    A = make_curve(entries)
+    for beta in {b for e, b in KERNEL_SWEEP if e == entries}:
+        for radius in range(4):
+            got = named_generators(A, beta, radius)
+            want = monomial_named_generators(A, beta, radius)
+            assert [name for name, _ in got] == [name for name, _ in want]
+            for (name, op), (_, ref) in zip(got, want):
+                assert op == ref, (radius, name)
+                assert list(op.terms.items()) == list(ref.terms.items()), (radius, name)
+
+
+# ---------------------------------------------------------------------------
+# Division by d^w on the gap route against the Fraction division
+
+
+def fraction_inverse_contiguity(trusted, w):
+    """inverse_contiguity as it ran over Fractions with falling_product."""
+    src = trusted.series
+    terms = {}
+    for u, c in src.terms.items():
+        target = tuple(ui + wi for ui, wi in zip(u, w))
+        factor = falling_product(src.exponent(target), w)
+        if factor == 0:
+            raise ContiguityError(f"zero falling factorial at offset {u}")
+        terms[target] = c / factor
+
+    def trusted_at(offset):
+        shifted = tuple(o - wi for o, wi in zip(offset, w))
+        if trusted.coefficient_known(shifted) is None:
+            return False
+        return falling_product(src.exponent(offset), w) != 0
+
+    out = FormalSeries(src.base, terms, src.truncation, WindowSupport(trusted_at))
+    return TrustedSeries(out, trusted.trusted_level)
+
+
+GAP_ROUTE = [(e, b) for e, b in KERNEL_SWEEP
+             if not make_curve(e).is_smooth and Fraction(b).denominator == 1
+             and b >= 0 and not semigroup_member(make_curve(e), int(b))]
+
+
+@pytest.mark.parametrize("entries,beta", GAP_ROUTE)
+def test_inverse_contiguity_matches_fraction_reference(entries, beta):
+    A = make_curve(entries)
+    rng = random.Random(f"{entries} {beta}")
+    t = beta // A.entries[-1] + 1
+    w = (0,) * (A.n - 1) + (t,)
+    for point in (PointClass.SMOOTH_STRATUM, PointClass.GENERIC):
+        for level in (0, 4, 8):
+            # at beta - t a_n < 0 the basis is the x_0 = 0 slice the gap route lifts
+            below = solution_basis(A, beta - A.entries[-1] * t, point, s=slope(A),
+                                   level=level)
+            lifted = solution_basis(A, beta, point, s=slope(A), level=level)
+            assert len(below) == len(lifted)
+            for member, target in zip(below, lifted):
+                trusted = TrustedSeries.from_series(member.series)
+                got = inverse_contiguity(trusted, w)
+                want = fraction_inverse_contiguity(trusted, w)
+                assert list(got.series.terms.items()) == list(want.series.terms.items())
+                assert got.series.terms == target.series.terms
+                assert got.trusted_level == want.trusted_level
+                sample = set(got.series.terms) | set(member.series.terms)
+                sample |= {tuple(rng.randint(-6, 6) for _ in range(A.n))
+                           for _ in range(40)}
+                for off in sample:
+                    assert (got.series.descriptor.predicate(off)
+                            == want.series.descriptor.predicate(off)), off
