@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 domain error (reported on stderr), 2 flag errors.
 The environment variable GKZ_MAX_TERMS caps stored series terms as a safety
 valve for accidental huge truncations; since only support points are
-enumerated, it bounds the build work as well.
+enumerated (for a general curve, only those of the x_0 = 0 section), it
+bounds the build work as well.  A reader that closes stdout early ends the
+command with exit 1 and no traceback.
 """
 
 from __future__ import annotations
@@ -501,7 +503,17 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(_join_negative_rationals(argv))
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`gkz solve ... | head`): send the rest of
+        # the output to devnull so the flush at interpreter exit cannot raise
+        # again, and exit without a traceback
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -162,7 +162,9 @@ def _witness_defect_name(A: CurveMatrix) -> str:
     return f"toric[{A.n - 1}]"
 
 
-def _smooth_singular_basis(A, beta, s, level, max_terms) -> list[BasisMember]:
+def _smooth_singular_basis(A, beta, s, build, suffix="") -> list[BasisMember]:
+    """The smooth-stratum basis of the smooth matrix A; build(base) makes the
+    series at each base exponent and suffix marks the labels."""
     sigma = slope(A)
     q = _series.polynomial_exponent_index(A, beta)
     s_frac = None if s is None else Fraction(s)
@@ -171,48 +173,48 @@ def _smooth_singular_basis(A, beta, s, level, max_terms) -> list[BasisMember]:
         if q is None:
             raise SlopeTooSmallError(
                 f"no classes of order {s} < slope {sigma} for beta = {beta}")
-        poly = _series.exponent_series(A, beta, q, level, max_terms=max_terms)
-        return [BasisMember(poly, f"exponent[{q}]", poly.base, True, None)]
+        poly = build(_series.exponent_base(A, beta, q))
+        return [BasisMember(poly, f"exponent[{q}]{suffix}", poly.base, True, None)]
     out = []
     for j in range(A.entries[A.n - 2]):
         if j == q:
             continue
-        ser = _series.exponent_series(A, beta, j, level, max_terms=max_terms)
-        out.append(BasisMember(ser, f"exponent[{j}]", ser.base, True, None))
+        ser = build(_series.exponent_base(A, beta, j))
+        out.append(BasisMember(ser, f"exponent[{j}]{suffix}", ser.base, True, None))
     if q is not None:
-        wit = _series.witness_series(A, beta, level, max_terms=max_terms)
-        out.append(BasisMember(wit, "witness", wit.base, False,
+        wit = build(_series.witness_base(A, beta))
+        out.append(BasisMember(wit, f"witness{suffix}", wit.base, False,
                                _witness_defect_name(A)))
     return out
 
 
-def _smooth_generic_basis(A, beta, level, max_terms) -> list[BasisMember]:
+def _smooth_generic_basis(A, beta, build, suffix="") -> list[BasisMember]:
+    """The generic-point basis of the smooth matrix A, built as above."""
     out = []
     for j in range(A.entries[-1]):
-        base = _series.generic_exponent_base(A, beta, j)
-        ser = _series.gamma_series(A, base, level, max_terms=max_terms)
-        out.append(BasisMember(ser, f"generic[{j}]", base, True, None))
+        ser = build(_series.generic_exponent_base(A, beta, j))
+        out.append(BasisMember(ser, f"generic[{j}]{suffix}", ser.base, True, None))
     return out
 
 
-def _substituted(A, member: BasisMember, caveat=()) -> BasisMember:
-    sub = _series.substitute_x0(member.series, A)
-    return BasisMember(sub.series, member.label + "|x0=0", sub.series.base,
-                       member.is_solution, member.defect_generator,
-                       member.caveats + tuple(caveat))
-
-
 def _general_basis(A, beta, point, s, level, max_terms) -> list[BasisMember]:
+    """The basis of the auxiliary matrix (1, a_1, ..., a_n) restricted to
+    x_0 = 0: only the section of each auxiliary series is built."""
     aux = A.auxiliary()
+
+    def build(base):
+        return _series.section_series(A, base, level, max_terms=max_terms)
+
+    def members(beta):
+        if point is PointClass.GENERIC:
+            return _smooth_generic_basis(aux, beta, build, "|x0=0")
+        return _smooth_singular_basis(aux, beta, s, build, "|x0=0")
+
     beta = Fraction(beta)
     natural_gap = (beta.denominator == 1 and beta >= 0
                    and not semigroup_member(A, int(beta)))
     if not natural_gap:
-        if point is PointClass.GENERIC:
-            members = _smooth_generic_basis(aux, beta, level, max_terms)
-        else:
-            members = _smooth_singular_basis(aux, beta, s, level, max_terms)
-        return [_substituted(A, m) for m in members]
+        return members(beta)
 
     # beta in N \ NA: the direct substitution vanishes on the polynomial slot.
     # Build the basis at beta' = beta - t*a_n < 0 and divide by d_n^t, which is
@@ -226,19 +228,14 @@ def _general_basis(A, beta, point, s, level, max_terms) -> list[BasisMember]:
     shifted = beta - A.entries[-1] * t
     if shifted >= 0:
         raise CurveError(f"shifted parameter {shifted} is not negative")
-    if point is PointClass.GENERIC:
-        members = _smooth_generic_basis(aux, shifted, level, max_terms)
-    else:
-        members = _smooth_singular_basis(aux, shifted, s, level, max_terms)
     out = []
     note = (f"parameter reached through beta'={shifted} and division by d_n^{t}",)
-    for m in members:
-        sub = _substituted(A, m)
-        trusted = _weyl.TrustedSeries.from_series(sub.series)
+    for m in members(shifted):
+        trusted = _weyl.TrustedSeries.from_series(m.series)
         lifted = _series.inverse_contiguity(trusted, w)
-        out.append(BasisMember(lifted.series, sub.label + f"*d^-{t}",
-                               lifted.series.base, sub.is_solution,
-                               sub.defect_generator, sub.caveats + note))
+        out.append(BasisMember(lifted.series, m.label + f"*d^-{t}",
+                               lifted.series.base, m.is_solution,
+                               m.defect_generator, m.caveats + note))
     return out
 
 
@@ -252,15 +249,18 @@ def solution_basis(A: CurveMatrix, beta, point: PointClass, s=None,
     only the polynomial class survives (natural beta), otherwise the space is
     empty and SlopeTooSmallError is raised.  Deep stratum: the space is zero.
     Generic points: the a_n holomorphic solution series.  General matrices are
-    routed through the auxiliary smooth matrix and the x_0 = 0 substitution.
+    routed through the auxiliary smooth matrix and its x_0 = 0 section.
     """
     if point is PointClass.DEEP_STRATUM:
         return []
     if not A.is_smooth:
         return _general_basis(A, beta, point, s, level, max_terms)
+
+    def build(base):
+        return _series.gamma_series(A, base, level, max_terms=max_terms)
     if point is PointClass.GENERIC:
-        return _smooth_generic_basis(A, beta, level, max_terms)
-    return _smooth_singular_basis(A, beta, s, level, max_terms)
+        return _smooth_generic_basis(A, beta, build)
+    return _smooth_singular_basis(A, beta, s, build)
 
 
 def verify_basis(A: CurveMatrix, members, beta, ball_radius: int = 3):

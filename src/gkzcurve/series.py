@@ -198,6 +198,15 @@ class FormalSeries:
         self.truncation = truncation
         self.descriptor = descriptor
 
+    @classmethod
+    def _built(cls, base, terms, truncation, descriptor) -> "FormalSeries":
+        """A series from a build that already holds a Fraction base, integer
+        offset tuples and nonzero Fraction coefficients: taken as they are."""
+        self = object.__new__(cls)
+        self.base, self.terms = base, terms
+        self.truncation, self.descriptor = truncation, descriptor
+        return self
+
     @property
     def nvars(self) -> int:
         return len(self.base)
@@ -351,27 +360,53 @@ def _support_bounds(v) -> dict[int, tuple[int | None, int | None]]:
 
 
 class _GammaFactor:
-    """One coordinate of Gamma[v; u]: t -> (z)_{t_-} / (z + t)_{t_+}.
+    """One coordinate of Gamma[v; u] as an integer pair (numerator, denominator):
+    with v_i = p/q, t >= 0 gives q^t / prod_{k=1..t} (p + k q) and t < 0 gives
+    prod_{k<-t} (p - k q) / q^{-t}.
 
-    Filled on demand by the one-step ratios g(t+1) = g(t) / (z+t+1) and
-    g(t-1) = g(t) * (z+t).  The support bounds keep every divisor nonzero.
+    Filled on demand by the one-step ratios g(t+1) = g(t) q / (p + (t+1) q) and
+    g(t-1) = g(t) (p + t q) / q.  The support bounds keep every factor nonzero.
     """
 
-    def __init__(self, z: Fraction):
-        self.z = z
-        self.up = [Fraction(1)]      # g(0), g(1), g(2), ...
-        self.down = [Fraction(1)]    # g(0), g(-1), g(-2), ...
+    def __init__(self, z):
+        self.p, self.q = z.numerator, z.denominator
+        self.up = [(1, 1)]       # g(0), g(1), g(2), ...
+        self.down = [(1, 1)]     # g(0), g(-1), g(-2), ...
 
-    def __call__(self, t: int) -> Fraction:
+    def __call__(self, t: int) -> tuple[int, int]:
+        p, q = self.p, self.q
         if t >= 0:
             up = self.up
             while len(up) <= t:
-                up.append(up[-1] / (self.z + len(up)))
+                num, den = up[-1]
+                up.append((num * q, den * (p + len(up) * q)))
             return up[t]
         down = self.down
         while len(down) <= -t:
-            down.append(down[-1] * (self.z - len(down) + 1))
+            num, den = down[-1]
+            down.append((num * (p - (len(down) - 1) * q), den * q))
         return down[-t]
+
+
+def _gamma_terms(basis: LatticeBasis, base, level: int, bounds, max_terms, drop: int):
+    """{u[drop:]: Gamma[base; u]} over the lattice points of level <= level
+    inside bounds, in enumeration order: the term loop of every build.
+
+    Each coefficient is a product of integer factor pairs, so the loop builds
+    exactly one Fraction per stored term."""
+    factors = [_GammaFactor(z) for z in base]
+    terms = {}
+    for _, u in lattice_points(basis, level, bounds):
+        num = den = 1
+        for g, t in zip(factors, u):
+            if t:
+                a, b = g(t)
+                num *= a
+                den *= b
+        terms[u[drop:]] = Fraction(num, den)
+        if max_terms is not None and len(terms) > max_terms:
+            raise TermLimitError(f"more than {max_terms} stored terms")
+    return terms
 
 
 def gamma_series(A: CurveMatrix, base, level: int,
@@ -387,13 +422,36 @@ def gamma_series(A: CurveMatrix, base, level: int,
     base = tuple(Fraction(x) for x in base)
     if len(base) != A.n:
         raise DimensionMismatchError(f"base of length {len(base)} for {A.n} variables")
-    factors = [_GammaFactor(z) for z in base]
+    terms = _gamma_terms(basis, base, level, _support_bounds(base), max_terms, 0)
+    return FormalSeries._built(base, terms, level, LatticeGammaSupport(basis, base))
+
+
+def section_series(A: CurveMatrix, aux_base, level: int,
+                   max_terms: int | None = None) -> FormalSeries:
+    """The x_0 = 0 section of gamma_series(A.auxiliary(), aux_base, level),
+    built without the rest of the auxiliary series.
+
+    The kept parent offsets are those with u_0 = -v_0, one more support bound
+    for lattice_points; each is stored under u[1:].  Truncation still counts
+    the auxiliary kernel coordinates, so the result equals
+    substitute_x0(gamma_series(A.auxiliary(), aux_base, level), A).series, and
+    max_terms bounds the stored section terms.  The section is empty when v_0
+    is a negative integer (the guard then asks u_0 <= -1 - v_0).
+    """
+    aux = A.auxiliary()
+    basis = lattice_basis(aux)
+    base = tuple(Fraction(x) for x in aux_base)
+    if len(base) != aux.n:
+        raise DimensionMismatchError(
+            f"auxiliary base of length {len(base)} for {aux.n} variables")
+    descriptor = SectionSupport(LatticeGammaSupport(basis, base))
+    x0 = descriptor.x0_offset
     terms = {}
-    for _, u in lattice_points(basis, level, _support_bounds(base)):
-        terms[u] = math.prod(g(t) for g, t in zip(factors, u) if t)
-        if max_terms is not None and len(terms) > max_terms:
-            raise TermLimitError(f"more than {max_terms} stored terms")
-    return FormalSeries(base, terms, level, LatticeGammaSupport(basis, base))
+    if x0 <= 0:
+        bounds = _support_bounds(base)
+        bounds[0] = (x0, x0)
+        terms = _gamma_terms(basis, base, level, bounds, max_terms, 1)
+    return FormalSeries._built(base[1:], terms, level, descriptor)
 
 
 def exponent_base(A: CurveMatrix, beta, j: int) -> tuple[Fraction, ...]:
@@ -627,7 +685,8 @@ def substitute_x0(parent: FormalSeries, A: CurveMatrix) -> SubstitutionResult:
     parent solved the auxiliary system.  An empty result is certified to be the
     zero series only when the parent is known to be a polynomial divisible by
     x_0, which happens exactly when beta is a natural number outside the
-    semigroup of A; an empty window alone proves nothing.
+    semigroup of A; an empty window alone proves nothing.  section_series
+    builds the same section without the rest of the parent.
     """
     if not isinstance(parent.descriptor, LatticeGammaSupport):
         raise WrongAuxiliaryShapeError("substitution needs a lattice Gamma-series")

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import math
@@ -7,6 +8,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -248,6 +250,44 @@ def test_term_cap_bounds_the_build_work(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and "TermLimitError" in err
+
+
+GOLDEN = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
+                     / "golden.json").read_text())
+
+
+def test_term_cap_counts_stored_section_terms_on_a_general_curve(capsys, monkeypatch):
+    # each member keeps at most 9 section terms; the auxiliary series around
+    # them are never built, so they do not count against the cap
+    monkeypatch.setenv("GKZ_MAX_TERMS", "10")
+    argv = "solve --matrix 3,5,7 --beta 1/2 --truncation 14"
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]["sha256"]
+
+
+def test_term_cap_bounds_the_section_build_work(capsys, monkeypatch):
+    monkeypatch.setenv("GKZ_MAX_TERMS", "5")
+    code, out, err = run_cli(capsys, "solve", "--matrix", "3,5,7", "--beta", "1/2",
+                             "--truncation", "400")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "TermLimitError" in err
+
+
+def test_closed_stdout_exits_without_a_traceback():
+    # the output (~80 kB) outgrows the pipe, so the writer meets the closed end
+    src = os.path.dirname(os.path.dirname(gkzcurve.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-m", "gkzcurve.cli", "solve", "--matrix", "1,2,3,4,5,6",
+            "--beta", "1/2", "--truncation", "8"]
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(10) == b'{"matrix":'
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and err == ""
 
 
 @pytest.mark.parametrize("command,beta", [("solve", "4"), ("solve", "1/2"),

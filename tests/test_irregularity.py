@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -217,6 +218,50 @@ def test_gap_parameter_sweep_all_gaps():
                 assert len(basis) == expected, (entries, beta, point)
                 for member, report in verify_basis(A, basis, beta, 2):
                     assert report.max_violation == 0, (entries, beta, member.label)
+
+
+def count_build_work(monkeypatch, run):
+    """run() with the points lattice_points yields to the series build and the
+    Fractions constructed inside the term loop (arithmetic included) counted."""
+    from gkzcurve import series
+
+    counts = {"points": 0, "fractions": 0}
+    enumerate_points = series.lattice_points
+
+    def counting_points(*args, **kwargs):
+        for point in enumerate_points(*args, **kwargs):
+            counts["points"] += 1
+            yield point
+
+    term_loop = series._gamma_terms.__code__
+    fraction_new = Fraction.__new__.__code__
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is fraction_new:
+            caller = frame.f_back
+            while caller is not None and caller.f_code is not term_loop:
+                caller = caller.f_back
+            counts["fractions"] += caller is not None
+
+    monkeypatch.setattr(series, "lattice_points", counting_points)
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, counts
+
+
+@pytest.mark.parametrize("beta", [Fraction(1, 2), 4])
+def test_general_basis_build_work_equals_stored_terms(monkeypatch, beta):
+    # (3, 5, 7) at L32 keeps 161 of the 9 289 terms of its five auxiliary
+    # series; beta = 4 is a gap, built at beta' = -3 and lifted term by term
+    A = make_curve((3, 5, 7))
+    basis, counts = count_build_work(monkeypatch, lambda: solution_basis(
+        A, beta, PointClass.SMOOTH_STRATUM, s=slope(A), level=32))
+    stored = sum(len(m.series.terms) for m in basis)
+    assert stored == 161
+    assert counts == {"points": stored, "fractions": stored}
 
 
 def test_certified_window_per_generator():

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -36,6 +37,7 @@ from gkzcurve.series import (
     FormalSeries,
     IndexOutOfRangeError,
     LatticeGammaSupport,
+    SectionSupport,
     TermLimitError,
     WrongAuxiliaryShapeError,
     _closed_form_coefficient,
@@ -43,6 +45,7 @@ from gkzcurve.series import (
     exponent_base,
     falling_product,
     generic_exponent_base,
+    section_series,
     witness_base,
 )
 from gkzcurve.weyl import WeylOperator
@@ -307,6 +310,94 @@ def test_every_enumerated_point_is_stored(entries, base):
     base = tuple(Fraction(x) for x in base)
     points = list(lattice_points(lattice_basis(A), 6, _support_bounds(base)))
     assert len(points) == len(gamma_series(A, base, 6).terms)
+
+
+def _section_bases(A, beta):
+    """The auxiliary bases solution_basis builds sections at: the singular and
+    generic exponents of (1, a_1, ..., a_n), and the witness for natural beta."""
+    aux = A.auxiliary()
+    bases = [exponent_base(aux, beta, j) for j in range(aux.entries[-2])]
+    bases += [generic_exponent_base(aux, beta, j) for j in range(aux.entries[-1])]
+    if beta.denominator == 1 and beta >= 0:
+        bases.append(witness_base(aux, beta))
+    return bases
+
+
+def assert_section_matches_substitution(A, v, level, rng):
+    """section_series against substitute_x0 of the whole auxiliary series: terms
+    in insertion order, base, truncation, JSON fields, and the descriptor."""
+    got = section_series(A, v, level)
+    want = substitute_x0(gamma_series(A.auxiliary(), v, level), A).series
+    assert list(got.terms.items()) == list(want.terms.items()), (v, level)
+    assert got.base == want.base and got.truncation == want.truncation == level
+    assert got.to_json() == want.to_json()
+    assert isinstance(got.descriptor, SectionSupport)
+    assert got.descriptor.json_fields() == want.descriptor.json_fields()
+    basis = lattice_basis(A)
+    offsets = list(got.terms)
+    offsets += [basis.combine([rng.randint(-level - 2, level + 2)
+                               for _ in range(basis.rank)]) for _ in range(12)]
+    offsets += [tuple(rng.randint(-9, 9) for _ in range(A.n)) for _ in range(4)]
+    for d in offsets:
+        cls = got.descriptor.classify(d)
+        assert cls == want.descriptor.classify(d), (v, d)
+        # the descriptor places an offset at level <= truncation exactly when
+        # the build stored it
+        assert (isinstance(cls, int) and cls <= level) == (d in got.terms), (v, d)
+
+
+SECTION_BETAS = (Fraction(1, 2), Fraction(-7, 3), 0, 8, 1, 2, -1, -4)
+
+
+@pytest.mark.parametrize("entries", [(3, 5, 7), (2, 3), (3, 4, 5), (2, 5, 7)])
+def test_section_build_matches_substitution(entries):
+    # non-integer, natural (0, 8, and 2 for (2, 3) and (2, 5, 7)), gap (1,
+    # and 2 for (3, 5, 7) and (3, 4, 5)) and negative-integer parameters
+    A = make_curve(entries)
+    rng = random.Random(str(entries))
+    for beta in SECTION_BETAS:
+        for v in _section_bases(A, Fraction(beta)):
+            for level in range(9):
+                assert_section_matches_substitution(A, v, level, rng)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    entries=st.lists(st.integers(2, 9), min_size=2, max_size=3, unique=True),
+    beta=st.tuples(st.integers(-12, 12), st.sampled_from([1, 1, 2, 3])),
+    pick=st.integers(0, 100),
+    level=st.integers(0, 5),
+)
+def test_section_build_matches_substitution_property(entries, beta, pick, level):
+    entries = sorted(entries)
+    if math.gcd(*entries) != 1:
+        entries.append(entries[-1] + 1)         # consecutive entries are coprime
+    A = make_curve(entries)
+    bases = _section_bases(A, Fraction(*beta))
+    assert_section_matches_substitution(A, bases[pick % len(bases)], level,
+                                        random.Random(pick))
+
+
+def test_section_of_a_negative_integer_x0_exponent_is_empty():
+    A = make_curve((3, 5, 7))
+    for v0 in (-1, -3):
+        v = (Fraction(v0), Fraction(1, 2), 0, 0)
+        got = section_series(A, v, 8)
+        assert got.is_zero() and got.base == v[1:] and got.truncation == 8
+        assert gamma_series(A.auxiliary(), v, 8).terms    # the parent is not empty
+        assert got == substitute_x0(gamma_series(A.auxiliary(), v, 8), A).series
+    with pytest.raises(WrongAuxiliaryShapeError):
+        section_series(A, (Fraction(1, 2), 0, 0, 0), 4)
+
+
+def test_section_term_limit_counts_section_terms():
+    A = make_curve((2, 3))
+    v = exponent_base(A.auxiliary(), Fraction(1, 2), 0)
+    stored = len(section_series(A, v, 12).terms)
+    assert stored < len(gamma_series(A.auxiliary(), v, 12).terms)
+    assert len(section_series(A, v, 12, max_terms=stored).terms) == stored
+    with pytest.raises(TermLimitError):
+        section_series(A, v, 12, max_terms=stored - 1)
 
 
 def negative_support_classify(descriptor, offset):

@@ -57,3 +57,37 @@ def test_the_verification_kernel_names_no_fraction_helper():
                 if ident in banned:
                     found.append(f"{filename}:{node.lineno} {name} {ident}")
     assert found == []
+
+
+def _series_definitions():
+    tree = ast.parse((PACKAGE / "series.py").read_text(), filename="series.py")
+    return {node.name: node for node in tree.body
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+
+
+def _names(node):
+    return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))]
+
+
+def test_the_gamma_factor_tables_are_integer_only():
+    assert "Fraction" not in _names(_series_definitions()["_GammaFactor"])
+
+
+def test_the_term_loop_builds_one_fraction_per_stored_term():
+    # the only Fraction of the build is the value stored under each enumerated
+    # point: `terms[...] = Fraction(num, den)` directly in the body of the loop
+    # over lattice_points, which names no other Fraction
+    loop_fn = _series_definitions()["_gamma_terms"]
+    loops = [node for node in ast.walk(loop_fn) if isinstance(node, ast.For)
+             and isinstance(node.iter, ast.Call)
+             and getattr(node.iter.func, "id", None) == "lattice_points"]
+    assert len(loops) == 1
+    stores = [stmt for stmt in loops[0].body if isinstance(stmt, ast.Assign)
+              and isinstance(stmt.targets[0], ast.Subscript)
+              and getattr(stmt.targets[0].value, "id", None) == "terms"]
+    assert len(stores) == 1
+    value = stores[0].value
+    assert isinstance(value, ast.Call) and getattr(value.func, "id", None) == "Fraction"
+    assert all(isinstance(arg, ast.Name) for arg in value.args)
+    assert _names(loop_fn).count("Fraction") == 1
