@@ -29,7 +29,6 @@ _EXPORTS = {
         "delta_exponents",
         "frobenius_number",
         "isomorphic_parameters",
-        "lattice_ball",
         "lattice_basis",
         "lattice_decompose",
         "make_curve",

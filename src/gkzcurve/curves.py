@@ -20,7 +20,7 @@ from .records import record
 # flags take the same.  Fraction itself would also parse decimals and
 # exponents, and "1e999999999" builds a billion-digit integer before anything
 # can check it.
-RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+RATIONAL_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 class CurveError(Exception):
@@ -139,12 +139,8 @@ class LatticeBasis:
         """u(m) = sum_i m_i u^i for integer coordinates m of length n-1."""
         if len(m) != self.rank:
             raise DimensionMismatchError(f"{len(m)} coordinates for rank {self.rank}")
-        n = self.matrix.n
-        out = [0] * n
-        for c, row in zip(m, self.rows):
-            for j in range(n):
-                out[j] += c * row[j]
-        return tuple(out)
+        return tuple(sum(c * row[j] for c, row in zip(m, self.rows))
+                     for j in range(self.matrix.n))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -242,32 +238,31 @@ def lattice_points(basis: LatticeBasis, radius: int,
                                None if hi is None else -hi,
                                None if lo is None else -lo))
 
-    def rec(level, prefix, u, budget):
-        if level == rank:
-            yield tuple(prefix), u
-            return
-        c_lo, c_hi = -budget, budget
-        for j, sign, r, lo, hi in closing[level]:
-            q = sign * u[j]          # need lo <= q + c r <= hi
-            if lo is not None:
-                c_lo = max(c_lo, -((q - lo) // r))
-            if hi is not None:
-                c_hi = min(c_hi, (hi - q) // r)
-        row = rows[level]
-        for c in range(c_lo, c_hi + 1):
-            yield from rec(level + 1, prefix + [c],
-                           tuple(a + c * b for a, b in zip(u, row)),
-                           budget - abs(c))
+    def line(prefixes, level):
+        # one more level: m_level runs over an integer interval, along which
+        # u moves by the row in the coordinates where the row is nonzero
+        moving = [(j, x) for j, x in enumerate(rows[level]) if x]
+        for m, u, budget in prefixes:
+            c_lo, c_hi = -budget, budget
+            for j, sign, r, lo, hi in closing[level]:
+                q = sign * u[j]      # need lo <= q + c r <= hi
+                if lo is not None:
+                    c_lo = max(c_lo, -((q - lo) // r))
+                if hi is not None:
+                    c_hi = min(c_hi, (hi - q) // r)
+            point = list(u)
+            for j, x in moving:
+                point[j] += c_lo * x
+            for c in range(c_lo, c_hi + 1):
+                yield m + (c,), tuple(point), budget - abs(c)
+                for j, x in moving:
+                    point[j] += x
 
-    yield from rec(0, [], (0,) * basis.matrix.n, radius)
-
-
-def lattice_ball(basis: LatticeBasis, radius: int):
-    """All nonzero u(m) with sum |m_i| <= radius, paired with their coordinates.
-
-    Deterministic order: coordinates in lexicographic order.
-    """
-    return [(m, u) for m, u in lattice_points(basis, radius) if any(m)]
+    points = [((), (0,) * basis.matrix.n, radius)]
+    for level in range(rank):
+        points = line(points, level)
+    for m, u, _ in points:
+        yield m, u
 
 
 # ---------------------------------------------------------------------------
@@ -311,19 +306,13 @@ def semigroup_table(A: CurveMatrix, bound: int | None = None) -> SemigroupTable:
     cap = _frobenius_cap(entries)
     bound = max(bound if bound is not None else 0, cap)
     mask = _membership(entries, bound)
-    frob = -1
-    for v in range(min(bound, cap), -1, -1):
-        if not mask[v]:
-            frob = v
-            break
+    frob = next((v for v in range(min(bound, cap), -1, -1) if not mask[v]), -1)
     return SemigroupTable(entries, bound, mask, frob)
 
 
 def semigroup_member(A: CurveMatrix, b: int) -> bool:
     """Whether b lies in the numerical semigroup of the entries.  Negative b is out."""
-    if b < 0:
-        return False
-    return _membership(A.entries, max(b, 1))[b]
+    return b >= 0 and _membership(A.entries, max(b, 1))[b]
 
 
 def frobenius_number(A: CurveMatrix) -> int:

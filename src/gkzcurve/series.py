@@ -281,10 +281,13 @@ def _json_int(x, what: str) -> int:
 def _json_rational(x, what: str) -> Fraction:
     if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise CurveError(f"{what} {x!r} is not an integer or a rational string")
-    if isinstance(x, str) and not RATIONAL_TEXT.fullmatch(x):
+    if isinstance(x, int):
+        return Fraction(x)
+    text = RATIONAL_TEXT.fullmatch(x)
+    if not text:
         raise CurveError(f"{what} {x!r} is not a rational string p or p/q")
     try:
-        return Fraction(x)
+        return Fraction(int(text[1]), int(text[2] or 1))
     except (ValueError, ZeroDivisionError):
         raise CurveError(f"{what} {x!r} is not a rational number") from None
 
@@ -341,7 +344,9 @@ def series_from_json(data: dict, matrix: CurveMatrix | None = None) -> FormalSer
         descriptor = WindowSupport(lambda off, _s=stored: tuple(off) in _s)
     else:
         raise CurveError(f"cannot rebuild a series with descriptor {kind!r}")
-    return FormalSeries(base, terms, truncation, descriptor)
+    # validated above: taken as they are, only the zero coefficients dropped
+    return FormalSeries._built(base, {off: c for off, c in terms.items() if c},
+                               truncation, descriptor)
 
 
 # ---------------------------------------------------------------------------

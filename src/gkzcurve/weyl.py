@@ -7,7 +7,9 @@ are equal exactly when their normal-form term maps coincide.
 
 from __future__ import annotations
 
+import itertools
 import math
+from bisect import bisect_left
 from fractions import Fraction
 
 from .curves import (
@@ -15,8 +17,9 @@ from .curves import (
     DimensionMismatchError,
     NotInKernelError,
     CurveError,
-    lattice_ball,
+    LatticeBasis,
     lattice_basis,
+    lattice_points,
 )
 from .records import record
 from .series import FormalSeries, WindowSupport
@@ -24,6 +27,10 @@ from .series import FormalSeries, WindowSupport
 
 class NotSmoothError(CurveError):
     """Operation defined only for smooth matrices."""
+
+
+def _unit(n: int, i: int) -> tuple[int, ...]:
+    return tuple(1 if j == i else 0 for j in range(n))
 
 
 class WeylOperator:
@@ -41,13 +48,10 @@ class WeylOperator:
     def __init__(self, nvars: int, terms=None):
         self.nvars = nvars
         self.terms: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
-        if terms:
-            for (a, g), c in terms.items():
-                c = Fraction(c)
-                if c != 0:
-                    key = (tuple(a), tuple(g))
-                    self.terms[key] = self.terms[key] + c if key in self.terms else c
-            self.terms = {k: v for k, v in self.terms.items() if v != 0}
+        for (a, g), c in (terms or {}).items():
+            key, c = (tuple(a), tuple(g)), Fraction(c)
+            self.terms[key] = self.terms[key] + c if key in self.terms else c
+        self.terms = {k: v for k, v in self.terms.items() if v != 0}
 
     # -- constructors -------------------------------------------------------
 
@@ -66,18 +70,15 @@ class WeylOperator:
 
     @classmethod
     def x(cls, nvars: int, i: int) -> "WeylOperator":
-        e = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls.monomial(nvars, e, (0,) * nvars)
+        return cls.monomial(nvars, _unit(nvars, i), (0,) * nvars)
 
     @classmethod
     def d(cls, nvars: int, i: int) -> "WeylOperator":
-        e = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls.monomial(nvars, (0,) * nvars, e)
+        return cls.monomial(nvars, (0,) * nvars, _unit(nvars, i))
 
     @classmethod
     def theta(cls, nvars: int, i: int) -> "WeylOperator":
-        e = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls.monomial(nvars, e, e)
+        return cls.monomial(nvars, _unit(nvars, i), _unit(nvars, i))
 
     # -- ring structure -----------------------------------------------------
 
@@ -101,8 +102,6 @@ class WeylOperator:
         return WeylOperator(self.nvars, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = WeylOperator.constant(self.nvars, other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -116,29 +115,17 @@ class WeylOperator:
         out: dict = {}
         for (a1, g1), c1 in self.terms.items():
             for (a2, g2), c2 in other.terms.items():
-                base = c1 * c2
-                # iterate over the per-variable contraction orders k_i
-                ranges = [range(min(g, b) + 1) for g, b in zip(g1, a2)]
-
-                def rec(i, coeff, kvec):
-                    if i == self.nvars:
-                        xe = tuple(x + y - k for x, y, k in zip(a1, a2, kvec))
-                        de = tuple(x + y - k for x, y, k in zip(g1, g2, kvec))
-                        key = (xe, de)
-                        out[key] = out.get(key, Fraction(0)) + coeff
-                        return
-                    for k in ranges[i]:
-                        rec(i + 1,
-                            coeff * math.comb(g1[i], k) * math.perm(a2[i], k),
-                            kvec + [k])
-
-                rec(0, base, [])
+                # over the per-variable contraction orders k_i
+                for ks in itertools.product(*(range(min(g, b) + 1) for g, b in zip(g1, a2))):
+                    coeff = c1 * c2 * math.prod(math.comb(g, k) * math.perm(b, k)
+                                                for g, b, k in zip(g1, a2, ks))
+                    key = (tuple(x + y - k for x, y, k in zip(a1, a2, ks)),
+                           tuple(x + y - k for x, y, k in zip(g1, g2, ks)))
+                    out[key] = out.get(key, Fraction(0)) + coeff
         return WeylOperator(self.nvars, out)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
+        return self * other if isinstance(other, (int, Fraction)) else NotImplemented
 
     def __pow__(self, k: int):
         out = WeylOperator.constant(self.nvars, 1)
@@ -158,29 +145,22 @@ class WeylOperator:
         return max((sum(a) + sum(g) for a, g in self.terms), default=0)
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
         parts = []
         for (a, g), c in sorted(self.terms.items()):
             bits = [] if c == 1 and (any(a) or any(g)) else [str(c)]
-            bits += [f"x{i+1}" + (f"^{e}" if e > 1 else "")
-                     for i, e in enumerate(a) if e]
-            bits += [f"d{i+1}" + (f"^{e}" if e > 1 else "")
-                     for i, e in enumerate(g) if e]
+            for letter, exps in (("x", a), ("d", g)):
+                bits += [f"{letter}{i+1}" + (f"^{e}" if e > 1 else "")
+                         for i, e in enumerate(exps) if e]
             parts.append(" ".join(bits))
-        return " + ".join(parts)
+        return " + ".join(parts) or "0"
 
 
 def euler_operator(A: CurveMatrix, beta) -> WeylOperator:
     """E(beta) = sum_i a_i x_i d_i - beta.  On a monomial x^w it acts by the
     scalar A.w - beta."""
     n = A.n
-    terms = {}
-    for i, a in enumerate(A.entries):
-        e = tuple(1 if j == i else 0 for j in range(n))
-        terms[(e, e)] = Fraction(a)
-    z = (0,) * n
-    terms[(z, z)] = -Fraction(beta)
+    terms = {(_unit(n, i),) * 2: Fraction(a) for i, a in enumerate(A.entries)}
+    terms[(0,) * n, (0,) * n] = -Fraction(beta)
     return WeylOperator(n, terms)
 
 
@@ -193,10 +173,9 @@ def box_operator(A: CurveMatrix, u) -> WeylOperator:
         raise NotInKernelError(f"{u} is not in ker_Z{A.entries}")
     if not any(u):
         return WeylOperator.zero(A.n)
-    plus = tuple(x if x > 0 else 0 for x in u)
-    minus = tuple(-x if x < 0 else 0 for x in u)
     z = (0,) * A.n
-    return WeylOperator(A.n, {(z, plus): 1, (z, minus): -1})
+    return WeylOperator(A.n, {(z, tuple(max(x, 0) for x in u)): 1,
+                              (z, tuple(max(-x, 0) for x in u)): -1})
 
 
 def toric_generators(A: CurveMatrix) -> list[WeylOperator]:
@@ -204,13 +183,8 @@ def toric_generators(A: CurveMatrix) -> list[WeylOperator]:
     if not A.is_smooth:
         raise NotSmoothError(f"{A.entries} is not smooth")
     n = A.n
-    out = []
-    for i in range(1, n):
-        u = [0] * n
-        u[0] = A.entries[i]
-        u[i] = -1
-        out.append(box_operator(A, u))
-    return out
+    return [box_operator(A, [A.entries[i]] + [-1 if j == i else 0 for j in range(1, n)])
+            for i in range(1, n)]
 
 
 def initial_form(P: WeylOperator, omega) -> WeylOperator:
@@ -218,13 +192,10 @@ def initial_form(P: WeylOperator, omega) -> WeylOperator:
     if P.is_zero():
         return P
     omega = [Fraction(w) for w in omega]
-
-    def wt(key):
-        a, g = key
-        return sum(w * (gi - ai) for w, ai, gi in zip(omega, a, g))
-
-    top = max(wt(k) for k in P.terms)
-    return WeylOperator(P.nvars, {k: c for k, c in P.terms.items() if wt(k) == top})
+    weight = {(a, g): sum(w * (gi - ai) for w, ai, gi in zip(omega, a, g))
+              for a, g in P.terms}
+    top = max(weight.values())
+    return WeylOperator(P.nvars, {k: c for k, c in P.terms.items() if weight[k] == top})
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +236,10 @@ class _FallingFactors(dict):
 
 
 # A kernel keys every offset by one int: coordinate i sits in bits
-# [64 i, 64 i + 64) as u_i + 2^63.  Packing is linear, so an operator term's
-# shift is one integer addition and a window contributor one subtraction.
-# Stored offsets, operator shifts and queried offsets are checked against
-# +-OFFSET_LIMIT; every offset the kernel derives from them (an image offset,
-# then its contributors) has coordinates of size at most 3 * OFFSET_LIMIT < 2^63,
-# so it still fits its field.
+# [64 i, 64 i + 64) as u_i + 2^63.  Packing is linear, so a monomial's shift is
+# one integer addition and a window contributor one subtraction.  Stored
+# offsets, shifts and queried offsets are checked against +-OFFSET_LIMIT; every
+# offset derived from them has coordinates below 3 * OFFSET_LIMIT < 2^63.
 OFFSET_LIMIT = 1 << 61
 _WIDTH = 64
 _BIAS = 1 << 63
@@ -307,26 +276,20 @@ class _Certainty(dict):
 
 
 class _Window(dict):
-    """packed offset -> whether an operator image is exact there, filled on
-    demand.
-
-    That holds when every operator term's unique contributor offset is
-    certified by the series, or the term's falling factor vanishes on it.
-    Called with any integer sequence, it is the image's trust predicate."""
+    """packed offset -> whether an operator image is exact there: for every
+    monomial, its unique contributor offset is certified or its falling factor
+    vanishes there.  Filled on demand; called with any integer sequence, it is
+    the image's trust predicate."""
 
     def __init__(self, known: _Certainty, plan):
         super().__init__()
         self.known, self.plan = known, plan
 
     def __missing__(self, key: int) -> bool:
-        known = self.known
-        ok = True
-        for shift, _, slots in self.plan:
-            contrib = known[key - shift]
-            if contrib is not None and all(table[contrib[i]] for i, table in slots):
-                ok = False
-                break
-        self[key] = ok
+        ok = self[key] = not any(
+            (contrib := self.known[key - shift]) is not None
+            and all(table[contrib[i]] for i, table in slots)
+            for shift, _, slots, _ in self.plan)
         return ok
 
     def __call__(self, offset) -> bool:
@@ -344,60 +307,79 @@ class _SeriesKernel:
 
     an integer over q_i^g, and the stored coefficients are integers over one
     common denominator; so an operator image accumulates integers over one
-    denominator per operator.  Offsets are packed ints (see _pack); the integer
-    falling factors and the certainty of each offset are memoized per series,
-    whatever the operators.
-    """
+    denominator per operator.  Offsets are packed ints (see _pack)."""
 
     def __init__(self, S: TrustedSeries):
         src = S.series
-        self.nvars = src.nvars
         self.num = tuple(b.numerator for b in src.base)
         self.den = tuple(b.denominator for b in src.base)
         self.scale = math.lcm(*(c.denominator for c in src.terms.values()))
         self.terms = [(_pack(u), u, c.numerator * (self.scale // c.denominator))
                       for u, c in src.terms.items()]
         self.known = _Certainty(S, (key for key, _, _ in self.terms))
-        self._falling: dict[tuple[int, int], _FallingFactors] = {}
-        self._zero = _pack((0,) * self.nvars)
+        self.by_coordinate = {}     # i -> (the terms sorted by u_i, their u_i)
+        for i, q in enumerate(self.den):
+            if q == 1:
+                ordered = sorted(self.terms, key=lambda t: t[1][i])
+                self.by_coordinate[i] = ordered, [t[1][i] for t in ordered]
+        self.falling: dict[tuple[int, int], _FallingFactors] = {}
+        self.monomials: dict = {}
+        self.formed = 0             # falling-factor products, over all monomials
+        self._zero = _pack((0,) * src.nvars)
 
-    def falling(self, i: int, g: int) -> _FallingFactors:
-        table = self._falling.get((i, g))
-        if table is None:
-            table = self._falling[(i, g)] = _FallingFactors(self.num[i], self.den[i], g)
-        return table
+    def monomial(self, key):
+        """(shift, q^g, slots, image) of the monomial key = (a, g), memoized
+        whichever operators hold it.  image maps each offset where a stored
+        term lands with a nonzero falling factor to the integer product.  Where
+        p_i/q_i is an integer the factor vanishes exactly for
+        -p_i <= u_i < g_i - p_i, and the scan skips that slice of the terms
+        sorted by u_i."""
+        a, g = key
+        scan, skipped, slots = self.terms, 0, []
+        for i, gi in enumerate(g):
+            if gi:
+                if (i, gi) not in self.falling:
+                    self.falling[i, gi] = _FallingFactors(self.num[i], self.den[i], gi)
+                slots.append((i, self.falling[i, gi]))
+            if gi and i in self.by_coordinate:
+                ordered, coords = self.by_coordinate[i]
+                lo = bisect_left(coords, -self.num[i])
+                hi = bisect_left(coords, gi - self.num[i])
+                if hi - lo > skipped:
+                    scan, skipped = ordered[:lo] + ordered[hi:], hi - lo
+        shift = _pack([ai - gi for ai, gi in zip(a, g)]) - self._zero
+        image = {}
+        for w, u, f in scan:
+            for i, table in slots:
+                f *= table[u[i]]
+                if not f:
+                    break
+            else:
+                image[w + shift] = f
+        self.formed += len(scan)
+        out = self.monomials[key] = (
+            shift, math.prod(q ** gi for q, gi in zip(self.den, g)), slots, image)
+        return out
 
     def image(self, P: WeylOperator):
-        """P applied to the series: (sums, denominator, window).
+        """P applied to the series: (sums, denominator, plan).
 
         sums maps every packed offset that received a nonzero contribution to
         the integer numerator of its coefficient over denominator (zero where
-        the contributions cancel); the coefficient is exact where window holds.
-        """
-        if P.nvars != self.nvars:
+        the contributions cancel); plan holds P's monomials, in term order."""
+        if P.nvars != len(self.num):
             raise DimensionMismatchError(
-                f"operator on {P.nvars} variables against {self.nvars}-variable series")
-        scales = [c.denominator * math.prod(q ** gi for q, gi in zip(self.den, g))
-                  for (_, g), c in P.terms.items()]
+                f"operator on {P.nvars} variables against {len(self.num)}-variable series")
+        plan = [self.monomials.get(key) or self.monomial(key) for key in P.terms]
+        scales = [c.denominator * m[1] for m, c in zip(plan, P.terms.values())]
         lcm = math.lcm(*scales)
-        plan = []
-        for ((a, g), c), s in zip(P.terms.items(), scales):
-            slots = tuple((i, self.falling(i, gi)) for i, gi in enumerate(g) if gi)
-            shift = _pack([ai - gi for ai, gi in zip(a, g)]) - self._zero
-            plan.append((shift, c.numerator * (lcm // s), slots))
-
         sums: dict[int, int] = {}
-        for key, u, n in self.terms:
-            for shift, mult, slots in plan:
-                f = 1
-                for i, table in slots:
-                    f *= table[u[i]]
-                    if not f:
-                        break
-                if f:
-                    w = key + shift
-                    sums[w] = sums.get(w, 0) + n * mult * f
-        return sums, self.scale * lcm, _Window(self.known, plan)
+        for (_, _, _, image), c, s in zip(plan, P.terms.values(), scales):
+            mult = c.numerator * (lcm // s)
+            get = sums.get
+            for w, f in image.items():
+                sums[w] = get(w, 0) + f * mult
+        return sums, self.scale * lcm, plan
 
 
 def _trusted(S) -> TrustedSeries:
@@ -412,13 +394,17 @@ def apply(P: WeylOperator, S) -> TrustedSeries:
     only when every operator term's unique contributor offset is certified by
     the input (stored, provably outside the support, or killed by a zero
     falling factorial); everything else is dropped, so all stored output
-    coefficients are exact values of P applied to the full series.
-    """
+    coefficients are exact values of P applied to the full series."""
     S = _trusted(S)
-    sums, den, window = _SeriesKernel(S).image(P)
+    kernel = _SeriesKernel(S)
+    sums, den, plan = kernel.image(P)
+    window = _Window(kernel.known, plan)
+    # the offsets in the order term-by-term action lands on them
+    landed = dict.fromkeys(key + shift for key, _, _ in kernel.terms
+                           for shift, _, _, image in plan if key + shift in image)
     src = S.series
-    kept = {_unpack(w, src.nvars): Fraction(n, den)
-            for w, n in sums.items() if n and window[w]}
+    kept = {_unpack(w, src.nvars): Fraction(sums[w], den)
+            for w in landed if sums[w] and window[w]}
     out = FormalSeries(src.base, kept, src.truncation, WindowSupport(window))
     return TrustedSeries(out, max(-1, S.trusted_level - P.order_bound()))
 
@@ -451,28 +437,42 @@ def annihilation_report(generators, S) -> AnnihilationReport:
     trusted window; 0 means annihilation is verified there.
 
     generators: iterable of WeylOperator or (name, WeylOperator) pairs.  All of
-    them run against one integer-scaled kernel of the series.
-    """
+    them run against one integer-scaled kernel of the series."""
     kernel = _SeriesKernel(_trusted(S))
+    known = kernel.known
+    generators = [gen if isinstance(gen, tuple) else (f"generator[{idx}]", gen)
+                  for idx, gen in enumerate(generators)]
+    # a monomial's image is dropped after the last generator that holds it
+    last = {key: idx for idx, (_, op) in enumerate(generators) for key in op.terms}
     rows = []
-    worst = Fraction(0)
-    for idx, gen in enumerate(generators):
-        if isinstance(gen, tuple):
-            name, op = gen
-        else:
-            name, op = f"generator[{idx}]", gen
-        sums, den, window = kernel.image(op)
-        count = nonzero = top = 0
-        for w, n in sums.items():
-            if window[w]:
-                count += 1
-                if n:
-                    nonzero += 1
-                    top = max(top, abs(n))
-        violation = Fraction(top, den)
-        rows.append(GeneratorViolation(name, violation, nonzero, count))
-        worst = max(worst, violation)
+    worst = zero = Fraction(0)
+    for idx, (name, op) in enumerate(generators):
+        sums, den, plan = kernel.image(op)
+        # _Window inline; a monomial that landed at an offset has a stored contributor
+        inexact = set()
+        for shift, _, slots, image in plan:
+            for w in sums.keys() - image.keys():
+                contrib = known[w - shift]
+                if contrib is not None:
+                    for i, table in slots:
+                        if not table[contrib[i]]:
+                            break
+                    else:
+                        inexact.add(w)
+        tops = [abs(n) for w, n in sums.items() if n and w not in inexact]
+        violation = Fraction(max(tops), den) if tops else zero
+        rows.append(GeneratorViolation(name, violation, len(tops),
+                                       len(sums) - len(inexact)))
+        worst = max(worst, violation) if tops else worst
+        for key in op.terms:
+            if last[key] == idx:
+                del kernel.monomials[key]
     return AnnihilationReport(worst, tuple(rows))
+
+
+# Largest checking set built, counted before any operator is made: (1,...,6)
+# has 115 box operators at radius 3 and 6 536 at radius 8, ~0.9 kB each.
+BOX_OPERATOR_CAP = 10_000
 
 
 def named_generators(A: CurveMatrix, beta, ball_radius: int = 3):
@@ -481,34 +481,34 @@ def named_generators(A: CurveMatrix, beta, ball_radius: int = 3):
     coordinate level sum |m_i| <= ball_radius.
 
     Box operators come in +/- pairs carrying the same information; only the
-    representative whose first nonzero coordinate is positive is kept.
-    """
+    representative whose first nonzero coordinate is positive is built.  There
+    are sum_k 2^(k-1) C(rank, k) C(ball_radius, k) of them, and more than
+    BOX_OPERATOR_CAP raise CurveError."""
+    rows = lattice_basis(A).rows
+    count = sum(2 ** (k - 1) * math.comb(len(rows), k) * math.comb(max(ball_radius, 0), k)
+                for k in range(1, len(rows) + 1))
+    if count > BOX_OPERATOR_CAP:
+        raise CurveError(f"ball radius {ball_radius} gives {count} box operators, "
+                         f"more than the cap of {BOX_OPERATOR_CAP}")
     out = [("euler", euler_operator(A, beta))]
     if A.is_smooth:
         for i, op in enumerate(toric_generators(A), start=2):
             out.append((f"toric[{i}]", op))
-    basis = lattice_basis(A)
-    seen = set()
-    for m, u in lattice_ball(basis, ball_radius):
-        first = next(x for x in m if x)
-        if first < 0:
-            continue
-        if u in seen:
-            continue
-        seen.add(u)
-        out.append((f"box{list(m)}", box_operator(A, u)))
+    # m = (0, ..., 0, c, tail) with c > 0 in lexicographic order: the later its
+    # first nonzero coordinate k, the earlier m comes; the tail runs over the
+    # ball of radius - c spanned by the rows after k
+    for k in range(len(rows) - 1, -1, -1):
+        for c in range(1, ball_radius + 1):
+            for m, u in lattice_points(LatticeBasis(A, rows[k + 1:]), ball_radius - c):
+                u = tuple(c * a + b for a, b in zip(rows[k], u))
+                out.append((f"box{[0] * k + [c, *m]}", box_operator(A, u)))
     return out
 
 
 def series_match_on_window(result: TrustedSeries, reference: FormalSeries) -> bool:
     """Coefficientwise equality of an operator-application result against a
     complete reference series, restricted to the result's certified window."""
-    for off, c in result.series.terms.items():
-        ref = reference.coefficient_known(off)
-        if ref is None or ref != c:
-            return False
-    for off, c in reference.terms.items():
-        mine = result.coefficient_known(off)
-        if mine is not None and mine != c:
-            return False
-    return True
+    return (all(reference.coefficient_known(off) == c
+                for off, c in result.series.terms.items())
+            and all(result.coefficient_known(off) in (None, c)
+                    for off, c in reference.terms.items()))

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -470,6 +471,23 @@ def test_semigroup_table_over_the_cap_is_a_domain_error(capsys):
                              "--beta", "1")
     _one_line_error(code, out, err, 1)
     assert "exceeds" in err
+
+
+def test_checking_set_over_the_cap_is_a_domain_error(capsys):
+    # radius 40 on a rank-5 kernel is 14 594 728 box operators, counted in
+    # closed form before any is built; radius 3 keeps its output
+    from gkzcurve.weyl import BOX_OPERATOR_CAP
+
+    argv = ("verify", "--matrix", "1,2,3,4,5,6", "--beta", "1/2", "--truncation", "0")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, "--ball-radius", "40")
+    assert time.perf_counter() - start < 1
+    _one_line_error(code, out, err, 1)
+    assert f"14594728 box operators, more than the cap of {BOX_OPERATOR_CAP}" in err
+    code, out, _ = run_cli(capsys, *argv, "--ball-radius", "3")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "29bd9922f66b70fd56b2faa3119d75c41ac4d68a3e8e0a670d12aa094846d275")
 
 
 def test_verify_exits_1_on_a_violation(tmp_path, capsys, solved):

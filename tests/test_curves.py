@@ -14,7 +14,6 @@ from gkzcurve import (
     delta_exponents,
     frobenius_number,
     isomorphic_parameters,
-    lattice_ball,
     lattice_basis,
     lattice_decompose,
     make_curve,
@@ -146,6 +145,12 @@ def test_lattice_decompose_roundtrip(entries):
         assert A.weight(half) == 0
         if any(x.denominator != 1 for x in half):
             assert lattice_decompose(B, half) is None
+
+
+def lattice_ball(basis, radius):
+    """All nonzero u(m) with sum |m_i| <= radius and their coordinates, in
+    lexicographic order of m: the oracle the box operators were once built from."""
+    return [(m, u) for m, u in lattice_points(basis, radius) if any(m)]
 
 
 def test_lattice_ball_levels():

@@ -621,6 +621,25 @@ def test_serialization_roundtrip():
     assert report.max_violation == 0
 
 
+def test_series_from_json_takes_the_validated_values_as_they_are():
+    # the same series as the converting constructor builds from the raw values:
+    # p/q strings reduced, zero coefficients dropped, a repeated offset's last
+    # coefficient kept, in the order of first appearance
+    terms = [([0, 0, 0], "6/4"), ([1, -1, 0], 0), ([2, 0, 1], "-7"), ([0, 1, 0], 3),
+             ([2, 0, 1], "0/5"), ([1, -1, 0], "-10/4"), ([3, 0, 0], "-0")]
+    data = {"base_exponent": ["1/2", 0, "-3"], "truncation": 2, "descriptor": "finite",
+            "terms": [{"offset": off, "coeff": c} for off, c in terms]}
+    got = series_from_json(data)
+    raw = {}
+    for off, c in terms:
+        raw[tuple(off)] = Fraction(c)
+    want = FormalSeries(data["base_exponent"], raw, 2, FiniteSupport())
+    assert got.base == want.base and got.truncation == 2
+    assert list(got.terms.items()) == list(want.terms.items()) == [
+        ((0, 0, 0), Fraction(3, 2)), ((1, -1, 0), Fraction(-5, 2)), ((0, 1, 0), 3)]
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
 def test_falling_product():
     assert falling_product((5, 3), (2, 1)) == 60
     assert falling_product((Fraction(1, 2),), (2,)) == Fraction(-1, 4)

@@ -2,10 +2,11 @@ import collections
 import itertools
 import math
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from gkzcurve import (
@@ -25,13 +26,15 @@ from gkzcurve import (
     slope,
     solution_basis,
     toric_generators,
+    verify_basis,
+    weyl,
 )
 from gkzcurve.curves import (
     CurveError,
     DimensionMismatchError,
     NotInKernelError,
-    lattice_ball,
     lattice_basis,
+    lattice_points,
     semigroup_member,
 )
 from gkzcurve.series import ContiguityError, FiniteSupport, WindowSupport, falling_product
@@ -416,8 +419,7 @@ def curves(draw):
     return entries
 
 
-@settings(max_examples=40, deadline=None)
-@given(
+KERNEL_PROPERTY = dict(
     entries=curves(),
     beta=st.one_of(st.integers(-3, 9),
                    st.builds(Fraction, st.integers(-9, 9), st.sampled_from([2, 3, 5]))),
@@ -426,6 +428,10 @@ def curves(draw):
     variant=st.sampled_from(["plain", "perturbed", "chained"]),
     seed=st.integers(0, 2**16),
 )
+
+
+@settings(max_examples=40, deadline=None)
+@given(**KERNEL_PROPERTY)
 def test_kernel_matches_fraction_reference_property(entries, beta, point, level,
                                                     variant, seed):
     rng = random.Random(seed)
@@ -508,6 +514,46 @@ def test_each_offset_is_classified_at_most_once_per_series():
     assert classified > 0
 
 
+def test_the_kernel_forms_products_only_outside_the_vanishing_range(monkeypatch):
+    # verify (1,...,6) beta = 1/2 L4 at radius 3: term by operator term, the
+    # kernel formed 43 966 falling-factor products, 10 890 of them nonzero.
+    # Once per monomial and outside the vanishing range it forms 6 083, and
+    # 4 514 land.
+    build = weyl._SeriesKernel.monomial
+    counts = collections.Counter()
+
+    def counting(kernel, key):
+        before = kernel.formed
+        out = build(kernel, key)
+        counts["formed"] += kernel.formed - before
+        counts["nonzero"] += len(out[3])
+        return out
+
+    monkeypatch.setattr(weyl._SeriesKernel, "monomial", counting)
+    A = make_curve((1, 2, 3, 4, 5, 6))
+    members = solution_basis(A, Fraction(1, 2), PointClass.SMOOTH_STRATUM, s=slope(A),
+                             level=4)
+    for _, report in verify_basis(A, members, Fraction(1, 2), 3):
+        assert report.max_violation == 0
+    assert counts == {"formed": 6083, "nonzero": 4514}
+
+
+def test_a_vanishing_range_cut_off_by_one_is_caught(monkeypatch):
+    # the mutation skips the first non-vanishing term, u_i = g_i - p_i, too;
+    # the Fraction reference catches it on the fixed sweep and in the property
+    monkeypatch.setattr(weyl, "bisect_left", lambda coords, x: bisect_left(coords, x + 1))
+    for entries, beta in KERNEL_SWEEP[:2]:
+        with pytest.raises(AssertionError):
+            test_kernel_matches_fraction_reference(entries, beta)
+    # the property's own body and strategies, derandomized, without shrinking
+    # or the example database
+    body = test_kernel_matches_fraction_reference_property.hypothesis.inner_test
+    property_run = settings(max_examples=40, deadline=None, database=None, derandomize=True,
+                            phases=[Phase.generate])(given(**KERNEL_PROPERTY)(body))
+    with pytest.raises(AssertionError):
+        property_run()
+
+
 # ---------------------------------------------------------------------------
 # Box operators against their construction as two subtracted monomials
 
@@ -521,6 +567,12 @@ def monomial_box_operator(A, u):
     z = (0,) * A.n
     return (WeylOperator.monomial(A.n, z, tuple(max(x, 0) for x in u))
             - WeylOperator.monomial(A.n, z, tuple(max(-x, 0) for x in u)))
+
+
+def lattice_ball(basis, radius):
+    """All nonzero u(m) with sum |m_i| <= radius and their coordinates, in
+    lexicographic order of m: both signs, filtered from lattice_points."""
+    return [(m, u) for m, u in lattice_points(basis, radius) if any(m)]
 
 
 def monomial_named_generators(A, beta, radius):
