@@ -1,6 +1,6 @@
 """Command-line front end: every operation behind deterministic JSON output.
 
-Exit codes: 0 success, 1 domain error (reported on stderr), 2 flag errors.
+Exit codes: 0 success, 1 domain error, 2 flag error; an error is one line on stderr.
 The environment variable GKZ_MAX_TERMS caps stored series terms as a safety
 valve for accidental huge truncations; since only support points are
 enumerated (for a general curve, only those of the x_0 = 0 section), it
@@ -10,12 +10,13 @@ command with exit 1 and no traceback.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 # lazily loaded modules: their names are read at call time, so a command
 # that never calls into one does not compile it
@@ -58,9 +59,7 @@ def _parse_rational(text: str) -> Fraction:
 
 
 def _parse_order(text: str):
-    if text in ("inf", "infinity", "oo"):
-        return None
-    return _parse_rational(text)
+    return None if text in ("inf", "infinity", "oo") else _parse_rational(text)
 
 
 def _rat_json(x: Fraction):
@@ -85,10 +84,8 @@ def _nonnegative(value: int, flag: str) -> int:
 
 
 def _emit(payload, fmt: str, table_renderer=None):
-    if fmt == "table" and table_renderer is not None:
-        print(table_renderer(payload))
-    else:
-        print(json.dumps(payload))
+    # only irregularity-table, which passes a renderer, accepts --format table
+    print(table_renderer(payload) if fmt == "table" else json.dumps(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -98,13 +95,9 @@ def _emit(payload, fmt: str, table_renderer=None):
 def _cmd_exponents(args):
     A = _parse_matrix(args.matrix)
     beta = _parse_rational(args.beta)
-    kind = args.point or "smooth"
-    if kind == "generic":
-        vectors = _exponents.generic_exponents(A, beta)
-    elif kind == "smooth":
-        vectors = _exponents.singular_exponents(A, beta)
-    else:
-        raise UsageError("exponents supports --point smooth|generic")
+    find = (_exponents.generic_exponents if args.point == "generic"
+            else _exponents.singular_exponents)
+    vectors = find(A, beta)
     payload = [[_rat_json(x) for x in e.vector] for e in vectors]
     if vectors and vectors[0].auxiliary:
         sys.stderr.write(
@@ -150,7 +143,7 @@ def _cmd_solve(args):
     A = _parse_matrix(args.matrix)
     beta = _parse_rational(args.beta)
     s = _parse_order(args.s) if args.s else _irregularity.slope(A)
-    point = _irregularity.PointClass(args.point or "smooth")
+    point = _irregularity.PointClass(args.point)
     members = _irregularity.solution_basis(
         A, beta, point, s=s, level=_nonnegative(args.truncation, "--truncation"),
         max_terms=_max_terms())
@@ -178,7 +171,7 @@ def _cmd_verify(args):
     if args.input:
         members = _read_members(args.input, A)
     else:
-        point = _irregularity.PointClass(args.point or "smooth")
+        point = _irregularity.PointClass(args.point)
         members = _irregularity.solution_basis(A, beta, point, s=_irregularity.slope(A),
                                                level=level, max_terms=_max_terms())
     if not members:
@@ -222,10 +215,8 @@ def _cmd_gevrey_index(args):
                                                ("exponent", args.j), terms)
     elif args.stream == "factorial":
         stream = [(k, Fraction(math.factorial(k))) for k in range(terms)]
-    elif args.stream == "inverse-factorial":
+    else:                                   # inverse-factorial
         stream = [(k, Fraction(1, math.factorial(k))) for k in range(terms)]
-    else:
-        raise UsageError(f"unknown stream {args.stream!r}")
     estimate = _irregularity.gevrey_index_estimate(stream)
     payload = {
         "matrix": list(A.entries),
@@ -248,13 +239,10 @@ def _cmd_gevrey_index(args):
 
 
 def _table_text(payload) -> str:
-    lines = []
-    header = f"{'sheaf':<16}{'beta':<9}{'point':<8}{'deg':<5}{'dim':<4}"
-    lines.append(header)
-    for row in payload["cells"]:
-        lines.append(f"{row['sheaf']:<16}{row['beta']:<9}{row['point']:<8}"
-                     f"{row['degree']:<5}{row['dimension']:<4}")
-    return "\n".join(lines)
+    rows = [("sheaf", "beta", "point", "deg", "dim")] + [
+        (c["sheaf"], c["beta"], c["point"], c["degree"], c["dimension"])
+        for c in payload["cells"]]
+    return "\n".join(f"{a:<16}{b:<9}{c:<8}{d:<5}{e:<4}" for a, b, c, d, e in rows)
 
 
 def _cmd_irregularity_table(args):
@@ -299,11 +287,8 @@ def _cmd_irregularity_table(args):
 
 
 def _descriptor_json(desc) -> dict:
-    return {
-        "matrix": list(desc.matrix.entries),
-        "parameter": str(desc.parameter),
-        "caveat": desc.caveat.value,
-    }
+    return {"matrix": list(desc.matrix.entries), "parameter": str(desc.parameter),
+            "caveat": desc.caveat.value}
 
 
 def _cmd_restrict(args):
@@ -322,7 +307,7 @@ def _cmd_restrict(args):
     elif mode == "plane":
         payload["summands"] = [_descriptor_json(d)
                                for d in _restriction.restrict_to_plane(A, beta)]
-    elif mode == "aux":
+    else:                                   # aux
         desc, witness = _restriction.auxiliary_restriction(A, beta)
         payload["summands"] = [_descriptor_json(desc)]
         payload["auxiliary_matrix"] = list(witness.auxiliary.entries)
@@ -331,8 +316,6 @@ def _cmd_restrict(args):
         payload["delta_exponents"] = [
             {"entry": A.entries[d.position], "delta": d.delta,
              "witness": list(d.witness)} for d in witness.deltas]
-    else:
-        raise UsageError(f"unknown mode {mode!r}")
     payload["generic_rank"] = _restriction.generic_rank(A)
     caveats = sorted({s["caveat"] for s in payload["summands"]})
     if "generic_beta_only" in caveats:
@@ -387,8 +370,9 @@ def _cmd_semigroup(args):
         payload["value"] = args.member
         payload["is_member"] = semigroup_member(A, args.member)
     if args.beta is not None:
-        cls = beta_class(A, _parse_rational(args.beta))
-        payload["beta"] = args.beta
+        beta = _parse_rational(args.beta)
+        cls = beta_class(A, beta)
+        payload["beta"] = str(beta)
         payload["beta_class"] = cls.category.value
         if cls.residue is not None:
             payload["residue"] = str(cls.residue)
@@ -400,110 +384,125 @@ def _cmd_semigroup(args):
 
 
 # ---------------------------------------------------------------------------
+# Flags.  Each command's table maps a flag's attribute name (`--ball-radius`
+# -> ball_radius) to its kind (int, str, or a tuple of choices), its default
+# and whether it is required.
+
+_TEXT, _INT = (str, None, False), (int, None, False)
+_POINT = (("generic", "smooth", "deep"), "smooth", False)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gkz",
-        description="Exact Gevrey solutions and irregularity data of "
-                    "monomial-curve hypergeometric systems")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, beta_required=True):
-        p.add_argument("--matrix", required=True, help='entries, e.g. "1,2,3"')
-        if beta_required is not None:
-            p.add_argument("--beta", required=beta_required,
-                           help='rational parameter, e.g. "1/2"')
-        p.add_argument("--format", choices=["json", "table"], default="json")
-
-    p = sub.add_parser("exponents", help="starting exponents of the solution series")
-    common(p)
-    p.add_argument("--point", choices=["smooth", "generic"], default="smooth")
-
-    p = sub.add_parser("solve", help="basis series for a point class")
-    common(p)
-    p.add_argument("--point", choices=["generic", "smooth", "deep"], default="smooth")
-    p.add_argument("--s", help='Gevrey order, e.g. "3/2" or "inf"')
-    p.add_argument("--truncation", type=int, default=12)
-
-    p = sub.add_parser("verify", help="annihilation check of a basis (built or from file)")
-    common(p)
-    p.add_argument("--point", choices=["generic", "smooth", "deep"], default="smooth")
-    p.add_argument("--truncation", type=int, default=12)
-    p.add_argument("--ball-radius", type=int, default=3)
-    p.add_argument("--input", help="JSON emitted by solve, to re-verify")
-
-    p = sub.add_parser("gevrey-index", help="growth-rate fit of a coefficient stream")
-    common(p, beta_required=False)
-    p.add_argument("--stream", default="witness",
-                   choices=["witness", "exponent", "factorial", "inverse-factorial"])
-    p.add_argument("--terms", type=int, default=200)
-    p.add_argument("--j", type=int, default=0, help="exponent index for --stream exponent")
-    p.add_argument("--csv", help="optional coefficient dump")
-
-    p = sub.add_parser("irregularity-table", help="germ dimension table; "
-                       "with --beta-special/--beta-generic diffs the published table")
-    common(p, beta_required=False)
-    p.add_argument("--s", help='Gevrey order, e.g. "2" or "inf"')
-    p.add_argument("--beta-special", help="natural parameter for reproduction mode")
-    p.add_argument("--beta-generic", help="non-natural parameter for reproduction mode")
-    p.add_argument("--ext-degree", type=int, help="restrict the table to one Ext degree")
-
-    p = sub.add_parser("restrict", help="restriction decompositions")
-    common(p)
-    p.add_argument("--mode", required=True, choices=["hyperplane", "x1", "plane", "aux"])
-    p.add_argument("--index", type=int, help="column for --mode hyperplane")
-
-    p = sub.add_parser("b-function", help="closed-form b-function roots")
-    common(p, beta_required=None)
-    p.add_argument("--weight", required=True, help="'first' or 'e<i>'")
-
-    p = sub.add_parser("monodromy", help="monodromy rotation numbers")
-    common(p)
-
-    p = sub.add_parser("semigroup", help="semigroup data and parameter class")
-    common(p, beta_required=False)
-    p.add_argument("--member", type=int, help="integer to test for membership")
-
-    return parser
+def _flags(beta_required, formats=("json",), **own) -> dict:
+    """--matrix, --beta (required, optional, or absent if None), --format, own flags."""
+    table = {"matrix": (str, None, True)}
+    if beta_required is not None:
+        table["beta"] = (str, None, beta_required)
+    table["format"] = (formats, "json", False)
+    table.update(own)
+    return table
 
 
-_HANDLERS = {
-    "exponents": _cmd_exponents,
-    "solve": _cmd_solve,
-    "verify": _cmd_verify,
-    "gevrey-index": _cmd_gevrey_index,
-    "irregularity-table": _cmd_irregularity_table,
-    "restrict": _cmd_restrict,
-    "b-function": _cmd_b_function,
-    "monodromy": _cmd_monodromy,
-    "semigroup": _cmd_semigroup,
+_COMMANDS = {
+    "exponents": (_cmd_exponents, "starting exponents of the solution series",
+                  _flags(True, point=(("smooth", "generic"), "smooth", False))),
+    "solve": (_cmd_solve, "basis series for a point class",
+              _flags(True, point=_POINT, s=_TEXT, truncation=(int, 12, False))),
+    "verify": (_cmd_verify, "annihilation check of a basis (built or from file)",
+               _flags(True, point=_POINT, truncation=(int, 12, False),
+                      ball_radius=(int, 3, False), input=_TEXT)),
+    "gevrey-index": (_cmd_gevrey_index, "growth-rate fit of a coefficient stream",
+                     _flags(False, stream=(("witness", "exponent", "factorial",
+                                            "inverse-factorial"), "witness", False),
+                            terms=(int, 200, False), j=(int, 0, False), csv=_TEXT)),
+    "irregularity-table": (_cmd_irregularity_table, "germ dimension table; with "
+                           "--beta-special/--beta-generic diffs the published table",
+                           _flags(False, ("json", "table"), s=_TEXT, beta_special=_TEXT,
+                                  beta_generic=_TEXT, ext_degree=_INT)),
+    "restrict": (_cmd_restrict, "restriction decompositions",
+                 _flags(True, mode=(("hyperplane", "x1", "plane", "aux"), None, True),
+                        index=_INT)),
+    "b-function": (_cmd_b_function, "closed-form b-function roots",
+                   _flags(None, weight=(str, None, True))),
+    "monodromy": (_cmd_monodromy, "monodromy rotation numbers", _flags(True)),
+    "semigroup": (_cmd_semigroup, "semigroup data and parameter class",
+                  _flags(False, member=_INT)),
 }
 
+_RATIONAL_FLAGS = ("beta", "s", "beta_special", "beta_generic")
+# a token that reads as a negative number (-N or -N.M) is a value, not a flag
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
 
-_RATIONAL_FLAGS = ("--beta", "--s", "--beta-special", "--beta-generic")
+
+def _help(args):
+    if args.command is None:
+        head = ["usage: gkz COMMAND [--flag value ...]; gkz COMMAND --help lists its flags",
+                "Exact Gevrey solutions and irregularity data of monomial-curve "
+                "hypergeometric systems"]
+        rows = [f"  {name:<20}{text}" for name, (_, text, _) in _COMMANDS.items()]
+    else:
+        _, text, table = _COMMANDS[args.command]
+        head = [f"usage: gkz {args.command} [--flag value ...]", text]
+        rows = [f"  --{dest.replace('_', '-')} "
+                + ("{" + ",".join(kind) + "}" if isinstance(kind, tuple)
+                   else "INT" if kind is int else "TEXT")
+                + ("  (required)" if required else "" if default is None
+                   else f"  (default {default})")
+                for dest, (kind, default, required) in table.items()]
+    print(*head, *rows, sep="\n")
+    return 0
 
 
-def _join_negative_rationals(argv: list[str]) -> list[str]:
-    """Write `--beta -3/2` as `--beta=-3/2`: argparse reads a separate token
-    "-3/2" as an option (only -N and -N.M count as negative numbers)."""
-    out = []
-    for arg in argv:
-        if (out and out[-1] in _RATIONAL_FLAGS and arg.startswith("-")
-                and RATIONAL_TEXT.fullmatch(arg)):
-            out[-1] = f"{out[-1]}={arg}"
-        else:
-            out.append(arg)
-    return out
+def _parse(argv: list[str]):
+    """The command's handler and flag values, read as argparse reads `--flag value`,
+    `--flag=value` and a unique prefix, the last of a repeated flag winning."""
+    if argv[:1] in (["-h"], ["--help"]):
+        return _help, SimpleNamespace(command=None)
+    if not argv or argv[0] not in _COMMANDS:
+        given = f"unknown command {argv[0]!r}" if argv else "no command"
+        raise UsageError(f"{given}: choose from {', '.join(_COMMANDS)}")
+    command, tokens = argv[0], iter(argv[1:])
+    handler, _, table = _COMMANDS[command]
+    flags = {"--" + dest.replace("_", "-"): dest for dest in table}
+    values = {dest: default for dest, (_, default, _) in table.items()}
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return _help, SimpleNamespace(command=command)
+        name, has_value, value = token.partition("=")
+        if not name.startswith("--") or name == "--":
+            raise UsageError(f"{command}: unexpected argument {token!r}")
+        matches = [name] if name in flags else [f for f in flags if f.startswith(name)]
+        if len(matches) != 1:
+            raise UsageError(f"ambiguous flag {name} of {command}: could match "
+                             f"{', '.join(matches)}" if matches
+                             else f"unknown flag {name} of {command}")
+        dest = flags[flag := matches[0]]
+        if not has_value:
+            value = next(tokens, "-")      # none left reads as a missing value
+            if value.startswith("-") and not (
+                    _NEGATIVE_NUMBER.fullmatch(value)
+                    or dest in _RATIONAL_FLAGS and RATIONAL_TEXT.fullmatch(value)):
+                raise UsageError(f"argument {flag}: expected one argument")
+        kind = table[dest][0]
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(f"argument {flag}: invalid int value: {value!r}") from None
+        elif kind is not str and value not in kind:
+            raise UsageError(f"argument {flag}: invalid choice: {value!r} "
+                             f"(choose from {', '.join(kind)})")
+        values[dest] = value
+    # a required flag has no default, and a given value is never None
+    missing = [flag for flag, dest in flags.items() if table[dest][2] and values[dest] is None]
+    if missing:
+        raise UsageError(f"{command} needs {', '.join(missing)}")
+    return handler, SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = parser.parse_args(_join_negative_rationals(argv))
     try:
-        code = _HANDLERS[args.command](args)
+        handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
+        code = handler(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -187,6 +187,14 @@ def test_semigroup_command(capsys):
     assert data["beta_class"] == "integer_outside_semigroup"
 
 
+@pytest.mark.parametrize("beta,printed", [("8/2", "4"), ("2/4", "1/2"), ("-6/4", "-3/2")])
+def test_semigroup_prints_the_parsed_beta(capsys, beta, printed):
+    _, out, _ = run_cli(capsys, "semigroup", "--matrix", "3,5,7", f"--beta={beta}")
+    assert json.loads(out)["beta"] == printed
+    _, out, _ = run_cli(capsys, "monodromy", "--matrix", "3,5,7", f"--beta={beta}")
+    assert json.loads(out)["beta"] == printed
+
+
 def test_gevrey_index_command(capsys, tmp_path):
     csv = tmp_path / "stream.csv"
     code, out, _ = run_cli(capsys, "gevrey-index", "--matrix", "1,2,3",
@@ -530,9 +538,10 @@ def test_cli_import_leaves_dataclasses_and_inspect_out():
 
 SUBMODULES = ("curves", "exponents", "irregularity", "restriction", "series", "weyl")
 
-# Prints, after an optional command, the gkzcurve modules in sys.modules and
-# those whose body has run.  A registered module whose body has not run still
-# has the lazy loader's module class; type() reads that without loading it.
+# Prints, after an optional command, the gkzcurve modules in sys.modules, those
+# whose body has run, and which of argparse, gettext and locale were imported.
+# A registered module whose body has not run still has the lazy loader's
+# module class; type() reads that without loading it.
 _MODULE_PROBE = """
 import contextlib, io, sys, types
 import gkzcurve.cli
@@ -543,6 +552,7 @@ package = sorted(n for n in sys.modules if n.startswith("gkzcurve."))
 print(" ".join(n.split(".", 1)[1] for n in package))
 print(" ".join(n.split(".", 1)[1] for n in package
                if type(sys.modules[n]) is types.ModuleType))
+print(" ".join(m for m in ("argparse", "gettext", "locale") if m in sys.modules))
 """
 
 
@@ -551,8 +561,8 @@ def modules_after(*argv):
     env = dict(os.environ, PYTHONPATH=src)
     result = subprocess.run([sys.executable, "-c", _MODULE_PROBE, *argv], env=env,
                             capture_output=True, text=True, check=True)
-    registered, ran = result.stdout.splitlines()
-    return set(registered.split()), set(ran.split())
+    registered, ran, stdlib = result.stdout.split("\n")[:3]
+    return set(registered.split()), set(ran.split()), set(stdlib.split())
 
 
 @pytest.mark.parametrize("argv,extra", [
@@ -571,9 +581,10 @@ def modules_after(*argv):
 def test_each_command_runs_only_the_modules_it_uses(argv, extra):
     # every module stays registered: perfbench's tracer reads
     # sys.modules["gkzcurve.<m>"] for all six right after importing gkzcurve.cli
-    registered, ran = modules_after(*argv.split())
+    registered, ran, stdlib = modules_after(*argv.split())
     assert registered >= set(SUBMODULES)
     assert ran == {"cli", "curves", "records"} | extra
+    assert stdlib == set()
 
 
 @pytest.mark.parametrize("text", ["1e3", "0.5"])
@@ -617,10 +628,109 @@ def test_rational_flags_take_a_negative_value_as_the_next_token(capsys, before, 
 
 
 def test_negative_token_after_another_flag_stays_a_flag_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["exponents", "--matrix", "-3/2", "--beta", "1"])
-    assert exc.value.code == 2
-    assert "--matrix: expected one argument" in capsys.readouterr().err
+    code, out, err = run_cli(capsys, "exponents", "--matrix", "-3/2", "--beta", "1")
+    _one_line_error(code, out, err, 2)
+    assert "--matrix: expected one argument" in err
+
+
+@pytest.mark.parametrize("argv,named", [
+    ((), "no command"),
+    (("frobenius", "--matrix", "3,5,7"), "'frobenius'"),
+    (("--matrix", "1,2,3", "exponents"), "'--matrix'"),
+    (("exponents", "--matrix", "1,2,3", "--beta", "1", "--truncation", "4"), "--truncation"),
+    (("irregularity-table", "--matrix", "1,2,3", "--beta-", "4", "--s", "2"), "--beta-"),
+    (("exponents", "--matrix", "-1,2,3", "--beta", "1"), "--matrix"),
+    (("exponents", "--matrix", "1,2,3", "--beta"), "--beta"),
+    (("solve", "--matrix", "1,2,3", "--beta", "1", "--truncation", "--point", "generic"),
+     "--truncation"),
+    (("solve", "--matrix", "1,2,3", "--beta", "1", "--truncation", "4.5"), "--truncation"),
+    (("semigroup", "--matrix", "3,5,7", "--member=x"), "--member"),
+    (("solve", "--matrix", "1,2,3", "--beta", "1", "--point", "cusp"), "--point"),
+    (("exponents", "--matrix", "1,2,3", "--beta", "1", "--point", "deep"), "--point"),
+    (("restrict", "--matrix", "1,2,3", "--beta", "1"), "--mode"),
+    (("exponents", "--beta", "1"), "--matrix"),
+    (("exponents", "--matrix", "1,2,3", "--beta", "1", "1/2"), "'1/2'"),
+    (("monodromy", "--matrix", "1,2,3", "--beta", "1", "-5"), "'-5'"),
+    (("monodromy", "--matrix", "1,2,3", "-x", "--beta", "1"), "'-x'"),
+], ids=["no-command", "unknown-command", "flag-before-command", "unknown-flag",
+        "ambiguous-flag", "negative-token-is-not-a-value", "missing-value-at-end",
+        "missing-value-before-flag", "non-int", "non-int-equals-form", "bad-choice",
+        "choice-of-another-command", "missing-required", "missing-matrix",
+        "stray-token", "stray-negative-number", "single-dash-token"])
+def test_every_flag_error_is_one_line_naming_the_flag_or_command(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv)
+    _one_line_error(code, out, err, 2)
+    assert named in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--matrix=1,2,3", "--beta=1/2", "--truncation=3"),
+    ("solve", "--mat", "1,2,3", "--be", "1/2", "--trunc", "3"),
+    ("solve", "--tr=3", "--point", "smooth", "--beta", "1/2", "--matrix", "1,2,3"),
+    ("solve", "--matrix", "1,2,3", "--beta", "4", "--truncation", "9", "--beta", "1/2",
+     "--truncation", "3"),
+], ids=["equals-form", "unique-prefixes", "any-order", "last-repeat-wins"])
+def test_flag_spellings_read_alike(capsys, argv):
+    expected = run_cli(capsys, "solve", "--matrix", "1,2,3", "--beta", "1/2",
+                       "--truncation", "3")
+    assert expected[0] == 0
+    assert run_cli(capsys, *argv) == expected
+
+
+# every command and its flags in declaration order, written apart from cli's table
+COMMAND_FLAGS = {
+    "exponents": "--matrix --beta --format --point",
+    "solve": "--matrix --beta --format --point --s --truncation",
+    "verify": "--matrix --beta --format --point --truncation --ball-radius --input",
+    "gevrey-index": "--matrix --beta --format --stream --terms --j --csv",
+    "irregularity-table": "--matrix --beta --format --s --beta-special --beta-generic "
+                          "--ext-degree",
+    "restrict": "--matrix --beta --format --mode --index",
+    "b-function": "--matrix --format --weight",
+    "monodromy": "--matrix --beta --format",
+    "semigroup": "--matrix --beta --format --member",
+}
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("-h",)], ids=["--help", "-h"])
+def test_help_names_every_command(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    listed = {line.split()[0] for line in out.splitlines() if line.startswith("  ")}
+    assert listed == set(COMMAND_FLAGS)
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+@pytest.mark.parametrize("before", [(), ("--matrix", "1,2,3")], ids=["first", "later"])
+def test_command_help_names_every_flag(capsys, command, before):
+    code, out, err = run_cli(capsys, command, *before, "-h")
+    assert code == 0 and err == ""
+    listed = [line.split()[0] for line in out.splitlines() if line.startswith("  --")]
+    assert listed == COMMAND_FLAGS[command].split()
+
+
+# each command, one quick run, except irregularity-table: the one table renderer
+WITHOUT_TABLE = [
+    ("exponents", "--matrix", "1,2,3", "--beta", "1/2"),
+    ("solve", "--matrix", "1,2,3", "--beta", "1/2", "--truncation", "2"),
+    ("verify", "--matrix", "1,2,3", "--beta", "1/2", "--truncation", "2"),
+    ("gevrey-index", "--matrix", "1,2,3", "--terms", "20"),
+    ("restrict", "--matrix", "1,3,6,8", "--beta", "1/3", "--mode", "plane"),
+    ("b-function", "--matrix", "1,4,6", "--weight", "first"),
+    ("monodromy", "--matrix", "1,2,3", "--beta", "1"),
+    ("semigroup", "--matrix", "3,5,7", "--beta", "1"),
+]
+
+
+@pytest.mark.parametrize("argv", WITHOUT_TABLE, ids=[a[0] for a in WITHOUT_TABLE])
+def test_format_table_is_a_flag_error_where_no_table_renders(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--format", "table")
+    _one_line_error(code, out, err, 2)
+    assert "--format" in err and "'table'" in err
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert run_cli(capsys, *argv)[1] == out
+    json.loads(out)
 
 
 _json_leaves = st.one_of(

@@ -17,8 +17,9 @@ def test_no_assert_statements_in_the_package():
 
 
 def test_no_dataclasses_typing_or_inspect_imports_in_the_package():
-    # each costs every gkz command import time; records.record replaces dataclass
-    banned = {"dataclasses", "typing", "inspect"}
+    # each costs every gkz command import time; records.record replaces
+    # dataclass, and cli's flag table replaces argparse
+    banned = {"dataclasses", "typing", "inspect", "argparse"}
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
