@@ -94,7 +94,6 @@ _EXPORTS = {
     ),
     "weyl": (
         "AnnihilationReport",
-        "TrustedSeries",
         "WeylOperator",
         "annihilation_report",
         "apply",

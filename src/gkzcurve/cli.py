@@ -11,7 +11,6 @@ command with exit 1 and no traceback.
 from __future__ import annotations
 
 import json
-import math
 import os
 import re
 import sys
@@ -72,9 +71,10 @@ def _max_terms() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise UsageError(f"GKZ_MAX_TERMS={raw!r} is not an integer")
+    return _nonnegative(value, "GKZ_MAX_TERMS")
 
 
 def _nonnegative(value: int, flag: str) -> int:
@@ -117,6 +117,13 @@ def _serialize_member(member) -> dict:
     }
 
 
+# the fields verify reads from a basis entry besides its series: default when
+# absent, accepted JSON kinds, and their description
+_ENTRY_FIELDS = (("label", "series", str, "a string"),
+                 ("is_solution", True, bool, "true or false"),
+                 ("defect_generator", None, (str, type(None)), "a string or null"))
+
+
 def _read_members(path: str, A: CurveMatrix) -> list[_irregularity.BasisMember]:
     """Basis members from JSON emitted by solve: its whole output or the list
     of its basis entries."""
@@ -132,10 +139,15 @@ def _read_members(path: str, A: CurveMatrix) -> list[_irregularity.BasisMember]:
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "series" not in entry:
             raise CurveError(f"basis entry {i} of {path} lacks 'series'")
+        fields = [entry.get(key, default) for key, default, _, _ in _ENTRY_FIELDS]
+        for value, (key, _, kind, text) in zip(fields, _ENTRY_FIELDS):
+            if not isinstance(value, kind):
+                raise CurveError(f"basis entry {i} of {path}: {key!r} must be {text}, "
+                                 f"got {json.dumps(value)[:40]}")
+        label, is_solution, defect = fields
         series = _series.series_from_json(entry["series"], matrix=A)
-        members.append(_irregularity.BasisMember(
-            series, entry.get("label", "series"), series.base,
-            entry.get("is_solution", True), entry.get("defect_generator")))
+        members.append(_irregularity.BasisMember(series, label, series.base,
+                                                 is_solution, defect))
     return members
 
 
@@ -202,21 +214,31 @@ def _cmd_verify(args):
     return 0 if worst == 0 else 1
 
 
+# Largest stream gevrey-index builds, in factors of its last coefficient:
+# terms * a_n for a slope stream, terms for a factorial control.  Memory grows
+# about as the square of it; the factorial control at the cap peaks at ~90 MB.
+STREAM_FACTOR_CAP = 10_000
+
+
 def _cmd_gevrey_index(args):
     A = _parse_matrix(args.matrix)
     terms = _nonnegative(args.terms, "--terms")
-    if args.stream == "witness":
-        beta = _parse_rational(args.beta) if args.beta else Fraction(0)
-        stream = _irregularity.slope_subseries(A, beta, "witness", terms)
-    elif args.stream == "exponent":
-        if args.beta is None:
-            raise UsageError("--stream exponent needs --beta")
-        stream = _irregularity.slope_subseries(A, _parse_rational(args.beta),
-                                               ("exponent", args.j), terms)
-    elif args.stream == "factorial":
-        stream = [(k, Fraction(math.factorial(k))) for k in range(terms)]
-    else:                                   # inverse-factorial
-        stream = [(k, Fraction(1, math.factorial(k))) for k in range(terms)]
+    if args.stream == "exponent" and args.beta is None:
+        raise UsageError("--stream exponent needs --beta")
+    slope_stream = args.stream in ("witness", "exponent")
+    beta = _parse_rational(args.beta) if slope_stream and args.beta else Fraction(0)
+    factors = terms * A.entries[-1] if slope_stream else terms
+    if factors > STREAM_FACTOR_CAP:
+        raise CurveError(f"--terms {terms} gives a {args.stream} stream of {factors} "
+                         f"factors, more than the cap of {STREAM_FACTOR_CAP}")
+    if slope_stream:
+        which = "witness" if args.stream == "witness" else ("exponent", args.j)
+        stream = _irregularity.slope_subseries(A, beta, which, terms)
+    else:                                   # the factorials by a running product
+        stream, f = [], 1
+        for k in range(terms):
+            stream.append((k, Fraction(f) if args.stream == "factorial" else Fraction(1, f)))
+            f *= k + 1
     estimate = _irregularity.gevrey_index_estimate(stream)
     payload = {
         "matrix": list(A.entries),

@@ -52,7 +52,7 @@ class CurveKind(Enum):
     GENERAL = "general"
 
 
-@record(frozen=True)
+@record
 class CurveMatrix:
     """Row matrix A = (a_1 ... a_n), 0 < a_1 < ... < a_n, n >= 2.
 
@@ -117,7 +117,7 @@ def make_curve(entries) -> CurveMatrix:
 # Integer kernel
 
 
-@record(frozen=True)
+@record
 class LatticeBasis:
     """A Z-basis (u^2, ..., u^n) of L_A = ker_Z(A), one row per index i = 2..n.
 
@@ -269,7 +269,7 @@ def lattice_points(basis: LatticeBasis, radius: int,
 # Numerical semigroup
 
 
-@record(frozen=True)
+@record
 class SemigroupTable:
     """Membership of 0..bound in N*a_1 + ... + N*a_n, plus the largest gap."""
 
@@ -333,7 +333,7 @@ def semigroup_gaps(A: CurveMatrix) -> tuple[int, ...]:
 # auxiliary smooth curve.
 
 
-@record(frozen=True)
+@record
 class DeltaExponent:
     position: int                 # 0-based index into entries
     delta: int
@@ -401,7 +401,7 @@ class BetaClass(Enum):
     NON_INTEGER = "non_integer"
 
 
-@record(frozen=True)
+@record
 class BetaClassification:
     category: BetaClass
     residue: Fraction | None      # beta mod 1, only for NON_INTEGER

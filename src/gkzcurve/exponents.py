@@ -28,7 +28,7 @@ class InvalidWeightError(CurveError):
     """Weight vector violates the admissibility conditions."""
 
 
-@record(frozen=True)
+@record
 class WeightVector:
     """A positive rational weight on the n variables, admissible when
 
@@ -105,7 +105,7 @@ def initial_ideal_generators(A: CurveMatrix,
     return gens
 
 
-@record(frozen=True)
+@record
 class StandardPair:
     """A pair (monomial, face): the monomial exponent in N^n together with the
     set of indices allowed to vary freely."""
@@ -128,7 +128,7 @@ def standard_pairs(A: CurveMatrix) -> list[StandardPair]:
     return out
 
 
-@record(frozen=True)
+@record
 class ExponentVector:
     """A starting exponent of a series solution, with its negative-support data.
 

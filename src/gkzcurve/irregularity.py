@@ -39,7 +39,7 @@ class SheafKind(Enum):
     GEVREY_QUOTIENT = "gevrey_quotient"    # order-s series modulo convergent
 
 
-@record(frozen=True)
+@record
 class SheafTag:
     kind: SheafKind
     order: Fraction | None = None      # None encodes s = infinity
@@ -67,7 +67,7 @@ class SheafTag:
         return self.order is None or self.order >= bound
 
 
-@record(frozen=True)
+@record
 class DimensionAnswer:
     """A germ dimension, or None when the published results do not cover the query."""
 
@@ -148,7 +148,7 @@ def irregularity_dimension(A: CurveMatrix, beta, point: PointClass,
 # Solution bases
 
 
-@record(frozen=True)
+@record
 class BasisMember:
     series: _series.FormalSeries
     label: str
@@ -231,10 +231,8 @@ def _general_basis(A, beta, point, s, level, max_terms) -> list[BasisMember]:
     out = []
     note = (f"parameter reached through beta'={shifted} and division by d_n^{t}",)
     for m in members(shifted):
-        trusted = _weyl.TrustedSeries.from_series(m.series)
-        lifted = _series.inverse_contiguity(trusted, w)
-        out.append(BasisMember(lifted.series, m.label + f"*d^-{t}",
-                               lifted.series.base, m.is_solution,
+        lifted = _series.inverse_contiguity(m.series, w)
+        out.append(BasisMember(lifted, m.label + f"*d^-{t}", lifted.base, m.is_solution,
                                m.defect_generator, m.caveats + note))
     return out
 

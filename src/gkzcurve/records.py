@@ -4,9 +4,9 @@ The installed methods are shared closures, so defining a record compiles no
 code.  Semantics are those of a plain dataclass: __init__ takes the fields
 positionally or by keyword (annotations with a class value are defaults) and
 then calls __post_init__ if the class has one; __eq__ holds only between
-instances of one class; __repr__ is Name(field=value, ...).  frozen=True adds
-a __hash__ of the field tuple and refuses assignment; otherwise the record
-is unhashable.  Methods the class defines itself are kept.
+instances of one class; __repr__ is Name(field=value, ...).  Every record is
+frozen: __hash__ hashes the field tuple and assignment is refused.  Methods
+the class defines itself are kept.
 """
 
 from operator import attrgetter
@@ -16,9 +16,7 @@ class FrozenRecordError(AttributeError):
     """Assignment to a field of a frozen record."""
 
 
-def record(cls=None, *, frozen: bool = False):
-    if cls is None:
-        return lambda c: record(c, frozen=frozen)
+def record(cls):
     names = tuple(cls.__annotations__)
     defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
     post_init = getattr(cls, "__post_init__", None)
@@ -62,12 +60,8 @@ def record(cls=None, *, frozen: bool = False):
     def __delattr__(self, name):
         raise FrozenRecordError(f"cannot delete field {name!r}")
 
-    methods = [__init__, __eq__, __repr__]
-    methods += [__hash__, __setattr__, __delattr__] if frozen else []
-    for method in methods:
+    for method in (__init__, __eq__, __repr__, __hash__, __setattr__, __delattr__):
         if method.__name__ not in cls.__dict__:
             method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
             setattr(cls, method.__name__, method)
-    if not frozen:
-        cls.__hash__ = None
     return cls

@@ -41,7 +41,7 @@ class Caveat(Enum):
     GENERIC_BETA_ONLY = "generic_beta_only"     # holds for all but finitely many beta
 
 
-@record(frozen=True)
+@record
 class ModuleDescriptor:
     """A hypergeometric module M_A(beta) appearing as a restriction summand."""
 
@@ -50,7 +50,7 @@ class ModuleDescriptor:
     caveat: Caveat
 
 
-@record(frozen=True)
+@record
 class RestrictionWitness:
     """Operators certifying the auxiliary restriction of a general curve:
     P_1 = d_0^{a_1} - d_1 and Q_i = d_0 d_i^{delta_i} - d^{rho_i}, all binomials
@@ -150,7 +150,7 @@ class WeightTag(Enum):
     FIRST_COORDINATE = "first_coordinate"       # (1, 0, ..., 0)
 
 
-@record(frozen=True)
+@record
 class BFunction:
     """Monic polynomial in the weighted Euler operator, given by its roots
     (with multiplicity, sorted)."""

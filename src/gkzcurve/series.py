@@ -220,26 +220,26 @@ class FormalSeries:
     def absolute_terms(self) -> dict[tuple[Fraction, ...], Fraction]:
         return {self.exponent(off): c for off, c in self.terms.items()}
 
-    def coefficient_known(self, offset, threshold: int | None = None):
+    def coefficient_known(self, offset):
         """Exact coefficient at the offset, or None when it cannot be certified.
 
-        threshold defaults to the truncation level; stored values are always
-        exact, and descriptor-outside offsets are exactly 0.
+        Stored values are always exact, and offsets the descriptor places
+        outside the support or at a level <= the truncation are exactly 0.
         """
         offset = tuple(int(c) for c in offset)
         if offset in self.terms:
             return self.terms[offset]
-        return Fraction(0) if self.certifies(offset, threshold) else None
+        return Fraction(0) if self.certifies(offset) else None
 
-    def certifies(self, offset: tuple[int, ...], threshold: int | None = None) -> bool:
+    def certifies(self, offset: tuple[int, ...]) -> bool:
         """Whether the descriptor proves the coefficient at an offset that is
-        not stored to be exactly 0 (threshold as in coefficient_known)."""
+        not stored to be exactly 0."""
         level = self.descriptor.classify(offset)
         if level is None:
             return True
         if level is UNKNOWN:
             return False
-        return level <= (self.truncation if threshold is None else threshold)
+        return level <= self.truncation
 
     def sorted_terms(self):
         return sorted(self.terms.items())
@@ -609,7 +609,7 @@ def witness_defect(A: CurveMatrix, beta) -> FormalSeries:
 # Minimal negative support
 
 
-@record(frozen=True)
+@record
 class MinimalSupportAnswer:
     status: bool | None            # True / False / None = unknown at this radius
     witness: tuple[int, ...] | None
@@ -657,7 +657,7 @@ def has_minimal_negative_support(A: CurveMatrix, v, radius: int = 3) -> MinimalS
 # x_0 = 0 substitution and contiguity
 
 
-@record(frozen=True)
+@record
 class SubstitutionResult:
     series: FormalSeries
     dropped: int                   # parent terms with nonzero x_0-exponent
@@ -717,16 +717,15 @@ def substitute_x0(parent: FormalSeries, A: CurveMatrix) -> SubstitutionResult:
     return SubstitutionResult(series, dropped, certified)
 
 
-def apply_contiguity(trusted, w):
+def apply_contiguity(S: FormalSeries, w) -> FormalSeries:
     """Apply d^w termwise.  A solution for parameter beta maps to a solution for
     beta - A.w; callers track the parameter shift."""
     from .weyl import WeylOperator, apply
-    n = trusted.series.nvars if hasattr(trusted, "series") else trusted.nvars
-    op = WeylOperator.monomial(n, (0,) * n, tuple(int(x) for x in w))
-    return apply(op, trusted)
+    op = WeylOperator.monomial(S.nvars, (0,) * S.nvars, tuple(int(x) for x in w))
+    return apply(op, S)
 
 
-def inverse_contiguity(trusted, w):
+def inverse_contiguity(S: FormalSeries, w) -> FormalSeries:
     """Divide termwise by d^w: the unique preimage with support shifted by +w.
 
     The preimage coefficient at offset u + w is c_u / (v + u + w)_w; raises
@@ -734,17 +733,16 @@ def inverse_contiguity(trusted, w):
     A solution for beta pulls back to a solution for beta + A.w, exactly on the
     Euler side and window-verified on the toric side.
     """
-    from .weyl import TrustedSeries, _FallingFactors
-    src = trusted.series
+    from .weyl import _FallingFactors
     w = tuple(int(x) for x in w)
-    if len(w) != src.nvars or any(x < 0 for x in w):
+    if len(w) != S.nvars or any(x < 0 for x in w):
         raise DimensionMismatchError(f"bad derivative multi-index {w}")
     # (v_i + t)_{w_i} = F_i[t] / q_i^{w_i} with v_i = p_i/q_i
     slots = [(i, _FallingFactors(b.numerator, b.denominator, wi))
-             for i, (b, wi) in enumerate(zip(src.base, w)) if wi]
-    scale = math.prod(b.denominator ** wi for b, wi in zip(src.base, w))
+             for i, (b, wi) in enumerate(zip(S.base, w)) if wi]
+    scale = math.prod(b.denominator ** wi for b, wi in zip(S.base, w))
     terms = {}
-    for u, c in src.terms.items():
+    for u, c in S.terms.items():
         target = tuple(ui + wi for ui, wi in zip(u, w))
         factor = math.prod(table[target[i]] for i, table in slots)
         if factor == 0:
@@ -754,9 +752,8 @@ def inverse_contiguity(trusted, w):
     def trusted_at(offset):
         offset = tuple(int(x) for x in offset)
         shifted = tuple(o - wi for o, wi in zip(offset, w))
-        if trusted.coefficient_known(shifted) is None:
+        if S.coefficient_known(shifted) is None:
             return False
         return all(table[offset[i]] for i, table in slots)
 
-    out = FormalSeries(src.base, terms, src.truncation, WindowSupport(trusted_at))
-    return TrustedSeries(out, trusted.trusted_level)
+    return FormalSeries(S.base, terms, S.truncation, WindowSupport(trusted_at))

@@ -223,6 +223,42 @@ def test_negative_count_flag_is_a_flag_error(capsys, argv):
     assert f"{argv[-2]} must be >= 0" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--stream", "factorial", "--terms", "10001"),
+    ("--stream", "inverse-factorial", "--terms", "1000000000"),
+    ("--terms", "3334"),                              # 3 334 * a_n = 10 002 factors
+    ("--stream", "exponent", "--beta", "1/2", "--terms", "10000"),
+])
+def test_gevrey_index_past_the_stream_cap_is_a_domain_error(capsys, argv):
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "gevrey-index", "--matrix", "1,2,3", *argv)
+    assert time.monotonic() - start < 0.5
+    _one_line_error(code, out, err, 1)
+    assert "more than the cap of 10000" in err
+
+
+def test_gevrey_index_stream_cap_counts_factors(capsys):
+    from gkzcurve.cli import STREAM_FACTOR_CAP
+    # a_n = 500: 20 terms reach the cap exactly, 21 pass it
+    code, _, _ = run_cli(capsys, "gevrey-index", "--matrix", "1,500", "--terms", "20")
+    assert code == 0 and 20 * 500 == STREAM_FACTOR_CAP
+    _one_line_error(*run_cli(capsys, "gevrey-index", "--matrix", "1,500",
+                             "--terms", "21"), 1)
+
+
+@pytest.mark.parametrize("stream", ["factorial", "inverse-factorial"])
+def test_gevrey_index_factorial_controls_are_the_factorials(capsys, tmp_path, stream):
+    csv = tmp_path / "stream.csv"
+    code, _, _ = run_cli(capsys, "gevrey-index", "--matrix", "1,2,3", "--stream", stream,
+                         "--terms", "40", "--csv", str(csv))
+    assert code == 0
+    rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+    want = [Fraction(math.factorial(k)) for k in range(40)]
+    if stream == "inverse-factorial":
+        want = [1 / f for f in want]
+    assert [(int(k), Fraction(c)) for k, c in rows] == list(enumerate(want))
+
+
 @pytest.mark.parametrize("j", ["7", "-1", "3"])
 def test_gevrey_index_exponent_index_out_of_range_is_a_domain_error(capsys, j):
     code, out, err = run_cli(capsys, "gevrey-index", "--matrix", "1,3,5",
@@ -250,6 +286,14 @@ def test_term_cap_env(capsys, monkeypatch):
                            "--truncation", "12")
     assert code == 1
     assert "TermLimit" in err
+
+
+def test_negative_term_cap_is_a_flag_error(capsys, monkeypatch):
+    monkeypatch.setenv("GKZ_MAX_TERMS", "-1")
+    code, out, err = run_cli(capsys, "solve", "--matrix", "1,2,3", "--beta", "1/2",
+                             "--truncation", "3")
+    _one_line_error(code, out, err, 2)
+    assert "GKZ_MAX_TERMS must be >= 0, got -1" in err
 
 
 def test_term_cap_bounds_the_build_work(capsys, monkeypatch):
@@ -425,6 +469,39 @@ def test_verify_input_bad_value_is_a_domain_error(tmp_path, capsys, solved, fiel
     code, out, err = _verify_file(capsys, path)
     _one_line_error(code, out, err, 1)
     assert field in err
+
+
+@pytest.mark.parametrize("field,value", [("label", 5), ("label", None),
+                                         ("is_solution", 0), ("is_solution", "false"),
+                                         ("is_solution", None), ("defect_generator", 0),
+                                         ("defect_generator", ["toric[2]"])])
+def test_verify_input_bad_entry_field_is_a_domain_error(tmp_path, capsys, solved, field,
+                                                        value):
+    solved["basis"][0][field] = value
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps(solved))
+    code, out, err = _verify_file(capsys, path)
+    _one_line_error(code, out, err, 1)
+    assert repr(field) in err
+
+
+def test_verify_input_does_not_read_a_solution_flag_by_truthiness(tmp_path, capsys):
+    # read as falsy, 0 used to check the solution exponent[1] against only the
+    # 3 non-box generators, where it must pass all 15
+    code, out, _ = run_cli(capsys, "solve", "--matrix", "1,2,3", "--beta", "4",
+                           "--truncation", "6")
+    assert code == 0
+    data = json.loads(out)
+    entry = next(e for e in data["basis"] if e["label"] == "exponent[1]")
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps([entry]))
+    code, out, _ = _verify_file(capsys, path)
+    assert code == 0 and len(json.loads(out)["series"][0]["per_generator"]) == 15
+    entry["is_solution"], entry["defect_generator"] = 0, None
+    path.write_text(json.dumps([entry]))
+    code, out, err = _verify_file(capsys, path)
+    _one_line_error(code, out, err, 1)
+    assert "'is_solution' must be true or false, got 0" in err
 
 
 @pytest.mark.parametrize("field,value", [("aux_matrix", None), ("aux_base", None),

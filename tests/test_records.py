@@ -13,29 +13,28 @@ from gkzcurve.curves import CurveError, make_curve
 from gkzcurve.irregularity import SheafKind, SheafTag
 from gkzcurve.records import record
 
-# (class, field names, defaults, frozen)
+# (class, field names, defaults)
 RECORDS = [
-    (curves.CurveMatrix, ("entries",), {}, True),
-    (curves.LatticeBasis, ("matrix", "rows"), {}, True),
-    (curves.SemigroupTable, ("entries", "bound", "membership", "frobenius"), {}, True),
-    (curves.DeltaExponent, ("position", "delta", "witness"), {}, True),
-    (curves.BetaClassification, ("category", "residue"), {}, True),
-    (exponents.WeightVector, ("entries",), {}, True),
-    (exponents.StandardPair, ("monomial", "face"), {}, True),
+    (curves.CurveMatrix, ("entries",), {}),
+    (curves.LatticeBasis, ("matrix", "rows"), {}),
+    (curves.SemigroupTable, ("entries", "bound", "membership", "frobenius"), {}),
+    (curves.DeltaExponent, ("position", "delta", "witness"), {}),
+    (curves.BetaClassification, ("category", "residue"), {}),
+    (exponents.WeightVector, ("entries",), {}),
+    (exponents.StandardPair, ("monomial", "face"), {}),
     (exponents.ExponentVector, ("vector", "nsupp", "minimal", "auxiliary"),
-     {"auxiliary": False}, True),
-    (irregularity.SheafTag, ("kind", "order"), {"order": None}, True),
-    (irregularity.DimensionAnswer, ("value",), {}, True),
+     {"auxiliary": False}),
+    (irregularity.SheafTag, ("kind", "order"), {"order": None}),
+    (irregularity.DimensionAnswer, ("value",), {}),
     (irregularity.BasisMember, ("series", "label", "exponent", "is_solution",
-                                "defect_generator", "caveats"), {"caveats": ()}, True),
-    (restriction.ModuleDescriptor, ("matrix", "parameter", "caveat"), {}, True),
-    (restriction.RestrictionWitness, ("auxiliary", "p1", "q_operators", "deltas"), {}, True),
-    (restriction.BFunction, ("roots", "caveat"), {}, True),
-    (series.MinimalSupportAnswer, ("status", "witness", "radius"), {}, True),
-    (series.SubstitutionResult, ("series", "dropped", "certified_zero"), {}, True),
-    (weyl.TrustedSeries, ("series", "trusted_level"), {}, False),
-    (weyl.GeneratorViolation, ("name", "violation", "trusted_terms", "certified"), {}, True),
-    (weyl.AnnihilationReport, ("max_violation", "per_generator"), {}, True),
+                                "defect_generator", "caveats"), {"caveats": ()}),
+    (restriction.ModuleDescriptor, ("matrix", "parameter", "caveat"), {}),
+    (restriction.RestrictionWitness, ("auxiliary", "p1", "q_operators", "deltas"), {}),
+    (restriction.BFunction, ("roots", "caveat"), {}),
+    (series.MinimalSupportAnswer, ("status", "witness", "radius"), {}),
+    (series.SubstitutionResult, ("series", "dropped", "certified_zero"), {}),
+    (weyl.GeneratorViolation, ("name", "violation", "trusted_terms", "certified"), {}),
+    (weyl.AnnihilationReport, ("max_violation", "per_generator"), {}),
 ]
 IDS = [cls.__name__ for cls, *_ in RECORDS]
 
@@ -47,8 +46,8 @@ def sample_values(cls, fields, shift=0):
     return [(i + shift, Fraction(1, i + 2)) for i in range(len(fields))]
 
 
-def oracle(fields, frozen):
-    return dataclasses.make_dataclass("Oracle", fields, frozen=frozen)
+def oracle(fields):
+    return dataclasses.make_dataclass("Oracle", fields, frozen=True)
 
 
 def test_every_record_class_is_listed():
@@ -57,11 +56,11 @@ def test_every_record_class_is_listed():
              if isinstance(cls, type)
              and getattr(cls.__init__, "__module__", None) == "gkzcurve.records"}
     assert found == {cls for cls, *_ in RECORDS}
-    assert len(found) == 19
+    assert len(found) == 18
 
 
-@pytest.mark.parametrize("cls, fields, defaults, frozen", RECORDS, ids=IDS)
-def test_construction(cls, fields, defaults, frozen):
+@pytest.mark.parametrize("cls, fields, defaults", RECORDS, ids=IDS)
+def test_construction(cls, fields, defaults):
     values = sample_values(cls, fields)
     rec = cls(*values)
     assert [getattr(rec, f) for f in fields] == values
@@ -74,8 +73,8 @@ def test_construction(cls, fields, defaults, frozen):
         assert getattr(bare, name) == default
 
 
-@pytest.mark.parametrize("cls, fields, defaults, frozen", RECORDS, ids=IDS)
-def test_wrong_arguments_raise_type_error(cls, fields, defaults, frozen):
+@pytest.mark.parametrize("cls, fields, defaults", RECORDS, ids=IDS)
+def test_wrong_arguments_raise_type_error(cls, fields, defaults):
     values = sample_values(cls, fields)
     required = len(fields) - len(defaults)
     with pytest.raises(TypeError):
@@ -88,16 +87,15 @@ def test_wrong_arguments_raise_type_error(cls, fields, defaults, frozen):
         cls(*values, **{fields[0]: values[0]})
 
 
-@pytest.mark.parametrize("cls, fields, defaults, frozen", RECORDS, ids=IDS)
-def test_equality_holds_only_within_a_class(cls, fields, defaults, frozen):
+@pytest.mark.parametrize("cls, fields, defaults", RECORDS, ids=IDS)
+def test_equality_holds_only_within_a_class(cls, fields, defaults):
     values = sample_values(cls, fields)
     rec = cls(*values)
     assert rec == cls(*values)
     assert rec != cls(*sample_values(cls, fields, shift=1))
     assert rec != tuple(values) and tuple(values) != rec
     assert rec.__eq__(tuple(values)) is NotImplemented
-    twin = record(type(cls.__name__, (), {"__annotations__": dict.fromkeys(fields, "object")}),
-                  frozen=frozen)
+    twin = record(type(cls.__name__, (), {"__annotations__": dict.fromkeys(fields, "object")}))
     assert rec != twin(*values) and twin(*values) != rec
     assert twin(*values) == twin(*values)
     assert not isinstance(rec, tuple)
@@ -105,19 +103,12 @@ def test_equality_holds_only_within_a_class(cls, fields, defaults, frozen):
         iter(rec)
 
 
-@pytest.mark.parametrize("cls, fields, defaults, frozen", RECORDS, ids=IDS)
-def test_hash_and_assignment(cls, fields, defaults, frozen):
+@pytest.mark.parametrize("cls, fields, defaults", RECORDS, ids=IDS)
+def test_hash_and_assignment(cls, fields, defaults):
     values = sample_values(cls, fields)
     rec = cls(*values)
-    if not frozen:
-        assert cls.__hash__ is None
-        with pytest.raises(TypeError):
-            hash(rec)
-        setattr(rec, fields[0], values[-1])
-        assert getattr(rec, fields[0]) == values[-1]
-        return
     assert hash(rec) == hash(cls(*values)) == hash(tuple(values))
-    assert hash(rec) == hash(oracle(fields, frozen=True)(*values))
+    assert hash(rec) == hash(oracle(fields)(*values))
     with pytest.raises(AttributeError):
         setattr(rec, fields[0], values[0])
     with pytest.raises(AttributeError):
@@ -127,10 +118,10 @@ def test_hash_and_assignment(cls, fields, defaults, frozen):
     assert [getattr(rec, f) for f in fields] == values
 
 
-@pytest.mark.parametrize("cls, fields, defaults, frozen", RECORDS, ids=IDS)
-def test_repr_is_the_dataclass_repr(cls, fields, defaults, frozen):
+@pytest.mark.parametrize("cls, fields, defaults", RECORDS, ids=IDS)
+def test_repr_is_the_dataclass_repr(cls, fields, defaults):
     values = sample_values(cls, fields)
-    want = repr(oracle(fields, frozen)(*values)).replace("Oracle(", f"{cls.__qualname__}(", 1)
+    want = repr(oracle(fields)(*values)).replace("Oracle(", f"{cls.__qualname__}(", 1)
     assert repr(cls(*values)) == want
 
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkzcurve import (
-    TrustedSeries,
     annihilation_report,
     apply,
     apply_contiguity,
@@ -214,13 +213,13 @@ def test_witness_defect_matches_operator_application(entries, beta):
     wit = witness_series(A, beta, 12)
     p_last = toric_generators(A)[A.n - 3]     # d_1^{a_{n-1}} - d_{n-1}
     image = apply(p_last, wit)
-    assert image.series.terms, "defect must be visible on the window"
+    assert image.terms, "defect must be visible on the window"
     assert series_match_on_window(image, witness_defect(A, beta))
 
 
 def test_witness_fails_only_on_the_last_toric_generator():
     A = make_curve((1, 2, 3))
-    wit = TrustedSeries.from_series(witness_series(A, 4, 12))
+    wit = witness_series(A, 4, 12)
     gens = dict(named_generators(A, 4, 1))
     assert annihilation_report([gens["euler"]], wit).max_violation == 0
     assert annihilation_report([gens["toric[3]"]], wit).max_violation == 0
@@ -485,8 +484,7 @@ def test_substitution_example():
     assert sub.series.terms[(-3, 2)] == Fraction(21, 128)
     assert not sub.certified_zero
     # the substituted series solves the system of A
-    report = annihilation_report(named_generators(A, Fraction(1, 2), 3),
-                                 TrustedSeries.from_series(sub.series))
+    report = annihilation_report(named_generators(A, Fraction(1, 2), 3), sub.series)
     assert report.max_violation == 0
 
 
@@ -534,9 +532,9 @@ def test_substitution_commutes_with_x0_free_operators():
     for op_parent, op_child in cases:
         applied_then_sub = apply(op_parent, parent)
         sub_then_applied = apply(op_child, sub)
-        child = sub_then_applied.series.terms
+        child = sub_then_applied.terms
         x0_exp = parent.base[0]
-        parent_slice = {off[1:]: c for off, c in applied_then_sub.series.terms.items()
+        parent_slice = {off[1:]: c for off, c in applied_then_sub.terms.items()
                         if x0_exp + off[0] == 0}
         common = set(child) & set(parent_slice) if child or parent_slice else set()
         for off in common:
@@ -548,19 +546,19 @@ def test_substitution_commutes_with_x0_free_operators():
                 assert got == c
     # sanity: the derivative case really produces terms on both sides
     nonzero = apply(WeylOperator.d(2, 1), sub)
-    assert nonzero.series.terms
+    assert nonzero.terms
 
 
 def test_contiguity_forward():
     A = make_curve((1, 2, 3))
     # w = 0 is the identity
     phi = exponent_series(A, 4, 0, 8)
-    same = apply_contiguity(TrustedSeries.from_series(phi), (0, 0, 0))
-    assert same.series.terms == phi.terms
+    same = apply_contiguity(phi, (0, 0, 0))
+    assert same.terms == phi.terms
     # a single monomial drops its exponent
     single = gamma_series(A, (0, Fraction(1, 4), 0), 0)
-    derived = apply_contiguity(TrustedSeries.from_series(single), (0, 1, 0))
-    assert derived.series.absolute_terms() == {
+    derived = apply_contiguity(single, (0, 1, 0))
+    assert derived.absolute_terms() == {
         (0, Fraction(-3, 4), 0): Fraction(1, 4)}
 
 
@@ -573,28 +571,27 @@ def test_contiguity_preserves_annihilation():
     aux = A.auxiliary()
     parent = exponent_series(aux, beta_src, 0, 14)
     src = substitute_x0(parent, A).series
-    assert annihilation_report(named_generators(A, beta_src, 2),
-                               TrustedSeries.from_series(src)).max_violation == 0
-    out = apply_contiguity(TrustedSeries.from_series(src), w)
+    assert annihilation_report(named_generators(A, beta_src, 2), src).max_violation == 0
+    out = apply_contiguity(src, w)
     report = annihilation_report(named_generators(A, beta, 2), out)
     assert report.max_violation == 0
-    assert out.series.terms, "image should not vanish on the window"
+    assert out.terms, "image should not vanish on the window"
 
 
 def test_inverse_contiguity_roundtrip():
     A = make_curve((1, 2, 3))
-    phi = TrustedSeries.from_series(exponent_series(A, Fraction(1, 2), 0, 8))
+    phi = exponent_series(A, Fraction(1, 2), 0, 8)
     lifted = inverse_contiguity(phi, (0, 0, 2))
     back = apply_contiguity(lifted, (0, 0, 2))
-    assert back.series.terms == phi.series.terms
+    assert back.terms == phi.terms
 
 
 def test_inverse_contiguity_raises_on_a_vanishing_factor():
     # (0 + (-1) + 1)_1 = 0 at the only term
     single = FormalSeries((Fraction(0), Fraction(1, 2)), {(-1, 0): 1}, 0, FiniteSupport())
     with pytest.raises(ContiguityError):
-        inverse_contiguity(TrustedSeries.from_series(single), (1, 0))
-    assert inverse_contiguity(TrustedSeries.from_series(single), (0, 1)).series.terms == {
+        inverse_contiguity(single, (1, 0))
+    assert inverse_contiguity(single, (0, 1)).terms == {
         (-1, 1): Fraction(2, 3)}
 
 
@@ -616,8 +613,7 @@ def test_serialization_roundtrip():
     data2 = sub.series.to_json()
     back2 = series_from_json(json.loads(json.dumps(data2)), matrix=Ag)
     assert back2.terms == sub.series.terms
-    report = annihilation_report(named_generators(Ag, Fraction(1, 2), 2),
-                                 TrustedSeries.from_series(back2))
+    report = annihilation_report(named_generators(Ag, Fraction(1, 2), 2), back2)
     assert report.max_violation == 0
 
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from gkzcurve import (
     FormalSeries,
     PointClass,
-    TrustedSeries,
     WeylOperator,
     annihilation_report,
     apply,
@@ -148,7 +147,7 @@ def test_euler_eigenvalue_on_monomials():
         S = monomial_series(3, w)
         out = apply(euler_operator(A, beta), S)
         expected = A.weight(w) - beta
-        got = out.series.terms.get((0, 0, 0), Fraction(0))
+        got = out.terms.get((0, 0, 0), Fraction(0))
         assert got == expected
 
 
@@ -178,13 +177,13 @@ def test_apply_polynomial_solution():
     phi = exponent_series(A, 4, 0, 10)
     for op in toric_generators(A) + [euler_operator(A, 4)]:
         out = apply(op, phi)
-        assert not out.series.terms
+        assert not out.terms
 
 
 def test_apply_no_dependence():
     S = monomial_series(3, (Fraction(1, 2), 0, 0))
     out = apply(WeylOperator.d(3, 1), S)
-    assert not out.series.terms
+    assert not out.terms
 
 
 def test_apply_dimension_mismatch():
@@ -208,8 +207,8 @@ def test_apply_is_linear():
         for k, v in t2.items():
             merged[k] = merged.get(k, Fraction(0)) + v
         s12 = FormalSeries(base, merged, 0, FiniteSupport())
-        lhs = apply(P, s12).series.terms
-        r1, r2 = apply(P, s1).series.terms, apply(P, s2).series.terms
+        lhs = apply(P, s12).terms
+        r1, r2 = apply(P, s1).terms, apply(P, s2).terms
         rhs = dict(r1)
         for k, v in r2.items():
             rhs[k] = rhs.get(k, Fraction(0)) + v
@@ -230,7 +229,7 @@ def test_annihilation_box_ball_on_built_series():
     for beta in (Fraction(1, 2), 4):
         phi = exponent_series(A, beta, 0, 12)
         gens = [(n, op) for n, op in named_generators(A, beta, 3)]
-        report = annihilation_report(gens, TrustedSeries.from_series(phi))
+        report = annihilation_report(gens, phi)
         assert report.max_violation == 0, report
 
 
@@ -242,8 +241,7 @@ def test_annihilation_box_ball_on_generic_point_series():
         A = make_curve(entries)
         for j in range(A.entries[-1]):
             phi = gamma_series(A, generic_exponent_base(A, beta, j), 12)
-            report = annihilation_report(named_generators(A, beta, 3),
-                                         TrustedSeries.from_series(phi))
+            report = annihilation_report(named_generators(A, beta, 3), phi)
             assert report.max_violation == 0, (entries, beta, j, report)
 
 
@@ -272,16 +270,13 @@ def reference_apply(P, S):
     """Term-by-term action over Fractions, as apply computed it before the
     integer-scaled kernel.  Also returns the offsets where a nonzero
     contribution landed."""
-    if isinstance(S, FormalSeries):
-        S = TrustedSeries.from_series(S)
-    src = S.series
-    if P.nvars != src.nvars:
+    if P.nvars != S.nvars:
         raise DimensionMismatchError(
-            f"operator on {P.nvars} variables against {src.nvars}-variable series")
+            f"operator on {P.nvars} variables against {S.nvars}-variable series")
 
     accum: dict[tuple[int, ...], Fraction] = {}
-    for u, c in src.terms.items():
-        e = src.exponent(u)
+    for u, c in S.terms.items():
+        e = S.exponent(u)
         for (a, g), pc in P.terms.items():
             f = falling_product(e, g)
             if f == 0:
@@ -299,23 +294,22 @@ def reference_apply(P, S):
         for (a, g) in P.terms:
             contrib = tuple(o + gi - ai for o, gi, ai in zip(offset, g, a))
             if S.coefficient_known(contrib) is None:
-                if falling_product(src.exponent(contrib), g) != 0:
+                if falling_product(S.exponent(contrib), g) != 0:
                     ok = False
                     break
         cache[offset] = ok
         return ok
 
     kept = {w: c for w, c in accum.items() if c != 0 and certified(w)}
-    out = FormalSeries(src.base, kept, src.truncation, WindowSupport(certified))
-    return TrustedSeries(out, max(-1, S.trusted_level - P.order_bound())), list(accum)
+    return FormalSeries(S.base, kept, S.truncation, WindowSupport(certified)), list(accum)
 
 
 def reference_rows(generators, S):
     rows = []
     for name, op in generators:
         result, landed = reference_apply(op, S)
-        terms = result.series.terms
-        window = result.series.descriptor.predicate
+        terms = result.terms
+        window = result.descriptor.predicate
         rows.append(GeneratorViolation(
             name, max((abs(c) for c in terms.values()), default=Fraction(0)),
             len(terms), sum(1 for w in landed if window(w))))
@@ -333,19 +327,17 @@ def fraction_operator(rng, n):
     return WeylOperator(n, terms)
 
 
-def series_variant(S: TrustedSeries, variant: str, rng) -> TrustedSeries:
+def series_variant(S: FormalSeries, variant: str, rng) -> FormalSeries:
     """plain; perturbed (one stored coefficient off by 1/2, so generators leave
     nonzero violations); chained (the image of a derivative, whose trust is a
     window predicate)."""
-    src = S.series
-    if variant == "perturbed" and src.terms:
-        terms = dict(src.terms)
+    if variant == "perturbed" and S.terms:
+        terms = dict(S.terms)
         off = rng.choice(sorted(terms))
         terms[off] += Fraction(1, 2)
-        return TrustedSeries(FormalSeries(src.base, terms, src.truncation,
-                                          src.descriptor), S.trusted_level)
+        return FormalSeries(S.base, terms, S.truncation, S.descriptor)
     if variant == "chained":
-        return apply(WeylOperator.d(src.nvars, rng.randrange(src.nvars)), S)
+        return apply(WeylOperator.d(S.nvars, rng.randrange(S.nvars)), S)
     return S
 
 
@@ -355,9 +347,8 @@ def assert_kernel_matches_reference(generators, S, rng):
     for name, op in generators:
         got = apply(op, S)
         want, landed = reference_apply(op, S)
-        assert list(got.series.terms.items()) == list(want.series.terms.items()), name
-        assert got.trusted_level == want.trusted_level
-        sample = set(landed) | set(S.series.terms)
+        assert list(got.terms.items()) == list(want.terms.items()), name
+        sample = set(landed) | set(S.terms)
         sample |= {tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(20)}
         # far coordinates; the margin keeps every contributor in range, since a
         # chained series checks the range of the offsets its predicate is asked
@@ -366,8 +357,8 @@ def assert_kernel_matches_reference(generators, S, rng):
                                      rng.randint(-4, 4)]) for _ in range(n))
                    for _ in range(20)}
         for off in sample:
-            assert (got.series.descriptor.predicate(off)
-                    == want.series.descriptor.predicate(off)), (name, off)
+            assert (got.descriptor.predicate(off)
+                    == want.descriptor.predicate(off)), (name, off)
     report = annihilation_report(generators, S)
     rows = reference_rows(generators, S)
     assert list(report.per_generator) == rows
@@ -378,7 +369,7 @@ def assert_kernel_matches_reference(generators, S, rng):
 def basis_series(entries, beta, point, level):
     A = make_curve(entries)
     members = solution_basis(A, beta, point, s=slope(A), level=level)
-    return A, [TrustedSeries.from_series(m.series) for m in members]
+    return A, [m.series for m in members]
 
 
 KERNEL_SWEEP = [
@@ -471,7 +462,7 @@ def test_kernel_rejects_offsets_and_shifts_past_the_range():
     with pytest.raises(CurveError, match="outside"):
         annihilation_report([WeylOperator.d(2, 0)], far)
     edge = FormalSeries(base, {(OFFSET_LIMIT, 0): 1}, 0, FiniteSupport())
-    assert apply(WeylOperator.d(2, 0), edge).series.terms == {
+    assert apply(WeylOperator.d(2, 0), edge).terms == {
         (OFFSET_LIMIT - 1, 0): OFFSET_LIMIT + Fraction(1, 2)}
     long_shift = WeylOperator.monomial(2, (OFFSET_LIMIT + 1, 0), (0, 0))
     with pytest.raises(CurveError, match="outside"):
@@ -481,7 +472,7 @@ def test_kernel_rejects_offsets_and_shifts_past_the_range():
 def test_window_predicate_checks_the_range():
     A = make_curve((1, 2, 3))
     phi = exponent_series(A, Fraction(1, 2), 0, 4)
-    predicate = apply(toric_generators(A)[0], phi).series.descriptor.predicate
+    predicate = apply(toric_generators(A)[0], phi).descriptor.predicate
     assert predicate((OFFSET_LIMIT, -OFFSET_LIMIT, 0)) in (True, False)
     for bad in ((OFFSET_LIMIT + 1, 0, 0), (0, 0, -OFFSET_LIMIT - 1)):
         with pytest.raises(CurveError, match="outside"):
@@ -496,7 +487,7 @@ def test_each_offset_is_classified_at_most_once_per_series():
         gens = named_generators(A, beta, 2)
         for S in series:
             for S in (S, series_variant(S, "chained", rng)):
-                descriptor = S.series.descriptor
+                descriptor = S.descriptor
                 calls = collections.Counter()
 
                 def counting(offset, _classify=descriptor.classify, _calls=calls):
@@ -509,7 +500,7 @@ def test_each_offset_is_classified_at_most_once_per_series():
                 finally:
                     del descriptor.classify
                 assert max(calls.values(), default=1) == 1, entries
-                assert not set(calls) & set(S.series.terms), entries
+                assert not set(calls) & set(S.terms), entries
                 classified += len(calls)
     assert classified > 0
 
@@ -607,25 +598,23 @@ def test_named_generators_match_the_monomial_construction(entries):
 # Division by d^w on the gap route against the Fraction division
 
 
-def fraction_inverse_contiguity(trusted, w):
+def fraction_inverse_contiguity(S, w):
     """inverse_contiguity as it ran over Fractions with falling_product."""
-    src = trusted.series
     terms = {}
-    for u, c in src.terms.items():
+    for u, c in S.terms.items():
         target = tuple(ui + wi for ui, wi in zip(u, w))
-        factor = falling_product(src.exponent(target), w)
+        factor = falling_product(S.exponent(target), w)
         if factor == 0:
             raise ContiguityError(f"zero falling factorial at offset {u}")
         terms[target] = c / factor
 
     def trusted_at(offset):
         shifted = tuple(o - wi for o, wi in zip(offset, w))
-        if trusted.coefficient_known(shifted) is None:
+        if S.coefficient_known(shifted) is None:
             return False
-        return falling_product(src.exponent(offset), w) != 0
+        return falling_product(S.exponent(offset), w) != 0
 
-    out = FormalSeries(src.base, terms, src.truncation, WindowSupport(trusted_at))
-    return TrustedSeries(out, trusted.trusted_level)
+    return FormalSeries(S.base, terms, S.truncation, WindowSupport(trusted_at))
 
 
 GAP_ROUTE = [(e, b) for e, b in KERNEL_SWEEP
@@ -647,15 +636,13 @@ def test_inverse_contiguity_matches_fraction_reference(entries, beta):
             lifted = solution_basis(A, beta, point, s=slope(A), level=level)
             assert len(below) == len(lifted)
             for member, target in zip(below, lifted):
-                trusted = TrustedSeries.from_series(member.series)
-                got = inverse_contiguity(trusted, w)
-                want = fraction_inverse_contiguity(trusted, w)
-                assert list(got.series.terms.items()) == list(want.series.terms.items())
-                assert got.series.terms == target.series.terms
-                assert got.trusted_level == want.trusted_level
-                sample = set(got.series.terms) | set(member.series.terms)
+                got = inverse_contiguity(member.series, w)
+                want = fraction_inverse_contiguity(member.series, w)
+                assert list(got.terms.items()) == list(want.terms.items())
+                assert got.terms == target.series.terms
+                sample = set(got.terms) | set(member.series.terms)
                 sample |= {tuple(rng.randint(-6, 6) for _ in range(A.n))
                            for _ in range(40)}
                 for off in sample:
-                    assert (got.series.descriptor.predicate(off)
-                            == want.series.descriptor.predicate(off)), off
+                    assert (got.descriptor.predicate(off)
+                            == want.descriptor.predicate(off)), off
