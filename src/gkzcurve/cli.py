@@ -31,6 +31,8 @@ from .curves import (
     delta_exponents,
     frobenius_number,
     make_curve,
+    read_integer,
+    read_rational,
     semigroup_gaps,
     semigroup_member,
 )
@@ -42,19 +44,19 @@ class UsageError(Exception):
 
 def _parse_matrix(text: str) -> CurveMatrix:
     try:
-        entries = [int(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError as exc:
+        entries = [read_integer(x) for x in text.split(",") if x.strip() != ""]
+    except (ValueError, OverflowError) as exc:
         raise UsageError(f"--matrix expects comma-separated integers: {exc}")
     return make_curve(entries)
 
 
 def _parse_rational(text: str) -> Fraction:
-    if not RATIONAL_TEXT.fullmatch(text):
-        raise UsageError(f"not a rational number p or p/q: {text!r}")
     try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise UsageError(f"zero denominator in {text!r}") from None
+        return read_rational(text)
+    except ValueError:
+        raise UsageError(f"not a rational number p or p/q: {text[:40]!r}") from None
+    except ArithmeticError as exc:      # past DIGIT_CAP digits, or q = 0
+        raise UsageError(f"{exc} in {text[:40]!r}") from None
 
 
 def _parse_order(text: str):
@@ -71,9 +73,9 @@ def _max_terms() -> int | None:
     if raw is None:
         return None
     try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"GKZ_MAX_TERMS={raw!r} is not an integer")
+        value = read_integer(raw)
+    except (ValueError, OverflowError):
+        raise UsageError(f"GKZ_MAX_TERMS={raw[:40]!r} is not an integer")
     return _nonnegative(value, "GKZ_MAX_TERMS")
 
 
@@ -129,8 +131,8 @@ def _read_members(path: str, A: CurveMatrix) -> list[_irregularity.BasisMember]:
     of its basis entries."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, ValueError, RecursionError) as exc:
+            data = json.load(fh, parse_int=read_integer)
+    except (OSError, ValueError, OverflowError, RecursionError) as exc:
         raise UsageError(f"cannot read --input {path}: {exc}")
     entries = data.get("basis") if isinstance(data, dict) else data
     if not isinstance(entries, list):
@@ -507,9 +509,9 @@ def _parse(argv: list[str]):
         kind = table[dest][0]
         if kind is int:
             try:
-                value = int(value)
-            except ValueError:
-                raise UsageError(f"argument {flag}: invalid int value: {value!r}") from None
+                value = read_integer(value)
+            except (ValueError, OverflowError):
+                raise UsageError(f"argument {flag}: invalid int value: {value[:40]!r}") from None
         elif kind is not str and value not in kind:
             raise UsageError(f"argument {flag}: invalid choice: {value!r} "
                              f"(choose from {', '.join(kind)})")
@@ -522,6 +524,8 @@ def _parse(argv: list[str]):
 
 
 def main(argv=None) -> int:
+    limit = sys.get_int_max_str_digits()    # output prints any size the caps allow
+    sys.set_int_max_str_digits(0)
     try:
         handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
         code = handler(args)
@@ -541,6 +545,8 @@ def main(argv=None) -> int:
     except CurveError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -19,8 +19,35 @@ from .records import record
 # solve writes rationals as str(Fraction): "p" or "p/q", and the CLI's rational
 # flags take the same.  Fraction itself would also parse decimals and
 # exponents, and "1e999999999" builds a billion-digit integer before anything
-# can check it.
+# can check it.  The series build and the Gevrey streams stop at 3 * DIGIT_CAP
+# bits, fewer than DIGIT_CAP digits, so whatever solve prints reads back.
 RATIONAL_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+DIGIT_CAP = 50_000      # int() reads 50 000 digits in ~21 ms, 10^6 in ~7 s
+
+
+def read_integer(text: str) -> int:
+    """int(text); OverflowError past DIGIT_CAP digits, before any is read."""
+    if len(text) - text.startswith("-") > DIGIT_CAP:
+        raise OverflowError(f"more than {DIGIT_CAP} digits")
+    return int(text)
+
+
+def read_rational(text: str) -> Fraction:
+    """p or p/q (RATIONAL_TEXT): ValueError for other text, OverflowError past
+    DIGIT_CAP digits, ZeroDivisionError for q = 0."""
+    match = RATIONAL_TEXT.fullmatch(text)
+    if not match:
+        raise ValueError("not p or p/q")
+    p, q = read_integer(match[1]), read_integer(match[2] or "1")
+    if not q:
+        raise ZeroDivisionError("zero denominator")
+    return Fraction(p, q)
+
+
+def check_size(num: int, den: int) -> None:
+    """CurveError before a build table or stream grows past 3 * DIGIT_CAP bits."""
+    if num.bit_length() > 3 * DIGIT_CAP or den.bit_length() > 3 * DIGIT_CAP:
+        raise CurveError(f"an integer passes the size cap of {3 * DIGIT_CAP} bits")
 
 
 class CurveError(Exception):

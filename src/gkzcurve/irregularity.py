@@ -15,7 +15,7 @@ from fractions import Fraction
 # that never calls into one does not compile it
 from . import series as _series
 from . import weyl as _weyl
-from .curves import CurveError, CurveKind, CurveMatrix, semigroup_member
+from .curves import CurveError, CurveKind, CurveMatrix, check_size, semigroup_member
 from .records import record
 
 
@@ -334,6 +334,7 @@ def slope_subseries(A: CurveMatrix, beta, which, count: int = 200):
     c = Fraction(1)
     for m in range(count):
         out.append((a_pen * m, c))
+        check_size(c.numerator, c.denominator)
         c *= Fraction(math.prod(p - q * i for i in range(a_top * m, a_top * (m + 1))),
                       q ** a_top * math.prod(range(a_pen * m + 1, a_pen * (m + 1) + 1)))
     return out

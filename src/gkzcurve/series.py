@@ -19,15 +19,16 @@ import math
 from fractions import Fraction
 
 from .curves import (
-    RATIONAL_TEXT,
     CurveError,
     CurveMatrix,
     DimensionMismatchError,
     LatticeBasis,
+    check_size,
     lattice_basis,
     lattice_decompose,
     lattice_points,
     make_curve,
+    read_rational,
     semigroup_member,
 )
 from .records import record
@@ -280,16 +281,17 @@ def _json_int(x, what: str) -> int:
 
 def _json_rational(x, what: str) -> Fraction:
     if isinstance(x, bool) or not isinstance(x, (int, str)):
-        raise CurveError(f"{what} {x!r} is not an integer or a rational string")
+        raise CurveError(f"{what} {repr(x)[:40]} is not an integer or a rational string")
     if isinstance(x, int):
         return Fraction(x)
-    text = RATIONAL_TEXT.fullmatch(x)
-    if not text:
-        raise CurveError(f"{what} {x!r} is not a rational string p or p/q")
     try:
-        return Fraction(int(text[1]), int(text[2] or 1))
-    except (ValueError, ZeroDivisionError):
-        raise CurveError(f"{what} {x!r} is not a rational number") from None
+        return read_rational(x)
+    except ValueError:
+        raise CurveError(f"{what} {x[:40]!r} is not a rational string p or p/q") from None
+    except ZeroDivisionError:
+        raise CurveError(f"{what} {x[:40]!r} is not a rational number") from None
+    except OverflowError as exc:
+        raise CurveError(f"{what} {x[:40]!r} has {exc}") from None
 
 
 def series_from_json(data: dict, matrix: CurveMatrix | None = None) -> FormalSeries:
@@ -380,17 +382,14 @@ class _GammaFactor:
 
     def __call__(self, t: int) -> tuple[int, int]:
         p, q = self.p, self.q
-        if t >= 0:
-            up = self.up
-            while len(up) <= t:
-                num, den = up[-1]
-                up.append((num * q, den * (p + len(up) * q)))
-            return up[t]
-        down = self.down
-        while len(down) <= -t:
-            num, den = down[-1]
-            down.append((num * (p - (len(down) - 1) * q), den * q))
-        return down[-t]
+        table, i = (self.up, t) if t >= 0 else (self.down, -t)
+        while len(table) <= i:
+            num, den = table[-1]
+            check_size(num, den)
+            k = len(table)
+            table.append((num * q, den * (p + k * q)) if t >= 0
+                         else (num * (p - (k - 1) * q), den * q))
+        return table[i]
 
 
 def _gamma_terms(basis: LatticeBasis, base, level: int, bounds, max_terms, drop: int):
@@ -398,7 +397,7 @@ def _gamma_terms(basis: LatticeBasis, base, level: int, bounds, max_terms, drop:
     inside bounds, in enumeration order: the term loop of every build.
 
     Each coefficient is a product of integer factor pairs, so the loop builds
-    exactly one Fraction per stored term."""
+    exactly one Fraction per stored term, and none past the size cap."""
     factors = [_GammaFactor(z) for z in base]
     terms = {}
     for _, u in lattice_points(basis, level, bounds):
@@ -408,6 +407,7 @@ def _gamma_terms(basis: LatticeBasis, base, level: int, bounds, max_terms, drop:
                 a, b = g(t)
                 num *= a
                 den *= b
+        check_size(num, den)
         terms[u[drop:]] = Fraction(num, den)
         if max_terms is not None and len(terms) > max_terms:
             raise TermLimitError(f"more than {max_terms} stored terms")
@@ -619,11 +619,10 @@ class MinimalSupportAnswer:
 def has_minimal_negative_support(A: CurveMatrix, v, radius: int = 3) -> MinimalSupportAnswer:
     """Decide whether some kernel offset strictly shrinks the negative support.
 
-    Empty negative support is trivially minimal.  Rank-1 kernels (n = 2) are
-    decided completely: beyond a stabilization bound the sign pattern of
-    v + t*g is constant, so a finite scan is exhaustive.  For higher rank the
-    search covers the coordinate box |m_i| <= radius and answers None (unknown)
-    when no witness turns up.
+    Empty negative support is trivially minimal.  The search covers the
+    coordinate box |m_i| <= radius and answers None (unknown) when no witness
+    turns up.  A rank-1 kernel (n = 2) is searched up to the bound past which
+    the sign pattern of v + t*g is constant, so no witness there means True.
     """
     v = tuple(Fraction(x) for x in v)
     nsupp = negative_support(v)
@@ -631,26 +630,13 @@ def has_minimal_negative_support(A: CurveMatrix, v, radius: int = 3) -> MinimalS
         return MinimalSupportAnswer(True, None, radius)
     basis = lattice_basis(A)
     rank = basis.rank
-
-    if rank == 1:
-        g = basis.rows[0]
-        stab = max(math.ceil((abs(x) + 2) / abs(gi))
-                   for x, gi in zip(v, g) if gi != 0)
-        for t in range(-stab, stab + 1):
-            if t == 0:
-                continue
-            u = basis.combine((t,))
-            if negative_support(tuple(b + o for b, o in zip(v, u))) < nsupp:
-                return MinimalSupportAnswer(False, u, radius)
-        return MinimalSupportAnswer(True, None, radius)
-
-    for m in itertools.product(range(-radius, radius + 1), repeat=rank):
-        if not any(m):
-            continue
+    reach = radius if rank > 1 else max(math.ceil((abs(x) + 2) / abs(gi))
+                                        for x, gi in zip(v, basis.rows[0]) if gi)
+    for m in filter(any, itertools.product(range(-reach, reach + 1), repeat=rank)):
         u = basis.combine(m)
         if negative_support(tuple(b + o for b, o in zip(v, u))) < nsupp:
             return MinimalSupportAnswer(False, u, radius)
-    return MinimalSupportAnswer(None, None, radius)
+    return MinimalSupportAnswer(True if rank == 1 else None, None, radius)
 
 
 # ---------------------------------------------------------------------------

@@ -127,12 +127,6 @@ class WeylOperator:
     def __rmul__(self, other):
         return self * other if isinstance(other, (int, Fraction)) else NotImplemented
 
-    def __pow__(self, k: int):
-        out = WeylOperator.constant(self.nvars, 1)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         return (isinstance(other, WeylOperator)
                 and self.nvars == other.nvars and self.terms == other.terms)
@@ -251,27 +245,6 @@ class _Certainty(dict):
         return out
 
 
-class _Window(dict):
-    """packed offset -> whether an operator image is exact there: for every
-    monomial, its unique contributor offset is certified or its falling factor
-    vanishes there.  Filled on demand; called with any integer sequence, it is
-    the image's trust predicate."""
-
-    def __init__(self, known: _Certainty, plan):
-        super().__init__()
-        self.known, self.plan = known, plan
-
-    def __missing__(self, key: int) -> bool:
-        ok = self[key] = not any(
-            (contrib := self.known[key - shift]) is not None
-            and all(table[contrib[i]] for i, table in slots)
-            for shift, _, slots, _ in self.plan)
-        return ok
-
-    def __call__(self, offset) -> bool:
-        return self[_pack([int(x) for x in offset])]
-
-
 class _SeriesKernel:
     """Integer-scaled view of one series, shared by every operator
     applied to it.
@@ -356,6 +329,22 @@ class _SeriesKernel:
                 sums[w] = get(w, 0) + f * mult
         return sums, self.scale * lcm, plan
 
+    def inexact(self, keys, plan) -> set:
+        """The packed offsets among keys where the image of plan is not exact: a
+        monomial that did not land there has an uncertain contributor with a
+        nonzero falling factor (one that landed has a stored contributor)."""
+        known, out = self.known, set()
+        for shift, _, slots, image in plan:
+            for w in keys - image.keys():
+                contrib = known[w - shift]
+                if contrib is not None:
+                    for i, table in slots:
+                        if not table[contrib[i]]:
+                            break
+                    else:
+                        out.add(w)
+        return out
+
 
 def apply(P: WeylOperator, S: FormalSeries) -> FormalSeries:
     """Exact term-by-term action of an operator on a series.
@@ -368,13 +357,17 @@ def apply(P: WeylOperator, S: FormalSeries) -> FormalSeries:
     coefficients are exact values of P applied to the full series."""
     kernel = _SeriesKernel(S)
     sums, den, plan = kernel.image(P)
-    window = _Window(kernel.known, plan)
+    inexact = kernel.inexact(sums.keys(), plan)
     # the offsets in the order term-by-term action lands on them
     landed = dict.fromkeys(key + shift for key, _, _ in kernel.terms
                            for shift, _, _, image in plan if key + shift in image)
     kept = {_unpack(w, S.nvars): Fraction(sums[w], den)
-            for w in landed if sums[w] and window[w]}
-    return FormalSeries(S.base, kept, S.truncation, WindowSupport(window))
+            for w in landed if sums[w] and w not in inexact}
+
+    def exact(offset) -> bool:          # the same rule at any offset
+        key = _pack([int(x) for x in offset])
+        return key not in (inexact if key in sums else kernel.inexact({key}, plan))
+    return FormalSeries(S.base, kept, S.truncation, WindowSupport(exact))
 
 
 @record
@@ -407,36 +400,23 @@ def annihilation_report(generators, S: FormalSeries) -> AnnihilationReport:
     generators: iterable of WeylOperator or (name, WeylOperator) pairs.  All of
     them run against one integer-scaled kernel of the series."""
     kernel = _SeriesKernel(S)
-    known = kernel.known
     generators = [gen if isinstance(gen, tuple) else (f"generator[{idx}]", gen)
                   for idx, gen in enumerate(generators)]
     # a monomial's image is dropped after the last generator that holds it
     last = {key: idx for idx, (_, op) in enumerate(generators) for key in op.terms}
     rows = []
-    worst = zero = Fraction(0)
+    zero = Fraction(0)
     for idx, (name, op) in enumerate(generators):
         sums, den, plan = kernel.image(op)
-        # _Window's test inline: routed through _Window, verify ran ~40 % slower.
-        # A monomial that landed at an offset has a stored contributor there.
-        inexact = set()
-        for shift, _, slots, image in plan:
-            for w in sums.keys() - image.keys():
-                contrib = known[w - shift]
-                if contrib is not None:
-                    for i, table in slots:
-                        if not table[contrib[i]]:
-                            break
-                    else:
-                        inexact.add(w)
+        inexact = kernel.inexact(sums.keys(), plan)
         tops = [abs(n) for w, n in sums.items() if n and w not in inexact]
         violation = Fraction(max(tops), den) if tops else zero
         rows.append(GeneratorViolation(name, violation, len(tops),
                                        len(sums) - len(inexact)))
-        worst = max(worst, violation) if tops else worst
         for key in op.terms:
             if last[key] == idx:
                 del kernel.monomials[key]
-    return AnnihilationReport(worst, tuple(rows))
+    return AnnihilationReport(max((r.violation for r in rows), default=zero), tuple(rows))
 
 
 # Largest checking set built, counted before any operator is made: (1,...,6)

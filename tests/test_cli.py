@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import gkzcurve
 from gkzcurve import PointClass, make_curve, series_from_json, slope, solution_basis
 from gkzcurve.cli import main
+from gkzcurve.curves import DIGIT_CAP
 
 
 def run_cli(capsys, *argv):
@@ -947,3 +948,98 @@ def test_solve_round_trips_through_json_and_verify_input(tmp_path, capsys, entri
         assert back == series and back.truncation == series.truncation
         assert back.to_json() == series.to_json()
         assert type(back.descriptor) is type(series.descriptor)
+
+
+# ---------------------------------------------------------------------------
+# Digit and size caps, and output past CPython's 4 300-digit str <-> int limit
+
+OVER_CAP = "7" * (DIGIT_CAP + 1)
+LONG = "7" * 5000               # under the cap, past the interpreter's limit
+
+
+@pytest.mark.parametrize("argv", [
+    ("monodromy", "--matrix", "1,2", "--beta", "{}"),
+    ("monodromy", "--matrix", "1,2", "--beta", "1/{}"),
+    ("irregularity-table", "--matrix", "1,2,3", "--beta", "1/2", "--s", "{}"),
+    ("irregularity-table", "--matrix", "1,2,3", "--beta-special", "{}",
+     "--beta-generic", "1/2", "--s", "2"),
+    ("irregularity-table", "--matrix", "1,2,3", "--beta-special", "4",
+     "--beta-generic", "-{}", "--s", "2"),
+], ids=["beta", "beta-denominator", "s", "beta-special", "beta-generic"])
+def test_rational_flags_past_the_digit_cap_are_a_flag_error(capsys, argv):
+    limit = sys.get_int_max_str_digits()
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, *(a.format(OVER_CAP) for a in argv))
+    assert time.monotonic() - start < 0.5
+    _one_line_error(code, out, err, 2)
+    assert f"more than {DIGIT_CAP} digits" in err and len(err) < 120
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_a_long_rational_flag_under_the_digit_cap_is_read_and_printed(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run_cli(capsys, "monodromy", "--matrix", "1,2", "--beta", f"-{LONG}/3")
+    assert code == 0 and json.loads(out)["beta"] == f"-{LONG}/3"
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("coeff", [OVER_CAP, f"1/{OVER_CAP}", f"-{OVER_CAP}/7"])
+def test_verify_input_coeff_past_the_digit_cap_is_a_domain_error(tmp_path, capsys,
+                                                                 solved, coeff):
+    solved["basis"][0]["series"]["terms"][0]["coeff"] = coeff
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps(solved))
+    code, out, err = _verify_file(capsys, path)
+    _one_line_error(code, out, err, 1)
+    assert "coeff" in err and f"more than {DIGIT_CAP} digits" in err and len(err) < 160
+
+
+def test_verify_input_integer_past_the_digit_cap_is_a_flag_error(tmp_path, capsys, solved):
+    solved["basis"][0]["series"]["truncation"] = "TRUNCATION"
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps(solved).replace('"TRUNCATION"', OVER_CAP))
+    code, out, err = _verify_file(capsys, path)
+    _one_line_error(code, out, err, 2)
+    assert f"more than {DIGIT_CAP} digits" in err
+
+
+def test_solve_output_past_the_interpreter_limit_reads_back(tmp_path, capsys):
+    flags = ("--matrix", "1,2000", "--beta", "1/2")
+    code, out, _ = run_cli(capsys, "solve", *flags, "--truncation", "2")
+    assert code == 0
+    coeffs = [t["coeff"] for t in json.loads(out)["basis"][0]["series"]["terms"]]
+    assert max(len(c) for c in coeffs) > 4300
+    path = tmp_path / "solve.json"
+    path.write_text(out)
+    code, out, _ = run_cli(capsys, "verify", *flags, "--input", str(path))
+    assert code == 0 and json.loads(out)["max_violation"] == "0"
+
+
+def test_gevrey_index_csv_prints_coefficients_past_the_interpreter_limit(tmp_path,
+                                                                          capsys):
+    csv = tmp_path / "stream.csv"
+    code, _, _ = run_cli(capsys, "gevrey-index", "--matrix", "1,2,3", "--terms", "3000",
+                         "--csv", str(csv))
+    assert code == 0
+    k, c = csv.read_text().splitlines()[-1].split(",")
+    assert k == "5998" and len(c) > 4300
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert Fraction(c) == -math.factorial(8997) // math.factorial(5998)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("argv", [
+    # a stored term of (1, 2000) at level 2 spans 4 000 Gamma steps of ~133 bits
+    ("solve", "--matrix", "1,2000", "--beta", f"1/{10**40 + 1}", "--truncation", "2"),
+    ("gevrey-index", "--matrix", "1,3,5", "--stream", "exponent",
+     "--beta", f"{10**60 + 1}/7", "--terms", "1000"),
+], ids=["solve", "gevrey-index"])
+def test_integers_past_the_size_cap_are_a_domain_error(capsys, argv):
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.monotonic() - start < 1
+    _one_line_error(code, out, err, 1)
+    assert f"size cap of {3 * DIGIT_CAP} bits" in err

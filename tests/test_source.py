@@ -36,7 +36,7 @@ def test_no_dataclasses_typing_or_inspect_imports_in_the_package():
 
 
 # the verification kernel and the support guard it classifies with
-INTEGER_ONLY = {"weyl.py": ("_SeriesKernel", "_Certainty", "_Window", "_FallingFactors"),
+INTEGER_ONLY = {"weyl.py": ("_SeriesKernel", "_Certainty", "_FallingFactors"),
                 "series.py": ("LatticeGammaSupport.classify",)}
 
 
