@@ -392,6 +392,19 @@ class _GammaFactor:
         return table[i]
 
 
+class _FallingFactors(dict):
+    """t -> prod_{j<g} (p + q t - q j), i.e. q^g (p/q + t)_g, filled on demand."""
+
+    def __init__(self, p: int, q: int, g: int):
+        super().__init__()
+        self.p, self.q, self.g = p, q, g
+
+    def __missing__(self, t: int) -> int:
+        z = self.p + self.q * t
+        f = self[t] = math.prod(range(z, z - self.q * self.g, -self.q))
+        return f
+
+
 def _gamma_terms(basis: LatticeBasis, base, level: int, bounds, max_terms, drop: int):
     """{u[drop:]: Gamma[base; u]} over the lattice points of level <= level
     inside bounds, in enumeration order: the term loop of every build.
@@ -719,7 +732,6 @@ def inverse_contiguity(S: FormalSeries, w) -> FormalSeries:
     A solution for beta pulls back to a solution for beta + A.w, exactly on the
     Euler side and window-verified on the toric side.
     """
-    from .weyl import _FallingFactors
     w = tuple(int(x) for x in w)
     if len(w) != S.nvars or any(x < 0 for x in w):
         raise DimensionMismatchError(f"bad derivative multi-index {w}")

@@ -12,6 +12,9 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 
+# lazily loaded: only apply builds a series, so printing operators does not
+# compile series.py
+from . import series as _series
 from .curves import (
     CurveMatrix,
     DimensionMismatchError,
@@ -22,7 +25,6 @@ from .curves import (
     lattice_points,
 )
 from .records import record
-from .series import FormalSeries, WindowSupport
 
 
 class NotSmoothError(CurveError):
@@ -192,19 +194,6 @@ def initial_form(P: WeylOperator, omega) -> WeylOperator:
 # Action on series
 
 
-class _FallingFactors(dict):
-    """t -> prod_{j<g} (p + q t - q j), i.e. q^g (p/q + t)_g, filled on demand."""
-
-    def __init__(self, p: int, q: int, g: int):
-        super().__init__()
-        self.p, self.q, self.g = p, q, g
-
-    def __missing__(self, t: int) -> int:
-        z = self.p + self.q * t
-        f = self[t] = math.prod(range(z, z - self.q * self.g, -self.q))
-        return f
-
-
 # A kernel keys every offset by one int: coordinate i sits in bits
 # [64 i, 64 i + 64) as u_i + 2^63.  Packing is linear, so a monomial's shift is
 # one integer addition and a window contributor one subtraction.  Stored
@@ -235,7 +224,7 @@ class _Certainty(dict):
     the offset's coordinates; filled on demand, so each offset is classified by
     the series' descriptor at most once.  Stored offsets are certified."""
 
-    def __init__(self, S: FormalSeries, keys):
+    def __init__(self, S: _series.FormalSeries, keys):
         super().__init__(dict.fromkeys(keys))
         self.series = S
 
@@ -258,7 +247,7 @@ class _SeriesKernel:
     common denominator; so an operator image accumulates integers over one
     denominator per operator.  Offsets are packed ints (see _pack)."""
 
-    def __init__(self, S: FormalSeries):
+    def __init__(self, S: _series.FormalSeries):
         self.num = tuple(b.numerator for b in S.base)
         self.den = tuple(b.denominator for b in S.base)
         self.scale = math.lcm(*(c.denominator for c in S.terms.values()))
@@ -270,7 +259,7 @@ class _SeriesKernel:
             if q == 1:
                 ordered = sorted(self.terms, key=lambda t: t[1][i])
                 self.by_coordinate[i] = ordered, [t[1][i] for t in ordered]
-        self.falling: dict[tuple[int, int], _FallingFactors] = {}
+        self.falling: dict[tuple[int, int], _series._FallingFactors] = {}
         self.monomials: dict = {}
         self.formed = 0             # falling-factor products, over all monomials
         self._zero = _pack((0,) * S.nvars)
@@ -287,7 +276,7 @@ class _SeriesKernel:
         for i, gi in enumerate(g):
             if gi:
                 if (i, gi) not in self.falling:
-                    self.falling[i, gi] = _FallingFactors(self.num[i], self.den[i], gi)
+                    self.falling[i, gi] = _series._FallingFactors(self.num[i], self.den[i], gi)
                 slots.append((i, self.falling[i, gi]))
             if gi and i in self.by_coordinate:
                 ordered, coords = self.by_coordinate[i]
@@ -346,7 +335,7 @@ class _SeriesKernel:
         return out
 
 
-def apply(P: WeylOperator, S: FormalSeries) -> FormalSeries:
+def apply(P: WeylOperator, S: _series.FormalSeries) -> _series.FormalSeries:
     """Exact term-by-term action of an operator on a series.
 
     x^a d^g sends the coefficient c at exponent e to c * (e)_g at e - g + a,
@@ -367,7 +356,7 @@ def apply(P: WeylOperator, S: FormalSeries) -> FormalSeries:
     def exact(offset) -> bool:          # the same rule at any offset
         key = _pack([int(x) for x in offset])
         return key not in (inexact if key in sums else kernel.inexact({key}, plan))
-    return FormalSeries(S.base, kept, S.truncation, WindowSupport(exact))
+    return _series.FormalSeries(S.base, kept, S.truncation, _series.WindowSupport(exact))
 
 
 @record
@@ -393,7 +382,7 @@ class AnnihilationReport:
         return self.max_violation == 0
 
 
-def annihilation_report(generators, S: FormalSeries) -> AnnihilationReport:
+def annihilation_report(generators, S: _series.FormalSeries) -> AnnihilationReport:
     """Apply each generator and report the largest coefficient surviving on the
     trusted window; 0 means annihilation is verified there.
 
@@ -454,7 +443,8 @@ def named_generators(A: CurveMatrix, beta, ball_radius: int = 3):
     return out
 
 
-def series_match_on_window(result: FormalSeries, reference: FormalSeries) -> bool:
+def series_match_on_window(result: _series.FormalSeries,
+                           reference: _series.FormalSeries) -> bool:
     """Coefficientwise equality of an operator-application result against a
     complete reference series, restricted to the result's certified window."""
     return (all(reference.coefficient_known(off) == c

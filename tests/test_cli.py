@@ -239,7 +239,7 @@ def test_gevrey_index_past_the_stream_cap_is_a_domain_error(capsys, argv):
 
 
 def test_gevrey_index_stream_cap_counts_factors(capsys):
-    from gkzcurve.cli import STREAM_FACTOR_CAP
+    from gkzcurve.cli_irregularity import STREAM_FACTOR_CAP
     # a_n = 500: 20 terms reach the cap exactly, 21 pass it
     code, _, _ = run_cli(capsys, "gevrey-index", "--matrix", "1,500", "--terms", "20")
     assert code == 0 and 20 * 500 == STREAM_FACTOR_CAP
@@ -645,23 +645,46 @@ def modules_after(*argv):
 
 @pytest.mark.parametrize("argv,extra", [
     ("", set()),
+    ("--help", set()),
     ("semigroup --matrix 3,5,7 --beta 1 --member 8", set()),
     ("gevrey-index --matrix 1,3,5 --stream exponent --beta 1/2 --terms 300",
-     {"irregularity"}),
-    ("monodromy --matrix 1,2,3 --beta 1", {"irregularity"}),
+     {"cli_irregularity", "irregularity"}),
+    ("monodromy --matrix 1,2,3 --beta 1", {"cli_irregularity", "irregularity"}),
     ("irregularity-table --matrix 1,2,3 --beta-special 4 --beta-generic 1/2 --s 2",
-     {"irregularity"}),
-    ("restrict --matrix 1,3,6,8 --beta 1/3 --mode plane", {"restriction"}),
-    ("b-function --matrix 1,4,6 --weight first", {"restriction"}),
+     {"cli_irregularity", "irregularity"}),
+    ("restrict --matrix 1,3,6,8 --beta 1/3 --mode plane", {"cli_restriction", "restriction"}),
+    # the operators are printed, and no series is built
+    ("restrict --matrix 3,5,7 --beta 1/2 --mode aux",
+     {"cli_restriction", "restriction", "weyl"}),
+    ("b-function --matrix 1,4,6 --weight first", {"cli_restriction", "restriction"}),
     ("exponents --matrix 1,2,3 --beta 1/2", {"exponents", "series"}),
-], ids=["import-only", "semigroup", "gevrey-index", "monodromy", "irregularity-table",
-        "restrict", "b-function", "exponents"])
-def test_each_command_runs_only_the_modules_it_uses(argv, extra):
+    ("solve --matrix 1,2,3 --beta 4 --truncation 40", {"cli_basis", "irregularity", "series"}),
+    ("solve --matrix 1,2,3,4,5,6 --beta 1/2 --truncation 8",
+     {"cli_basis", "irregularity", "series"}),
+    ("solve --matrix 3,5,7 --beta 1/2 --truncation 14",
+     {"cli_basis", "irregularity", "series"}),
+    # the gap route lifts by inverse contiguity, and applies no operator
+    ("solve --matrix 3,5,7 --beta 4 --truncation 14",
+     {"cli_basis", "irregularity", "series"}),
+    ("verify --matrix 1,3,6,8 --beta 1/3 --truncation 8",
+     {"cli_basis", "irregularity", "series", "weyl"}),
+    ("verify --matrix 1,2,3 --beta 4 --input {input}",
+     {"cli_basis", "irregularity", "series", "weyl"}),
+], ids=["import-only", "help", "semigroup", "gevrey-index", "monodromy",
+        "irregularity-table", "restrict", "restrict-aux", "b-function", "exponents",
+        "solve-123", "solve-123456", "solve-357-half", "solve-357-gap", "verify",
+        "verify-input"])
+def test_each_command_runs_only_the_modules_it_uses(capsys, tmp_path, argv, extra):
+    if "{input}" in argv:
+        _, out, _ = run_cli(capsys, "solve", "--matrix", "1,2,3", "--beta", "4",
+                            "--truncation", "40")
+        (tmp_path / "solve.json").write_text(out)
+        argv = argv.format(input=tmp_path / "solve.json")
     # every module stays registered: perfbench's tracer reads
     # sys.modules["gkzcurve.<m>"] for all six right after importing gkzcurve.cli
     registered, ran, stdlib = modules_after(*argv.split())
     assert registered >= set(SUBMODULES)
-    assert ran == {"cli", "curves", "records"} | extra
+    assert ran == {"cli", "cli_flags", "curves", "records"} | extra
     assert stdlib == set()
 
 

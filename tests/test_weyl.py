@@ -376,6 +376,11 @@ KERNEL_SWEEP = [
     ((1, 2, 3), Fraction(1, 2)), ((1, 2, 3), 4), ((1, 2, 3), Fraction(-7, 3)),
     ((1, 3, 6, 8), Fraction(1, 3)), ((1, 3, 6, 8), 2), ((1, 5), Fraction(1, 2)),
     ((2, 3), Fraction(1, 2)), ((2, 3), 1), ((3, 5, 7), 2), ((3, 5, 7), 8),
+    # a gap-route series with base (-1, 0): the random operator has, at an offset
+    # where its other term landed, an uncertain contributor whose falling factor
+    # in the integer coordinate vanishes, so the image stays exact there; the
+    # report rows, not only apply's predicate, see the zero-factor rule
+    ((3, 4), 5),
 ]
 
 
