@@ -12,7 +12,6 @@ import math
 import re
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 
 from .records import record
 
@@ -298,7 +297,7 @@ def lattice_points(basis: LatticeBasis, radius: int,
 
 @record
 class SemigroupTable:
-    """Membership of 0..bound in N*a_1 + ... + N*a_n, plus the largest gap."""
+    """Membership of 0..bound = frobenius + a_1 in N*a_1 + ... + N*a_n."""
 
     entries: tuple[int, ...]
     bound: int
@@ -306,46 +305,56 @@ class SemigroupTable:
     frobenius: int
 
 
-# Largest membership table built, checked before allocation: filling 5 million
-# entries takes ~90 MB and ~5 s.  (2, 100001) needs 200 002.
+# Largest membership table built, checked before it grows: filling 5 million
+# entries takes ~90 MB and ~5 s.  (2, 100001) fills 100 002.
 MEMBERSHIP_TABLE_CAP = 5_000_000
+_TABLES: dict[tuple[int, ...], bytearray] = {}      # one per reduced generator set
 
 
-@lru_cache(maxsize=None)
-def _membership(entries: tuple[int, ...], bound: int) -> tuple[bool, ...]:
-    if bound >= MEMBERSHIP_TABLE_CAP:
-        raise CurveError(f"semigroup table of {entries} up to {bound} exceeds "
+def _reduced_member(gens: tuple[int, ...], top: int) -> bool:
+    """Whether top is in the semigroup of increasing gcd-1 gens, whose table grows
+    to entry top but not past the first run of a_1 members, from the conductor on."""
+    if top >= MEMBERSHIP_TABLE_CAP:
+        raise CurveError(f"semigroup table of {gens} up to {top} exceeds "
                          f"{MEMBERSHIP_TABLE_CAP} entries")
-    dp = [False] * (bound + 1)
-    dp[0] = True
-    for v in range(1, bound + 1):
-        dp[v] = any(v >= a and dp[v - a] for a in entries)
-    return tuple(dp)
+    table = _TABLES.setdefault(gens, bytearray())
+    run = len(table) - 1 - table.rfind(0)        # members ending the table
+    while len(table) <= top and run < gens[0]:
+        v = len(table)                           # a member iff 0 or v - a is one
+        run = run + 1 if not v or any(table[v - a] for a in gens if a <= v) else 0
+        table.append(run > 0)
+    return top >= len(table) or table[top] == 1
 
 
-def _frobenius_cap(entries: tuple[int, ...]) -> int:
-    # a_1 * a_n safely dominates the largest gap of any gcd-1 semigroup
-    return entries[0] * entries[-1]
+def _in_semigroup(gens: tuple[int, ...], b: int) -> bool:
+    """b in N*g_1 + ... + N*g_k for increasing gens: with d = gcd, iff d | b and
+    b/d is in the semigroup of gens/d, which holds every value from a_1*a_n on
+    (Schur's bound; Ramirez Alfonsin, The Diophantine Frobenius Problem, 2005)."""
+    d = math.gcd(*gens)
+    if b < 0 or b % d:
+        return False
+    gens, b = tuple(g // d for g in gens), b // d
+    return b >= gens[0] * gens[-1] or _reduced_member(gens, b)
 
 
-def semigroup_table(A: CurveMatrix, bound: int | None = None) -> SemigroupTable:
+def semigroup_table(A: CurveMatrix) -> SemigroupTable:
+    """The table, refused before it grows when a_1*a_n reaches the cap."""
     entries = A.entries
-    cap = _frobenius_cap(entries)
-    bound = max(bound if bound is not None else 0, cap)
-    mask = _membership(entries, bound)
-    frob = next((v for v in range(min(bound, cap), -1, -1) if not mask[v]), -1)
-    return SemigroupTable(entries, bound, mask, frob)
+    if math.gcd(*entries) != 1:
+        raise GcdNotOneError(f"gcd{entries} != 1, no Frobenius number")
+    _reduced_member(entries, entries[0] * entries[-1])      # fills to the conductor
+    membership = tuple(map(bool, _TABLES[entries]))
+    bound = len(membership) - 1
+    return SemigroupTable(entries, bound, membership, bound - entries[0])
 
 
 def semigroup_member(A: CurveMatrix, b: int) -> bool:
     """Whether b lies in the numerical semigroup of the entries.  Negative b is out."""
-    return b >= 0 and _membership(A.entries, max(b, 1))[b]
+    return _in_semigroup(A.entries, b)
 
 
 def frobenius_number(A: CurveMatrix) -> int:
     """Largest integer outside the semigroup; -1 when the semigroup is all of N."""
-    if math.gcd(*A.entries) != 1:
-        raise GcdNotOneError(f"gcd{A.entries} != 1, no Frobenius number")
     return semigroup_table(A).frobenius
 
 
@@ -367,52 +376,41 @@ class DeltaExponent:
     witness: tuple[int, ...]      # coefficients over the other entries, in order
 
 
-def _lex_witness(gens: tuple[int, ...], value: int) -> tuple[int, ...] | None:
-    """Lexicographically smallest c in N^len(gens) with c . gens = value."""
-    if not gens:
-        return () if value == 0 else None
-    g = gens[0]
-    rest = _membership(gens[1:], value)
-    for c in range(value // g + 1):
-        if rest[value - c * g]:
-            return (c,) + _lex_witness(gens[1:], value - c * g)
-    return None
-
-
-_DELTA_SEARCH_CAP = 100_000
+def _lex_witness(gens: tuple[int, ...], value: int) -> tuple[int, ...]:
+    """Lexicographically smallest c in N^len(gens) with c . gens = value, for
+    a value in the semigroup of gens."""
+    witness = []
+    for i, g in enumerate(gens[:-1]):   # value stays in the semigroup of gens[i:]
+        witness.append(next(c for c in range(value // g + 1)
+                            if _in_semigroup(gens[i + 1:], value - c * g)))
+        value -= witness[-1] * g
+    return tuple(witness) + (value // gens[-1],)
 
 
 def _least_delta(others: tuple[int, ...], a_i: int) -> int:
     """The least delta >= 0 with 1 + delta*a_i in the semigroup of others.
-
-    The membership table is doubled until it reaches a representable value."""
-    bound = 2 * (a_i + max(others))
-    while True:
-        member = _membership(others, bound)
-        top = (bound - 1) // a_i
-        for delta in range(min(top, _DELTA_SEARCH_CAP) + 1):
-            if member[1 + delta * a_i]:
-                return delta
-        if top >= _DELTA_SEARCH_CAP:
-            raise CurveError(f"delta search for entry {a_i} exceeded cap")
-        bound *= 2
+    With d = gcd(others), coprime to a_i, only one residue class mod d can
+    qualify, and along it the search ends by the conductor of others/d."""
+    d = math.gcd(*others)
+    delta = -pow(a_i, -1, d) % d
+    while not _in_semigroup(others, 1 + delta * a_i):
+        delta += d
+    return delta
 
 
 def delta_exponents(A: CurveMatrix) -> tuple[DeltaExponent, ...]:
     """For each entry a_i the least delta >= 0 with 1 + delta*a_i in the semigroup
-    of the remaining entries, together with the lexicographically smallest witness.
-
-    Existence is guaranteed by gcd(a_1, ..., a_n) = 1.
-    """
+    of the remaining entries, together with the lexicographically smallest witness;
+    gcd(a_1, ..., a_n) = 1 guarantees both exist."""
     if math.gcd(*A.entries) != 1:
         raise GcdNotOneError(f"gcd{A.entries} != 1")
     out = []
     for i, a_i in enumerate(A.entries):
         others = tuple(a for j, a in enumerate(A.entries) if j != i)
         delta = _least_delta(others, a_i)
-        witness = _lex_witness(others, 1 + delta * a_i)
         target = 1 + delta * a_i
-        if witness is None or sum(c * g for c, g in zip(witness, others)) != target:
+        witness = _lex_witness(others, target)
+        if sum(c * g for c, g in zip(witness, others)) != target:
             raise CurveError(f"no witness of {target} over {others}")
         out.append(DeltaExponent(i, delta, witness))
     return tuple(out)

@@ -18,7 +18,6 @@ from .records import record
 from .series import (
     exponent_base,
     generic_exponent_base,
-    has_minimal_negative_support,
     negative_support,
     polynomial_exponent_index,
 )
@@ -168,17 +167,20 @@ def singular_exponents(A: CurveMatrix, beta) -> list[ExponentVector]:
 def generic_exponents(A: CurveMatrix, beta) -> list[ExponentVector]:
     """The a_n exponents w^j = (j, 0, ..., (beta-j)/a_n) at points off the
     singular support; general matrices are routed through the auxiliary matrix
-    (substitute x_0 = 0 afterwards)."""
+    (substitute x_0 = 0 afterwards).
+
+    Their negative supports are minimal, so this is asserted rather than
+    searched.  As j >= 0 the negative support lies in {n}, and it is non-empty
+    only when theta = (beta-j)/a_n is a negative integer.  Then w^j is an
+    integer vector and beta = j + a_n theta <= j - a_n < 0, so beta is not in
+    NA.  A kernel offset u with empty negative support of w^j + u would put
+    w^j + u in N^n and beta = A(w^j + u) in NA, so no offset shrinks {n}."""
     if not A.is_smooth:
         aux = A.auxiliary()
         return [ExponentVector(e.vector, e.nsupp, e.minimal, auxiliary=True)
                 for e in generic_exponents(aux, beta)]
-    out = []
-    for j in range(A.entries[-1]):
-        v = generic_exponent_base(A, beta, j)
-        answer = has_minimal_negative_support(A, v, radius=2)
-        out.append(_exponent(v, minimal=answer.status))
-    return out
+    return [_exponent(generic_exponent_base(A, beta, j), minimal=True)
+            for j in range(A.entries[-1])]
 
 
 __all__ = [

@@ -266,7 +266,14 @@ def verify_basis(A: CurveMatrix, members, beta, ball_radius: int = 3):
 
     Solutions are checked against the full set; the witness is checked against
     everything except its defect generator.  Returns a list of
-    (member, AnnihilationReport) pairs."""
+    (member, AnnihilationReport) pairs.  An empty basis, or a member with no
+    nonzero term, is a CurveError: nothing would be checked."""
+    if not members:
+        raise CurveError("the basis is empty: nothing was checked")
+    for m in members:
+        if m.series.is_zero():
+            raise CurveError(f"series {m.label!r} has no nonzero term: "
+                             f"nothing was checked")
     gens = _weyl.named_generators(A, beta, ball_radius)
     out = []
     for m in members:

@@ -559,6 +559,33 @@ def test_semigroup_table_over_the_cap_is_a_domain_error(capsys):
     assert "exceeds" in err
 
 
+@pytest.mark.parametrize("argv,key,value", [
+    (("semigroup", "--matrix", "3,5,7", "--member", "5000000"), "is_member", True),
+    (("semigroup", "--matrix", "3,5,7", "--member", "4999999"), "is_member", True),
+    (("semigroup", "--matrix", "3,5,7", "--beta", "5000001"), "beta_class", "in_semigroup"),
+    (("solve", "--matrix", "3,5,7", "--beta", "5000001", "--truncation", "1"), "beta", "5000001"),
+    (("solve", "--matrix", "3,5,7", "--beta", "4999999", "--truncation", "0"), "beta", "4999999"),
+])
+def test_large_members_of_a_small_semigroup(capsys, argv, key, value):
+    # past the Frobenius number 4 no table is needed: these once failed at the
+    # table cap, or filled 5 million entries in ~4 s
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert json.loads(out)[key] == value
+
+
+def test_generic_exponents_of_a_far_parameter_are_fast(capsys):
+    # minimality is proven, not searched: the search's reach grew with |beta|
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "exponents", "--matrix", "1,2", "--point", "generic",
+                           "--beta", "-200000")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert json.loads(out) == [[0, -100000], [1, "-200001/2"]]
+
+
 def test_checking_set_over_the_cap_is_a_domain_error(capsys):
     # radius 40 on a rank-5 kernel is 14 594 728 box operators, counted in
     # closed form before any is built; radius 3 keeps its output

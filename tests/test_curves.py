@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,15 @@ from gkzcurve import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkzcurve.curves import CurveKind, _membership, lattice_points
+from gkzcurve import curves
+from gkzcurve.curves import (
+    MEMBERSHIP_TABLE_CAP,
+    CurveError,
+    CurveKind,
+    _in_semigroup,
+    _lex_witness,
+    lattice_points,
+)
 
 
 SMOOTH = [(1, 2, 3), (1, 2, 5), (1, 3, 4, 5), (1, 5), (1, 3, 4)]
@@ -231,16 +240,124 @@ def test_delta_exponents_examples():
     assert ds2[0].delta == 1 and ds2[0].witness == (1,)
 
 
+def reachable(gens, top):
+    """Every sum of gens up to top, by breadth-first search from 0."""
+    seen, frontier = {0}, {0}
+    while frontier:
+        frontier = {v + g for v in frontier for g in gens if v + g <= top} - seen
+        seen |= frontier
+    return seen
+
+
+def lex_solutions(gens, value):
+    """Every c in N^len(gens) with c . gens = value, in lexicographic order."""
+    if not gens:
+        if value == 0:
+            yield ()
+        return
+    for c in range(value // gens[0] + 1):
+        for rest in lex_solutions(gens[1:], value - c * gens[0]):
+            yield (c,) + rest
+
+
 @pytest.mark.parametrize("entries", GENERAL)
 def test_delta_exponents_minimality(entries):
     A = make_curve(entries)
     for d in delta_exponents(A):
         a_i = entries[d.position]
         others = tuple(a for j, a in enumerate(entries) if j != d.position)
-        assert sum(c * g for c, g in zip(d.witness, others)) == 1 + d.delta * a_i
-        for smaller in range(d.delta):
-            value = 1 + smaller * a_i
-            assert not _membership(others, value)[value]
+        target = 1 + d.delta * a_i
+        assert sum(c * g for c, g in zip(d.witness, others)) == target
+        members = reachable(others, target)
+        assert not any(1 + smaller * a_i in members for smaller in range(d.delta))
+
+
+@settings(max_examples=150, deadline=None)
+@given(base=st.lists(st.integers(2, 12), min_size=1, max_size=4, unique=True),
+       scale=st.integers(1, 3))
+def test_semigroup_routines_against_brute_force(base, scale):
+    # gcd-1 sets go through the public routines, and scaled ones (gcd > 1, as
+    # the delta exponents' sets of other entries are) through the shared one
+    gens = tuple(sorted(g * scale for g in base))
+    top = 3 * gens[0] * gens[-1]
+    members = reachable(gens, top)
+    for b in range(-2, top + 1):
+        assert _in_semigroup(gens, b) == (b in members), b
+    for b in sorted(members)[:40]:
+        assert _lex_witness(gens, b) == next(lex_solutions(gens, b)), b
+    if math.gcd(*gens) != 1 or len(gens) < 2:
+        return
+    A = make_curve(gens)
+    gaps = tuple(v for v in range(top + 1) if v not in members)
+    assert semigroup_gaps(A) == gaps
+    assert frobenius_number(A) == (gaps[-1] if gaps else -1)
+    table = semigroup_table(A)
+    assert table.bound == frobenius_number(A) + gens[0]
+    assert table.membership == tuple(v in members for v in range(table.bound + 1))
+    for d in delta_exponents(A):
+        a_i = gens[d.position]
+        others = gens[:d.position] + gens[d.position + 1:]
+        # the least delta is at most others[0] * others[-1]: with d = gcd(others)
+        # one delta of each d consecutive ones has d | 1 + delta a_i, and
+        # (1 + delta a_i)/d is a member once it reaches others[0] others[-1] / d^2
+        most = others[0] * others[-1]
+        within = reachable(others, 1 + a_i * most)
+        least = next(delta for delta in range(most + 1) if 1 + delta * a_i in within)
+        assert d.delta == least
+        assert d.witness == next(lex_solutions(others, 1 + least * a_i))
+
+
+def test_member_past_the_cap_with_a_small_conductor(monkeypatch):
+    # once a table of 5 million entries; now no table at all
+    monkeypatch.setattr(curves, "_TABLES", {})
+    A = make_curve((3, 5, 7))
+    start = time.perf_counter()
+    assert semigroup_member(A, 5_000_000) and semigroup_member(A, 4_999_999)
+    assert beta_class(A, 5_000_001).category is BetaClass.IN_SEMIGROUP
+    assert time.perf_counter() - start < 0.1
+    assert curves._TABLES == {}
+
+
+def test_one_table_per_generator_set_up_to_its_conductor(monkeypatch):
+    # each queried value once built and kept a table of its own
+    monkeypatch.setattr(curves, "_TABLES", {})
+    A = make_curve((3, 5, 7))
+    start = time.perf_counter()
+    answers = [semigroup_member(A, b) for b in range(1, 3001)]
+    assert time.perf_counter() - start < 0.1
+    assert [b for b, hit in zip(range(1, 3001), answers) if not hit] == [1, 2, 4]
+    assert list(curves._TABLES) == [(3, 5, 7)]
+    assert len(curves._TABLES[(3, 5, 7)]) <= 4 + 3 + 1
+
+
+def test_table_stops_at_the_conductor(monkeypatch):
+    # it was filled to a_1 * a_n = 2 001 000 entries
+    monkeypatch.setattr(curves, "_TABLES", {})
+    entries = (1000, 1001, 1002, 1003, 2001)
+    table = semigroup_table(make_curve(entries))
+    assert table.frobenius == 332_999
+    assert len(table.membership) == len(curves._TABLES[entries]) <= 332_999 + 1000 + 1
+
+
+def test_tables_past_the_cap_are_refused_before_they_grow(monkeypatch):
+    monkeypatch.setattr(curves, "_TABLES", {})
+    A = make_curve((1000003, 1000033))
+    with pytest.raises(CurveError, match=f"up to 1000036000099 exceeds {MEMBERSHIP_TABLE_CAP}"):
+        frobenius_number(A)
+    with pytest.raises(CurveError, match="up to 5000000 exceeds"):
+        semigroup_member(A, 5_000_000)
+    assert curves._TABLES == {}
+    assert semigroup_member(A, 1000003 * 1000033)     # past a_1 a_n: no table
+    assert curves._TABLES == {}
+    assert not semigroup_member(A, 9)                 # grown only as far as asked
+    assert len(curves._TABLES[(1000003, 1000033)]) == 10
+
+
+def test_gcd_reduction():
+    assert _in_semigroup((4, 6), 8) and _in_semigroup((4, 6), 10)
+    assert not _in_semigroup((4, 6), 2) and not _in_semigroup((4, 6), 7)
+    assert _in_semigroup((4, 6), 10**12)
+    assert _lex_witness((4, 6), 16) == (1, 2)
 
 
 def test_delta_exponents_far_apart_entries():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from gkzcurve import (
     WeylOperator,
     exponent_series,
     generic_exponents,
+    has_minimal_negative_support,
     initial_ideal_generators,
     make_curve,
     polynomial_exponent_index,
@@ -82,6 +84,20 @@ def test_exponent_counts_and_weights(entries, beta):
         assert A.weight(e.vector) == Fraction(beta)
     for e in sing:
         assert e.minimal is True
+
+
+def test_generic_exponents_are_minimal():
+    # asserted from the proof in generic_exponents' docstring; the box search
+    # is the oracle and must never find a shrinking offset
+    rng = random.Random(16)
+    for _ in range(40):
+        entries = [1] + sorted(rng.sample(range(2, 9), rng.randint(1, 3)))
+        A = make_curve(entries)
+        beta = Fraction(rng.randint(-12, 12), rng.choice((1, 1, 2, 3)))
+        for e in generic_exponents(A, beta):
+            assert e.minimal is True
+            assert has_minimal_negative_support(A, e.vector, radius=2).status is not False
+    assert [e.minimal for e in generic_exponents(make_curve((1, 2, 3)), -1)] == [True] * 3
 
 
 def test_generic_exponents_example():

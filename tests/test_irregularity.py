@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -21,8 +22,14 @@ from gkzcurve import (
     solution_basis,
     verify_basis,
 )
-from gkzcurve.irregularity import InsufficientDataError, SlopeTooSmallError, _log_abs
-from gkzcurve.series import IndexOutOfRangeError
+from gkzcurve.curves import CurveError
+from gkzcurve.irregularity import (
+    BasisMember,
+    InsufficientDataError,
+    SlopeTooSmallError,
+    _log_abs,
+)
+from gkzcurve.series import FormalSeries, IndexOutOfRangeError
 
 
 def test_slope_values():
@@ -158,6 +165,22 @@ def test_general_basis_verifies():
                            s=slope(A), level=12)
     for member, report in verify_basis(A, basis, Fraction(1, 2), 3):
         assert report.max_violation == 0, (member.label, report)
+
+
+def test_verify_basis_refuses_to_check_nothing():
+    # the library and the CLI share one rule: an empty basis, or a series with
+    # no nonzero term, checks nothing and cannot read as verified
+    A = make_curve((1, 2, 3))
+    with pytest.raises(CurveError, match="the basis is empty: nothing was checked"):
+        verify_basis(A, [], 4)
+    basis = solution_basis(A, 4, PointClass.SMOOTH_STRATUM, s=slope(A), level=4)
+    member = basis[0]
+    empty = FormalSeries(member.series.base, {}, member.series.truncation,
+                         member.series.descriptor)
+    zero = BasisMember(empty, member.label, member.exponent, member.is_solution,
+                       member.defect_generator)
+    with pytest.raises(CurveError, match=re.escape(f"series {member.label!r} has no nonzero")):
+        verify_basis(A, basis + [zero], 4)
 
 
 def test_generic_basis_general_kind():
