@@ -38,13 +38,8 @@ _EXPORTS = {
     ),
     "exponents": (
         "ExponentVector",
-        "StandardPair",
-        "WeightVector",
         "generic_exponents",
-        "initial_ideal_generators",
         "singular_exponents",
-        "standard_pairs",
-        "standard_weight",
     ),
     "irregularity": (
         "BasisMember",
@@ -99,7 +94,6 @@ _EXPORTS = {
         "apply",
         "box_operator",
         "euler_operator",
-        "initial_form",
         "named_generators",
         "series_match_on_window",
         "toric_generators",

@@ -52,7 +52,7 @@ def max_terms() -> int | None:
 
 def nonnegative(value: int, flag: str) -> int:
     if value < 0:
-        raise UsageError(f"{flag} must be >= 0, got {value}")
+        raise UsageError(f"{flag} must be >= 0, got {str(value)[:40]}")
     return value
 
 

@@ -23,8 +23,9 @@ def gevrey_index(args):
     beta = parse_rational(args.beta) if slope_stream and args.beta else Fraction(0)
     factors = terms * A.entries[-1] if slope_stream else terms
     if factors > STREAM_FACTOR_CAP:
-        raise CurveError(f"--terms {terms} gives a {args.stream} stream of {factors} "
-                         f"factors, more than the cap of {STREAM_FACTOR_CAP}")
+        raise CurveError(f"--terms {str(terms)[:40]} gives a {args.stream} stream of "
+                         f"{str(factors)[:40]} factors, more than the cap of "
+                         f"{STREAM_FACTOR_CAP}")
     if slope_stream:
         which = "witness" if args.stream == "witness" else ("exponent", args.j)
         stream = _irregularity.slope_subseries(A, beta, which, terms)

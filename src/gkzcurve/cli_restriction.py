@@ -6,6 +6,7 @@ import sys
 
 from . import restriction as _restriction
 from .cli_flags import UsageError, emit, parse_matrix, parse_rational, rat_json
+from .curves import read_integer
 
 
 def _descriptor_json(desc) -> dict:
@@ -52,7 +53,10 @@ def b_function(args):
         bf = _restriction.b_function(A, _restriction.WeightTag.FIRST_COORDINATE)
         weight_label = "(1,0,...,0)"
     elif args.weight[:1] == "e" and args.weight[1:].isdecimal():
-        i = int(args.weight[1:])
+        try:
+            i = read_integer(args.weight[1:])
+        except OverflowError as exc:
+            raise UsageError(f"--weight e<i>: {exc}") from None
         bf = _restriction.b_function(A, ("standard_basis", i))
         weight_label = f"e_{i}"
     else:

@@ -338,11 +338,13 @@ def _in_semigroup(gens: tuple[int, ...], b: int) -> bool:
 
 
 def semigroup_table(A: CurveMatrix) -> SemigroupTable:
-    """The table, refused before it grows when a_1*a_n reaches the cap."""
+    """The table, refused before it grows when a_n*(a_1 - 1) reaches the cap.
+    Schur's bound puts the conductor at (a_1 - 1)(a_n - 1) at most, so the run
+    of a_1 members that ends the table ends by a_n*(a_1 - 1)."""
     entries = A.entries
     if math.gcd(*entries) != 1:
         raise GcdNotOneError(f"gcd{entries} != 1, no Frobenius number")
-    _reduced_member(entries, entries[0] * entries[-1])      # fills to the conductor
+    _reduced_member(entries, entries[-1] * (entries[0] - 1))    # fills to the conductor
     membership = tuple(map(bool, _TABLES[entries]))
     bound = len(membership) - 1
     return SemigroupTable(entries, bound, membership, bound - entries[0])

@@ -1,19 +1,20 @@
-"""Weight vectors, initial-ideal data and exponent lists for curve systems.
+"""Starting exponents of the series solutions of a curve system.
 
-For a smooth matrix and a weight in the admissible cone, the initial ideal of
-the toric ideal is the monomial ideal <d_2, ..., d_{n-2}, d_1^{a_{n-1}}, d_n>,
-whose a_{n-1} standard pairs (d_1^j, {n-1}) produce the singular-point
-exponents v^j.  At generic points the a_n exponents w^j play the same role.
+They are the fake exponents of the top-dimensional standard pairs of an
+initial ideal of the toric ideal (Saito-Sturmfels-Takayama, ch. 3).  For a
+smooth matrix, one weight gives <d_2, ..., d_{n-2}, d_1^{a_{n-1}}, d_n>, whose
+pairs (d_1^j, {n-1}) give the a_{n-1} exponents v^j along the singular
+support; another gives <d_2, ..., d_{n-1}, d_1^{a_n}>, whose pairs
+(d_1^j, {n}) give the a_n exponents w^j at generic points.  Both lists come
+from the closed forms series.exponent_base and series.generic_exponent_base;
+tests/test_exponents.py derives them from the Graver basis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-# lazily loaded modules: their names are read at call time, so a command
-# that never calls into one does not compile it
-from . import weyl as _weyl
-from .curves import CurveError, CurveMatrix
+from .curves import CurveMatrix
 from .records import record
 from .series import (
     exponent_base,
@@ -21,110 +22,6 @@ from .series import (
     negative_support,
     polynomial_exponent_index,
 )
-
-
-class InvalidWeightError(CurveError):
-    """Weight vector violates the admissibility conditions."""
-
-
-@record
-class WeightVector:
-    """A positive rational weight on the n variables, admissible when
-
-        w_i > a_i w_1         for 2 <= i <= n-2 and i = n,
-        a_{n-1} w_1 > w_{n-1},
-        w_{n-1} > w_1, ..., w_{n-2}.
-
-    For n = 2 only the first condition (at i = n) remains."""
-
-    entries: tuple[Fraction, ...]
-
-
-def weight_is_admissible(A: CurveMatrix, omega) -> bool:
-    w = [Fraction(x) for x in omega]
-    n = A.n
-    a = A.entries
-    if len(w) != n or any(x <= 0 for x in w):
-        return False
-    for i in list(range(2, n - 1)) + [n]:
-        if not w[i - 1] > a[i - 1] * w[0]:
-            return False
-    if n >= 3:
-        if not a[n - 2] * w[0] > w[n - 2]:
-            return False
-        if not all(w[n - 2] > w[i] for i in range(n - 2)):
-            return False
-    return True
-
-
-def standard_weight(A: CurveMatrix) -> WeightVector:
-    """A fixed admissible weight: (1, a_2 + 1/4, ..., a_{n-2} + 1/4,
-    a_{n-1} - 1/4, a_n + 1).  Construction is checked; failure is a bug."""
-    if not A.is_smooth:
-        raise _weyl.NotSmoothError(f"{A.entries} is not smooth")
-    n = A.n
-    a = A.entries
-    w = [Fraction(1)] * n
-    for i in range(2, n - 1):
-        w[i - 1] = Fraction(a[i - 1]) + Fraction(1, 4)
-    if n >= 3:
-        w[n - 2] = Fraction(a[n - 2]) - Fraction(1, 4)
-    w[n - 1] = Fraction(a[n - 1]) + 1
-    if not weight_is_admissible(A, w):
-        raise InvalidWeightError(f"standard weight {tuple(w)} of {a} is not admissible")
-    return WeightVector(tuple(w))
-
-
-def initial_ideal_generators(A: CurveMatrix,
-                             omega: WeightVector | None = None) -> list[_weyl.WeylOperator]:
-    """Monomial generators of the initial ideal of the toric ideal:
-    {d_i : 2 <= i <= n-2} + {d_1^{a_{n-1}}, d_n} for n >= 3, and {d_2} for n = 2.
-
-    Each generator is checked to be the omega-initial form of the matching
-    toric generator d_1^{a_i} - d_i."""
-    if not A.is_smooth:
-        raise _weyl.NotSmoothError(f"{A.entries} is not smooth")
-    if omega is None:
-        omega = standard_weight(A)
-    if not weight_is_admissible(A, omega.entries):
-        raise InvalidWeightError(f"{omega.entries} violates the weight conditions")
-    n = A.n
-    gens = []
-    for i in range(2, n + 1):
-        if i == n - 1:
-            exp = tuple(A.entries[n - 2] if j == 0 else 0 for j in range(n))
-        else:
-            exp = tuple(1 if j == i - 1 else 0 for j in range(n))
-        gens.append(_weyl.WeylOperator.monomial(n, (0,) * n, exp))
-    for gen, toric in zip(gens, _weyl.toric_generators(A)):
-        # the initial form of d_1^{a_i} - d_i is the generator up to sign
-        if set(_weyl.initial_form(toric, omega.entries).terms) != set(gen.terms):
-            raise CurveError(f"{gen} is not the initial form of {toric} "
-                             f"under {omega.entries}")
-    return gens
-
-
-@record
-class StandardPair:
-    """A pair (monomial, face): the monomial exponent in N^n together with the
-    set of indices allowed to vary freely."""
-
-    monomial: tuple[int, ...]
-    face: frozenset[int]          # 1-based variable indices
-
-
-def standard_pairs(A: CurveMatrix) -> list[StandardPair]:
-    """The a_{n-1} standard pairs (d_1^j, {n-1}), j = 0..a_{n-1}-1, of the
-    initial ideal of a smooth matrix."""
-    if not A.is_smooth:
-        raise _weyl.NotSmoothError(f"{A.entries} is not smooth")
-    n = A.n
-    a_pen = A.entries[n - 2]
-    out = []
-    for j in range(a_pen):
-        mono = tuple(j if i == 0 else 0 for i in range(n))
-        out.append(StandardPair(mono, frozenset({n - 1})))
-    return out
 
 
 @record
@@ -141,8 +38,14 @@ class ExponentVector:
     auxiliary: bool = False
 
 
-def _exponent(v, minimal: bool | None, auxiliary: bool = False) -> ExponentVector:
-    return ExponentVector(tuple(v), negative_support(v), minimal, auxiliary)
+def _exponents(A: CurveMatrix, beta, base, count_entry: int) -> list[ExponentVector]:
+    """base(A, beta, j) for j below A.entries[count_entry], each with a minimal
+    negative support; a general matrix is routed through its auxiliary matrix."""
+    if not A.is_smooth:
+        return [ExponentVector(e.vector, e.nsupp, e.minimal, auxiliary=True)
+                for e in _exponents(A.auxiliary(), beta, base, count_entry)]
+    vectors = [base(A, beta, j) for j in range(A.entries[count_entry])]
+    return [ExponentVector(v, negative_support(v), True) for v in vectors]
 
 
 def singular_exponents(A: CurveMatrix, beta) -> list[ExponentVector]:
@@ -152,16 +55,7 @@ def singular_exponents(A: CurveMatrix, beta) -> list[ExponentVector]:
 
     A general matrix is routed through its auxiliary smooth matrix and the
     vectors are reported in those n+1 coordinates, flagged auxiliary."""
-    if not A.is_smooth:
-        aux = A.auxiliary()
-        return [ExponentVector(e.vector, e.nsupp, e.minimal, auxiliary=True)
-                for e in singular_exponents(aux, beta)]
-    a_pen = A.entries[A.n - 2]
-    out = []
-    for j in range(a_pen):
-        v = exponent_base(A, beta, j)
-        out.append(_exponent(v, minimal=True))
-    return out
+    return _exponents(A, beta, exponent_base, -2)
 
 
 def generic_exponents(A: CurveMatrix, beta) -> list[ExponentVector]:
@@ -175,24 +69,12 @@ def generic_exponents(A: CurveMatrix, beta) -> list[ExponentVector]:
     integer vector and beta = j + a_n theta <= j - a_n < 0, so beta is not in
     NA.  A kernel offset u with empty negative support of w^j + u would put
     w^j + u in N^n and beta = A(w^j + u) in NA, so no offset shrinks {n}."""
-    if not A.is_smooth:
-        aux = A.auxiliary()
-        return [ExponentVector(e.vector, e.nsupp, e.minimal, auxiliary=True)
-                for e in generic_exponents(aux, beta)]
-    return [_exponent(generic_exponent_base(A, beta, j), minimal=True)
-            for j in range(A.entries[-1])]
+    return _exponents(A, beta, generic_exponent_base, -1)
 
 
 __all__ = [
     "ExponentVector",
-    "InvalidWeightError",
-    "StandardPair",
-    "WeightVector",
     "generic_exponents",
-    "initial_ideal_generators",
     "polynomial_exponent_index",
     "singular_exponents",
-    "standard_pairs",
-    "standard_weight",
-    "weight_is_admissible",
 ]

@@ -332,7 +332,7 @@ def slope_subseries(A: CurveMatrix, beta, which, count: int = 200):
         if kind != "exponent":
             raise CurveError(f"unknown subseries selector {which!r}")
         if not 0 <= j < a_pen:
-            raise _series.IndexOutOfRangeError(f"j={j} outside 0..{a_pen - 1}")
+            raise _series.IndexOutOfRangeError(f"j={str(j)[:40]} outside 0..{a_pen - 1}")
         theta = Fraction(Fraction(beta) - j, a_pen)
         if theta.denominator == 1 and theta >= 0:
             raise CurveError("the exponent-ray stream terminates for the polynomial slot")
@@ -428,11 +428,11 @@ def stratum_dimension_table(A: CurveMatrix, beta_special, beta_generic, s) -> di
     Keys are (sheaf kind value, beta label, point value, degree).  Raises
     CurveError when the published results leave a cell open (general matrices)."""
     if not _is_natural(beta_special):
-        raise CurveError(f"beta_special = {beta_special} is not a natural number")
+        raise CurveError(f"beta_special = {str(beta_special)[:40]} is not a natural number")
     if _is_natural(beta_generic):
-        raise CurveError(f"beta_generic = {beta_generic} must not be natural")
+        raise CurveError(f"beta_generic = {str(beta_generic)[:40]} must not be natural")
     if not (s is None or Fraction(s) >= slope(A)):
-        raise CurveError(f"s = {s} is below the slope {slope(A)}")
+        raise CurveError(f"s = {str(s)[:40]} is below the slope {slope(A)}")
     out = {}
     for blabel, beta in (("special", beta_special), ("generic", beta_generic)):
         for kind, point, degree, ans in dimension_cells(A, beta, s, (0, 1)):

@@ -68,7 +68,7 @@ def restrict_hyperplane(A: CurveMatrix, beta, i: int) -> ModuleDescriptor:
     if not A.is_smooth:
         raise _weyl.NotSmoothError(f"{A.entries} is not smooth")
     if not 2 <= i <= A.n:
-        raise _series.IndexOutOfRangeError(f"i={i} outside 2..{A.n}")
+        raise _series.IndexOutOfRangeError(f"i={str(i)[:40]} outside 2..{A.n}")
     if A.n < 3:
         raise WrongShapeError("dropping a column of a 1x2 matrix leaves no curve")
     entries = tuple(a for j, a in enumerate(A.entries, start=1) if j != i)
@@ -176,7 +176,7 @@ def b_function(A: CurveMatrix, weight) -> BFunction:
         if not A.is_smooth:
             raise UnsupportedShapeError(f"e_{i} weight covered for smooth matrices only")
         if not 2 <= i <= A.n:
-            raise _series.IndexOutOfRangeError(f"i={i} outside 2..{A.n}")
+            raise _series.IndexOutOfRangeError(f"i={str(i)[:40]} outside 2..{A.n}")
         return BFunction((Fraction(0),), Caveat.PROVEN_FOR_THIS_BETA)
     if weight is WeightTag.FIRST_COORDINATE:
         if not A.is_smooth:

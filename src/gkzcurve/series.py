@@ -479,7 +479,7 @@ def exponent_base(A: CurveMatrix, beta, j: int) -> tuple[Fraction, ...]:
     n = A.n
     a_pen = A.entries[n - 2]
     if not 0 <= j < a_pen:
-        raise IndexOutOfRangeError(f"j={j} outside 0..{a_pen - 1}")
+        raise IndexOutOfRangeError(f"j={str(j)[:40]} outside 0..{a_pen - 1}")
     v = [Fraction(0)] * n
     v[0] += j
     v[n - 2] += Fraction(beta - j, a_pen)
@@ -493,7 +493,7 @@ def generic_exponent_base(A: CurveMatrix, beta, j: int) -> tuple[Fraction, ...]:
     n = A.n
     a_n = A.entries[-1]
     if not 0 <= j < a_n:
-        raise IndexOutOfRangeError(f"j={j} outside 0..{a_n - 1}")
+        raise IndexOutOfRangeError(f"j={str(j)[:40]} outside 0..{a_n - 1}")
     v = [Fraction(0)] * n
     v[0] += j
     v[n - 1] += Fraction(beta - j, a_n)

@@ -179,17 +179,6 @@ def toric_generators(A: CurveMatrix) -> list[WeylOperator]:
             for i in range(1, n)]
 
 
-def initial_form(P: WeylOperator, omega) -> WeylOperator:
-    """Sub-sum of the terms of maximal (-omega, omega)-weight omega.(g - a)."""
-    if P.is_zero():
-        return P
-    omega = [Fraction(w) for w in omega]
-    weight = {(a, g): sum(w * (gi - ai) for w, ai, gi in zip(omega, a, g))
-              for a, g in P.terms}
-    top = max(weight.values())
-    return WeylOperator(P.nvars, {k: c for k, c in P.terms.items() if weight[k] == top})
-
-
 # ---------------------------------------------------------------------------
 # Action on series
 
@@ -426,8 +415,8 @@ def named_generators(A: CurveMatrix, beta, ball_radius: int = 3):
     count = sum(2 ** (k - 1) * math.comb(len(rows), k) * math.comb(max(ball_radius, 0), k)
                 for k in range(1, len(rows) + 1))
     if count > BOX_OPERATOR_CAP:
-        raise CurveError(f"ball radius {ball_radius} gives {count} box operators, "
-                         f"more than the cap of {BOX_OPERATOR_CAP}")
+        raise CurveError(f"ball radius {str(ball_radius)[:40]} gives {str(count)[:40]} "
+                         f"box operators, more than the cap of {BOX_OPERATOR_CAP}")
     out = [("euler", euler_operator(A, beta))]
     if A.is_smooth:
         for i, op in enumerate(toric_generators(A), start=2):

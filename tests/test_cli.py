@@ -1026,6 +1026,37 @@ def test_rational_flags_past_the_digit_cap_are_a_flag_error(capsys, argv):
     assert sys.get_int_max_str_digits() == limit
 
 
+LONG_INT = "9" * 40_000          # under the cap, far past what an error line should echo
+
+
+@pytest.mark.parametrize("argv, expected_code", [
+    (("b-function", "--matrix", "1,2,3", "--weight", "e" + "9" * 100_000), 2),
+    (("b-function", "--matrix", "1,2,3", "--weight", "e{}"), 1),
+    (("restrict", "--matrix", "1,2,3", "--beta", "1", "--mode", "hyperplane",
+      "--index", "{}"), 1),
+    (("gevrey-index", "--matrix", "1,2,3", "--beta", "1", "--stream", "exponent",
+      "--j", "{}"), 1),
+    (("solve", "--matrix", "1,2,3", "--beta", "1", "--truncation", "-{}"), 2),
+    (("gevrey-index", "--matrix", "1,2,3", "--terms", "{}"), 1),
+    (("verify", "--matrix", "1,2,3", "--beta", "1", "--ball-radius", "{}"), 1),
+    (("irregularity-table", "--matrix", "1,2,3", "--beta-special", "1/{}",
+      "--beta-generic", "1/2", "--s", "2"), 1),
+], ids=["b-function-past-cap", "b-function", "restrict", "gevrey-index", "solve",
+        "gevrey-terms", "verify-ball-radius", "irregularity-table"])
+def test_long_integers_are_cut_in_error_lines(capsys, argv, expected_code):
+    code, out, err = run_cli(capsys, *(a.format(LONG_INT) for a in argv))
+    _one_line_error(code, out, err, expected_code)
+    assert len(err) <= 200
+
+
+def test_semigroup_with_a_unit_entry_is_all_of_n(capsys):
+    # the table is queried up to a_n (a_1 - 1) = 0, not a_1 a_n past the cap
+    code, out, _ = run_cli(capsys, "semigroup", "--matrix", "1,5000000")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["gaps"] == [] and payload["frobenius"] == -1
+
+
 def test_a_long_rational_flag_under_the_digit_cap_is_read_and_printed(capsys):
     limit = sys.get_int_max_str_digits()
     code, out, _ = run_cli(capsys, "monodromy", "--matrix", "1,2", "--beta", f"-{LONG}/3")

@@ -20,8 +20,6 @@ RECORDS = [
     (curves.SemigroupTable, ("entries", "bound", "membership", "frobenius"), {}),
     (curves.DeltaExponent, ("position", "delta", "witness"), {}),
     (curves.BetaClassification, ("category", "residue"), {}),
-    (exponents.WeightVector, ("entries",), {}),
-    (exponents.StandardPair, ("monomial", "face"), {}),
     (exponents.ExponentVector, ("vector", "nsupp", "minimal", "auxiliary"),
      {"auxiliary": False}),
     (irregularity.SheafTag, ("kind", "order"), {"order": None}),
@@ -56,7 +54,7 @@ def test_every_record_class_is_listed():
              if isinstance(cls, type)
              and getattr(cls.__init__, "__module__", None) == "gkzcurve.records"}
     assert found == {cls for cls, *_ in RECORDS}
-    assert len(found) == 18
+    assert len(found) == 16
 
 
 @pytest.mark.parametrize("cls, fields, defaults", RECORDS, ids=IDS)

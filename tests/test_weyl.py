@@ -18,7 +18,6 @@ from gkzcurve import (
     box_operator,
     euler_operator,
     exponent_series,
-    initial_form,
     inverse_contiguity,
     make_curve,
     named_generators,
@@ -243,17 +242,6 @@ def test_annihilation_box_ball_on_generic_point_series():
             phi = gamma_series(A, generic_exponent_base(A, beta, j), 12)
             report = annihilation_report(named_generators(A, beta, 3), phi)
             assert report.max_violation == 0, (entries, beta, j, report)
-
-
-def test_initial_form_weights():
-    A = make_curve((1, 2, 3))
-    toric = toric_generators(A)
-    omega = (1, Fraction(7, 4), 4)
-    # d1^2 - d2: initial picks d1^2 under a2*w1 > w2
-    assert initial_form(toric[0], omega) == WeylOperator.monomial(3, (0,) * 3, (2, 0, 0))
-    # d1^3 - d3: initial picks -d3 under w3 > 3*w1
-    assert initial_form(toric[1], omega) == WeylOperator.monomial(
-        3, (0,) * 3, (0, 0, 1), c=-1)
 
 
 def test_operator_repr():
