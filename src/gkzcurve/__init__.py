@@ -1,7 +1,7 @@
 """Exact Gevrey-series solutions and irregularity data for hypergeometric
 systems of affine monomial curves.
 
-The six submodules are registered in sys.modules when the package is
+The seven submodules are registered in sys.modules when the package is
 imported, but each one's body runs only on first attribute access, so a
 command compiles and runs only the modules it uses.  `import gkzcurve.<m>`,
 `from gkzcurve.<m> import name` and every package-level name below work as
@@ -13,6 +13,13 @@ import sys
 
 # home module of every package-level name
 _EXPORTS = {
+    "basis": (
+        "BasisMember",
+        "PointClass",
+        "slope",
+        "solution_basis",
+        "verify_basis",
+    ),
     "curves": (
         "BetaClass",
         "BetaClassification",
@@ -38,13 +45,14 @@ _EXPORTS = {
     ),
     "exponents": (
         "ExponentVector",
+        "MinimalSupportAnswer",
         "generic_exponents",
+        "has_minimal_negative_support",
+        "negative_support",
         "singular_exponents",
     ),
     "irregularity": (
-        "BasisMember",
         "DimensionAnswer",
-        "PointClass",
         "SheafKind",
         "SheafTag",
         "stratum_dimension_table",
@@ -53,10 +61,7 @@ _EXPORTS = {
         "gevrey_index_estimate",
         "irregularity_dimension",
         "monodromy_rotations",
-        "slope",
         "slope_subseries",
-        "solution_basis",
-        "verify_basis",
     ),
     "restriction": (
         "BFunction",
@@ -73,18 +78,12 @@ _EXPORTS = {
     ),
     "series": (
         "FormalSeries",
-        "MinimalSupportAnswer",
-        "apply_contiguity",
         "exponent_series",
-        "gamma_coefficient",
         "gamma_series",
-        "has_minimal_negative_support",
         "inverse_contiguity",
-        "negative_support",
         "polynomial_exponent_index",
         "series_from_json",
         "substitute_x0",
-        "witness_defect",
         "witness_series",
     ),
     "weyl": (
@@ -95,7 +94,6 @@ _EXPORTS = {
         "box_operator",
         "euler_operator",
         "named_generators",
-        "series_match_on_window",
         "toric_generators",
     ),
 }

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from . import irregularity as _irregularity
+from . import basis as _basis
 from . import series as _series
 from .cli_flags import (UsageError, emit, max_terms, nonnegative, parse_matrix,
                         parse_order, parse_rational)
@@ -30,7 +30,7 @@ _ENTRY_FIELDS = (("label", "series", str, "a string"),
                  ("defect_generator", None, (str, type(None)), "a string or null"))
 
 
-def _read_members(path: str, A: CurveMatrix) -> list[_irregularity.BasisMember]:
+def _read_members(path: str, A: CurveMatrix) -> list[_basis.BasisMember]:
     """Basis members from JSON emitted by solve: its whole output or the list
     of its basis entries."""
     try:
@@ -52,17 +52,16 @@ def _read_members(path: str, A: CurveMatrix) -> list[_irregularity.BasisMember]:
                                  f"got {json.dumps(value)[:40]}")
         label, is_solution, defect = fields
         series = _series.series_from_json(entry["series"], matrix=A)
-        members.append(_irregularity.BasisMember(series, label, series.base,
-                                                 is_solution, defect))
+        members.append(_basis.BasisMember(series, label, series.base, is_solution, defect))
     return members
 
 
 def solve(args):
     A = parse_matrix(args.matrix)
     beta = parse_rational(args.beta)
-    s = parse_order(args.s) if args.s else _irregularity.slope(A)
-    point = _irregularity.PointClass(args.point)
-    members = _irregularity.solution_basis(
+    s = parse_order(args.s) if args.s else _basis.slope(A)
+    point = _basis.PointClass(args.point)
+    members = _basis.solution_basis(
         A, beta, point, s=s, level=nonnegative(args.truncation, "--truncation"),
         max_terms=max_terms())
     payload = {
@@ -71,7 +70,7 @@ def solve(args):
         "point": point.value,
         "s": "inf" if s is None else str(s),
         "truncation": args.truncation,
-        "slope": str(_irregularity.slope(A)),
+        "slope": str(_basis.slope(A)),
         "basis": [_serialize_member(m) for m in members],
     }
     caveats = sorted({c for m in members for c in m.caveats})
@@ -89,12 +88,12 @@ def verify(args):
     if args.input:
         members = _read_members(args.input, A)
     else:
-        point = _irregularity.PointClass(args.point)
-        members = _irregularity.solution_basis(A, beta, point, s=_irregularity.slope(A),
-                                               level=level, max_terms=max_terms())
+        point = _basis.PointClass(args.point)
+        members = _basis.solution_basis(A, beta, point, s=_basis.slope(A),
+                                        level=level, max_terms=max_terms())
     rows = []
     worst = Fraction(0)
-    for member, report in _irregularity.verify_basis(A, members, beta, radius):
+    for member, report in _basis.verify_basis(A, members, beta, radius):
         worst = max(worst, report.max_violation)
         row = {"label": member.label}
         if not args.input:              # the --input row format has no is_solution

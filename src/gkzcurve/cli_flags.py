@@ -6,7 +6,7 @@ import json
 import os
 from fractions import Fraction
 
-from .curves import CurveMatrix, make_curve, read_integer, read_rational
+from .curves import CurveMatrix, clip, make_curve, read_integer, read_rational
 
 
 class UsageError(Exception):
@@ -52,7 +52,7 @@ def max_terms() -> int | None:
 
 def nonnegative(value: int, flag: str) -> int:
     if value < 0:
-        raise UsageError(f"{flag} must be >= 0, got {str(value)[:40]}")
+        raise UsageError(f"{flag} must be >= 0, got {clip(value)}")
     return value
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from . import irregularity as _irregularity
 from .cli_flags import UsageError, emit, nonnegative, parse_matrix, parse_order, parse_rational
-from .curves import CurveError
+from .curves import CurveError, clip
 
 # Largest stream gevrey-index builds, in factors of its last coefficient:
 # terms * a_n for a slope stream, terms for a factorial control.  Memory grows
@@ -23,8 +23,8 @@ def gevrey_index(args):
     beta = parse_rational(args.beta) if slope_stream and args.beta else Fraction(0)
     factors = terms * A.entries[-1] if slope_stream else terms
     if factors > STREAM_FACTOR_CAP:
-        raise CurveError(f"--terms {str(terms)[:40]} gives a {args.stream} stream of "
-                         f"{str(factors)[:40]} factors, more than the cap of "
+        raise CurveError(f"--terms {clip(terms)} gives a {args.stream} stream of "
+                         f"{clip(factors)} factors, more than the cap of "
                          f"{STREAM_FACTOR_CAP}")
     if slope_stream:
         which = "witness" if args.stream == "witness" else ("exponent", args.j)

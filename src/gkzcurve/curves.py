@@ -43,6 +43,25 @@ def read_rational(text: str) -> Fraction:
     return Fraction(p, q)
 
 
+def clip(value) -> str:
+    """str(value)[:40] for an error line.  An int, or each part of a Fraction,
+    is cut to its leading digits before it is formatted, since str() of an int
+    past CPython's 4 300-digit limit raises ValueError outside cli.main."""
+    if isinstance(value, Fraction):
+        head = clip(value.numerator)
+        if value.denominator == 1 or len(head) == 40:
+            return head
+        return (head + "/" + clip(value.denominator))[:40]
+    if not isinstance(value, int):
+        return str(value)[:40]
+    # |value| // 10^k keeps more than 40 of its leading digits, as
+    # (bits - 1) * log10(2) - k > 39
+    k = (abs(value).bit_length() - 1) * 30102 // 100_000 - 40
+    if k <= 0:
+        return str(value)[:40]
+    return (("-" if value < 0 else "") + str(abs(value) // 10 ** k))[:40]
+
+
 def check_size(num: int, den: int) -> None:
     """CurveError before a build table or stream grows past 3 * DIGIT_CAP bits."""
     if num.bit_length() > 3 * DIGIT_CAP or den.bit_length() > 3 * DIGIT_CAP:
@@ -313,16 +332,32 @@ _TABLES: dict[tuple[int, ...], bytearray] = {}      # one per reduced generator 
 
 def _reduced_member(gens: tuple[int, ...], top: int) -> bool:
     """Whether top is in the semigroup of increasing gcd-1 gens, whose table grows
-    to entry top but not past the first run of a_1 members, from the conductor on."""
+    to entry top but not past the first run of a_1 members, from the conductor on.
+
+    v is a member iff v = 0 or v - a is one for some generator a >= a_1, so
+    entries v .. v + a_1 - 1 read only entries below v: a block of up to a_1
+    new entries is the OR of one earlier slice per generator, with zeros
+    before entry 0."""
     if top >= MEMBERSHIP_TABLE_CAP:
         raise CurveError(f"semigroup table of {gens} up to {top} exceeds "
                          f"{MEMBERSHIP_TABLE_CAP} entries")
-    table = _TABLES.setdefault(gens, bytearray())
+    first = gens[0]
+    table = _TABLES.setdefault(gens, bytearray(b"\1"))
     run = len(table) - 1 - table.rfind(0)        # members ending the table
-    while len(table) <= top and run < gens[0]:
-        v = len(table)                           # a member iff 0 or v - a is one
-        run = run + 1 if not v or any(table[v - a] for a in gens if a <= v) else 0
-        table.append(run > 0)
+    while len(table) <= top and run < first:
+        v = len(table)
+        size = min(first, top + 1 - v)
+        block = 0
+        for a in gens:
+            if a < v + size:
+                block |= int.from_bytes(table[max(v - a, 0):v - a + size], "big")
+        new = block.to_bytes(size, "big")
+        lead = new.find(0)                       # members starting the block
+        if run + (size if lead < 0 else lead) >= first:
+            table += new[:first - run]           # the first run of a_1 members ends
+            break
+        table += new
+        run = run + size if lead < 0 else size - 1 - new.rfind(0)
     return top >= len(table) or table[top] == 1
 
 

@@ -1,4 +1,5 @@
-"""Starting exponents of the series solutions of a curve system.
+"""Starting exponents of the series solutions of a curve system, and their
+negative supports.
 
 They are the fake exponents of the top-dimensional standard pairs of an
 initial ideal of the toric ideal (Saito-Sturmfels-Takayama, ch. 3).  For a
@@ -12,16 +13,27 @@ tests/test_exponents.py derives them from the Graver basis.
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 
-from .curves import CurveMatrix
+from .curves import CurveMatrix, lattice_basis
 from .records import record
 from .series import (
     exponent_base,
     generic_exponent_base,
-    negative_support,
     polynomial_exponent_index,
 )
+
+
+def negative_support(v) -> frozenset[int]:
+    """Indices (0-based) where v has a negative integer entry."""
+    out = set()
+    for i, x in enumerate(v):
+        x = Fraction(x)
+        if x.denominator == 1 and x < 0:
+            out.add(i)
+    return frozenset(out)
 
 
 @record
@@ -72,9 +84,46 @@ def generic_exponents(A: CurveMatrix, beta) -> list[ExponentVector]:
     return _exponents(A, beta, generic_exponent_base, -1)
 
 
+# ---------------------------------------------------------------------------
+# Minimal negative support
+
+
+@record
+class MinimalSupportAnswer:
+    status: bool | None            # True / False / None = unknown at this radius
+    witness: tuple[int, ...] | None
+    radius: int
+
+
+def has_minimal_negative_support(A: CurveMatrix, v, radius: int = 3) -> MinimalSupportAnswer:
+    """Decide whether some kernel offset strictly shrinks the negative support.
+
+    Empty negative support is trivially minimal.  The search covers the
+    coordinate box |m_i| <= radius and answers None (unknown) when no witness
+    turns up.  A rank-1 kernel (n = 2) is searched up to the bound past which
+    the sign pattern of v + t*g is constant, so no witness there means True.
+    """
+    v = tuple(Fraction(x) for x in v)
+    nsupp = negative_support(v)
+    if not nsupp:
+        return MinimalSupportAnswer(True, None, radius)
+    basis = lattice_basis(A)
+    rank = basis.rank
+    reach = radius if rank > 1 else max(math.ceil((abs(x) + 2) / abs(gi))
+                                        for x, gi in zip(v, basis.rows[0]) if gi)
+    for m in filter(any, itertools.product(range(-reach, reach + 1), repeat=rank)):
+        u = basis.combine(m)
+        if negative_support(tuple(b + o for b, o in zip(v, u))) < nsupp:
+            return MinimalSupportAnswer(False, u, radius)
+    return MinimalSupportAnswer(True if rank == 1 else None, None, radius)
+
+
 __all__ = [
     "ExponentVector",
+    "MinimalSupportAnswer",
     "generic_exponents",
+    "has_minimal_negative_support",
+    "negative_support",
     "polynomial_exponent_index",
     "singular_exponents",
 ]

@@ -1,8 +1,9 @@
-"""Slopes, the published dimension tables, solution bases and Gevrey diagnostics.
+"""The published dimension tables, Gevrey diagnostics and monodromy.
 
 Everything here is stated along the singular support Y = (x_n = 0) and its
 stratification by Z = (x_{n-1} = 0).  Queries the covered results do not
-answer return a NotCovered value instead of a guess.
+answer return a NotCovered value instead of a guess.  The slope and the
+solution bases live in basis.py, and their names are also read from here.
 """
 
 from __future__ import annotations
@@ -11,26 +12,18 @@ import math
 from enum import Enum
 from fractions import Fraction
 
-# lazily loaded modules: their names are read at call time, so a command
-# that never calls into one does not compile it
+# lazily loaded: its names are read at call time, so a command that never
+# calls into it does not compile it
 from . import series as _series
-from . import weyl as _weyl
-from .curves import CurveError, CurveKind, CurveMatrix, check_size, semigroup_member
+# solution_basis and verify_basis are not called here; they are also read
+# under this module's name, as perfbench/tracer.py does
+from .basis import PointClass, slope, solution_basis, verify_basis  # noqa: F401
+from .curves import CurveError, CurveKind, CurveMatrix, check_size, clip
 from .records import record
-
-
-class SlopeTooSmallError(CurveError):
-    """No Gevrey-quotient classes below the slope for non-natural parameters."""
 
 
 class InsufficientDataError(CurveError):
     """Too few coefficients for a growth-rate fit."""
-
-
-class PointClass(Enum):
-    GENERIC = "generic"            # points off Y
-    SMOOTH_STRATUM = "smooth"      # Y minus Y * Z
-    DEEP_STRATUM = "deep"          # Y * Z
 
 
 class SheafKind(Enum):
@@ -84,11 +77,6 @@ class DimensionAnswer:
     @classmethod
     def not_covered(cls) -> "DimensionAnswer":
         return cls(None)
-
-
-def slope(A: CurveMatrix) -> Fraction:
-    """The unique slope a_n / a_{n-1} of the system along its singular support."""
-    return Fraction(A.entries[-1], A.entries[-2])
 
 
 def _is_natural(beta) -> bool:
@@ -145,148 +133,6 @@ def irregularity_dimension(A: CurveMatrix, beta, point: PointClass,
 
 
 # ---------------------------------------------------------------------------
-# Solution bases
-
-
-@record
-class BasisMember:
-    series: _series.FormalSeries
-    label: str
-    exponent: tuple[Fraction, ...]
-    is_solution: bool              # False only for the witness series
-    defect_generator: str | None   # generator name the witness fails on
-    caveats: tuple[str, ...] = ()
-
-
-def _witness_defect_name(A: CurveMatrix) -> str:
-    return f"toric[{A.n - 1}]"
-
-
-def _smooth_singular_basis(A, beta, s, build, suffix="") -> list[BasisMember]:
-    """The smooth-stratum basis of the smooth matrix A; build(base) makes the
-    series at each base exponent and suffix marks the labels."""
-    sigma = slope(A)
-    q = _series.polynomial_exponent_index(A, beta)
-    s_frac = None if s is None else Fraction(s)
-    below = s_frac is not None and s_frac < sigma
-    if below:
-        if q is None:
-            raise SlopeTooSmallError(
-                f"no classes of order {s} < slope {sigma} for beta = {beta}")
-        poly = build(_series.exponent_base(A, beta, q))
-        return [BasisMember(poly, f"exponent[{q}]{suffix}", poly.base, True, None)]
-    out = []
-    for j in range(A.entries[A.n - 2]):
-        if j == q:
-            continue
-        ser = build(_series.exponent_base(A, beta, j))
-        out.append(BasisMember(ser, f"exponent[{j}]{suffix}", ser.base, True, None))
-    if q is not None:
-        wit = build(_series.witness_base(A, beta))
-        out.append(BasisMember(wit, f"witness{suffix}", wit.base, False,
-                               _witness_defect_name(A)))
-    return out
-
-
-def _smooth_generic_basis(A, beta, build, suffix="") -> list[BasisMember]:
-    """The generic-point basis of the smooth matrix A, built as above."""
-    out = []
-    for j in range(A.entries[-1]):
-        ser = build(_series.generic_exponent_base(A, beta, j))
-        out.append(BasisMember(ser, f"generic[{j}]{suffix}", ser.base, True, None))
-    return out
-
-
-def _general_basis(A, beta, point, s, level, max_terms) -> list[BasisMember]:
-    """The basis of the auxiliary matrix (1, a_1, ..., a_n) restricted to
-    x_0 = 0: only the section of each auxiliary series is built."""
-    aux = A.auxiliary()
-
-    def build(base):
-        return _series.section_series(A, base, level, max_terms=max_terms)
-
-    def members(beta):
-        if point is PointClass.GENERIC:
-            return _smooth_generic_basis(aux, beta, build, "|x0=0")
-        return _smooth_singular_basis(aux, beta, s, build, "|x0=0")
-
-    beta = Fraction(beta)
-    natural_gap = (beta.denominator == 1 and beta >= 0
-                   and not semigroup_member(A, int(beta)))
-    if not natural_gap:
-        return members(beta)
-
-    # beta in N \ NA: the direct substitution vanishes on the polynomial slot.
-    # Build the basis at beta' = beta - t*a_n < 0 and divide by d_n^t, which is
-    # an isomorphism of the solution spaces (both parameters are integers
-    # outside the semigroup).  No falling factor of the division can vanish: a
-    # zero factor would force beta = sum a_i m_i + (t-k) a_n with nonnegative
-    # coefficients, putting beta in the semigroup and contradicting the gap
-    # hypothesis that selected this route.
-    t = int(beta) // A.entries[-1] + 1
-    w = tuple(0 if i < A.n - 1 else t for i in range(A.n))
-    shifted = beta - A.entries[-1] * t
-    if shifted >= 0:
-        raise CurveError(f"shifted parameter {shifted} is not negative")
-    out = []
-    note = (f"parameter reached through beta'={shifted} and division by d_n^{t}",)
-    for m in members(shifted):
-        lifted = _series.inverse_contiguity(m.series, w)
-        out.append(BasisMember(lifted, m.label + f"*d^-{t}", lifted.base, m.is_solution,
-                               m.defect_generator, m.caveats + note))
-    return out
-
-
-def solution_basis(A: CurveMatrix, beta, point: PointClass, s=None,
-                   level: int = 12, max_terms: int | None = None) -> list[BasisMember]:
-    """Basis series for the solution space selected by the point class.
-
-    Smooth stratum, s >= slope: the Gevrey-quotient basis; for natural beta the
-    polynomial exponent is replaced by the witness series, which fails exactly
-    the toric generator d_1^{a_{n-1}} - d_{n-1}.  Smooth stratum, s < slope:
-    only the polynomial class survives (natural beta), otherwise the space is
-    empty and SlopeTooSmallError is raised.  Deep stratum: the space is zero.
-    Generic points: the a_n holomorphic solution series.  General matrices are
-    routed through the auxiliary smooth matrix and its x_0 = 0 section.
-    """
-    if point is PointClass.DEEP_STRATUM:
-        return []
-    if not A.is_smooth:
-        return _general_basis(A, beta, point, s, level, max_terms)
-
-    def build(base):
-        return _series.gamma_series(A, base, level, max_terms=max_terms)
-    if point is PointClass.GENERIC:
-        return _smooth_generic_basis(A, beta, build)
-    return _smooth_singular_basis(A, beta, s, build)
-
-
-def verify_basis(A: CurveMatrix, members, beta, ball_radius: int = 3):
-    """Annihilation reports for every basis member against the checking set.
-
-    Solutions are checked against the full set; the witness is checked against
-    everything except its defect generator.  Returns a list of
-    (member, AnnihilationReport) pairs.  An empty basis, or a member with no
-    nonzero term, is a CurveError: nothing would be checked."""
-    if not members:
-        raise CurveError("the basis is empty: nothing was checked")
-    for m in members:
-        if m.series.is_zero():
-            raise CurveError(f"series {m.label!r} has no nonzero term: "
-                             f"nothing was checked")
-    gens = _weyl.named_generators(A, beta, ball_radius)
-    out = []
-    for m in members:
-        if m.is_solution:
-            subset = gens
-        else:
-            subset = [(name, op) for name, op in gens
-                      if name != m.defect_generator and not name.startswith("box")]
-        out.append((m, _weyl.annihilation_report(subset, m.series)))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Monodromy and Gevrey diagnostics
 
 
@@ -332,7 +178,7 @@ def slope_subseries(A: CurveMatrix, beta, which, count: int = 200):
         if kind != "exponent":
             raise CurveError(f"unknown subseries selector {which!r}")
         if not 0 <= j < a_pen:
-            raise _series.IndexOutOfRangeError(f"j={str(j)[:40]} outside 0..{a_pen - 1}")
+            raise _series.IndexOutOfRangeError(f"j={clip(j)} outside 0..{a_pen - 1}")
         theta = Fraction(Fraction(beta) - j, a_pen)
         if theta.denominator == 1 and theta >= 0:
             raise CurveError("the exponent-ray stream terminates for the polynomial slot")
@@ -428,11 +274,11 @@ def stratum_dimension_table(A: CurveMatrix, beta_special, beta_generic, s) -> di
     Keys are (sheaf kind value, beta label, point value, degree).  Raises
     CurveError when the published results leave a cell open (general matrices)."""
     if not _is_natural(beta_special):
-        raise CurveError(f"beta_special = {str(beta_special)[:40]} is not a natural number")
+        raise CurveError(f"beta_special = {clip(beta_special)} is not a natural number")
     if _is_natural(beta_generic):
-        raise CurveError(f"beta_generic = {str(beta_generic)[:40]} must not be natural")
+        raise CurveError(f"beta_generic = {clip(beta_generic)} must not be natural")
     if not (s is None or Fraction(s) >= slope(A)):
-        raise CurveError(f"s = {str(s)[:40]} is below the slope {slope(A)}")
+        raise CurveError(f"s = {clip(s)} is below the slope {slope(A)}")
     out = {}
     for blabel, beta in (("special", beta_special), ("generic", beta_generic)):
         for kind, point, degree, ans in dimension_cells(A, beta, s, (0, 1)):

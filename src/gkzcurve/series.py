@@ -14,7 +14,6 @@ offset by offset, whether all contributions were inside the stored window.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -24,6 +23,7 @@ from .curves import (
     DimensionMismatchError,
     LatticeBasis,
     check_size,
+    clip,
     lattice_basis,
     lattice_decompose,
     lattice_points,
@@ -57,47 +57,6 @@ class ContiguityError(CurveError):
 UNKNOWN = object()   # sentinel for "outside the certifiable window"
 
 
-def negative_support(v) -> frozenset[int]:
-    """Indices (0-based) where v has a negative integer entry."""
-    out = set()
-    for i, x in enumerate(v):
-        x = Fraction(x)
-        if x.denominator == 1 and x < 0:
-            out.add(i)
-    return frozenset(out)
-
-
-def falling_product(z, alpha) -> Fraction:
-    """(z)_alpha = prod_i z_i (z_i - 1) ... (z_i - alpha_i + 1) for alpha in N^n."""
-    out = Fraction(1)
-    for zi, ai in zip(z, alpha):
-        zi = Fraction(zi)
-        for j in range(ai):
-            out *= zi - j
-            if out == 0:
-                return out
-    return out
-
-
-def gamma_coefficient(v, u) -> Fraction:
-    """Gamma[v; u]: the series coefficient attached to the offset u.
-
-    Zero unless negative_support(v + u) == negative_support(v); under that
-    guard the denominator (v+u)_{u_+} cannot vanish.
-    """
-    v = tuple(Fraction(x) for x in v)
-    u = tuple(int(x) for x in u)
-    w = tuple(a + b for a, b in zip(v, u))
-    if negative_support(w) != negative_support(v):
-        return Fraction(0)
-    u_plus = tuple(x if x > 0 else 0 for x in u)
-    u_minus = tuple(-x if x < 0 else 0 for x in u)
-    den = falling_product(w, u_plus)
-    if den == 0:
-        raise CurveError(f"pole at offset {u}: the negative-support guard failed")
-    return falling_product(v, u_minus) / den
-
-
 # ---------------------------------------------------------------------------
 # Support descriptors
 #
@@ -118,8 +77,9 @@ class LatticeGammaSupport:
                              in _support_bounds(self.base).items())
 
     def classify(self, offset):
-        """The negative-support guard of gamma_coefficient in integers: the
-        bounds gamma_series enumerates with (_support_bounds)."""
+        """The negative-support guard of Gamma[v; u] in integers: the bounds
+        gamma_series enumerates with (_support_bounds).  The Fraction form of
+        the guard is gamma_coefficient in tests/oracles.py."""
         m = lattice_decompose(self.basis, offset)
         if m is None:
             return None
@@ -356,9 +316,10 @@ def series_from_json(data: dict, matrix: CurveMatrix | None = None) -> FormalSer
 
 
 def _support_bounds(v) -> dict[int, tuple[int | None, int | None]]:
-    """The negative-support guard of gamma_coefficient as bounds on the offset:
-    v_i + u_i >= 0 where v_i is a natural number, v_i + u_i <= -1 where v_i is a
-    negative integer; non-integer coordinates leave u_i free."""
+    """The negative-support guard of Gamma[v; u] (gamma_coefficient in
+    tests/oracles.py) as bounds on the offset: v_i + u_i >= 0 where v_i is a
+    natural number, v_i + u_i <= -1 where v_i is a negative integer;
+    non-integer coordinates leave u_i free."""
     bounds = {}
     for i, z in enumerate(v):
         if z.denominator == 1:
@@ -433,7 +394,7 @@ def gamma_series(A: CurveMatrix, base, level: int,
     enumeration level sum |m_i| <= level of the kernel coordinates.
 
     The coefficient of x^v is 1 (the offset-0 term).  Only offsets inside the
-    negative-support guard of gamma_coefficient are enumerated, and each of them
+    negative-support guard of Gamma[v; u] are enumerated, and each of them
     has a nonzero coefficient, so max_terms bounds the enumeration work too.
     """
     basis = lattice_basis(A)
@@ -479,7 +440,7 @@ def exponent_base(A: CurveMatrix, beta, j: int) -> tuple[Fraction, ...]:
     n = A.n
     a_pen = A.entries[n - 2]
     if not 0 <= j < a_pen:
-        raise IndexOutOfRangeError(f"j={str(j)[:40]} outside 0..{a_pen - 1}")
+        raise IndexOutOfRangeError(f"j={clip(j)} outside 0..{a_pen - 1}")
     v = [Fraction(0)] * n
     v[0] += j
     v[n - 2] += Fraction(beta - j, a_pen)
@@ -493,33 +454,11 @@ def generic_exponent_base(A: CurveMatrix, beta, j: int) -> tuple[Fraction, ...]:
     n = A.n
     a_n = A.entries[-1]
     if not 0 <= j < a_n:
-        raise IndexOutOfRangeError(f"j={str(j)[:40]} outside 0..{a_n - 1}")
+        raise IndexOutOfRangeError(f"j={clip(j)} outside 0..{a_n - 1}")
     v = [Fraction(0)] * n
     v[0] += j
     v[n - 1] += Fraction(beta - j, a_n)
     return tuple(v)
-
-
-def _closed_form_coefficient(A: CurveMatrix, beta, j: int, m) -> Fraction:
-    """Closed form of Gamma[v^j; u(m)] on m in N^{n-1}:
-    ((beta-j)/a_{n-1})_{m_{n-1}} j! / (m_2! ... m_{n-2}! m_n! (x_1-exponent)!).
-
-    Independent of the factor tables of gamma_series; the tests compare the two."""
-    beta = Fraction(beta)
-    n = A.n
-    a = A.entries
-    theta = Fraction(beta - j, a[n - 2])
-    m_pen = m[n - 3] if n >= 3 else 0      # coordinate for index n-1
-    x1_exp = j - sum(a[i] * m[i - 1] for i in range(1, n) if i != n - 2)
-    x1_exp += a[n - 2] * m_pen
-    if x1_exp < 0:
-        return Fraction(0)
-    num = falling_product((theta,), (m_pen,)) * math.factorial(j)
-    den = Fraction(math.factorial(x1_exp))
-    for i in range(1, n):
-        if i != n - 2:
-            den *= math.factorial(m[i - 1])
-    return num / den
 
 
 def exponent_series(A: CurveMatrix, beta, j: int, level: int,
@@ -564,8 +503,8 @@ def witness_series(A: CurveMatrix, beta, level: int,
 
     Its base exponent does not have minimal negative support, so it is not a
     solution: the toric generator d_1^{a_{n-1}} - d_{n-1} sends it to the finite
-    meromorphic series of witness_defect, while the Euler operator and the other
-    toric generators annihilate it.
+    meromorphic series witness_defect of tests/oracles.py, while the Euler operator
+    and the other toric generators annihilate it.
     """
     if not A.is_smooth:
         raise WrongAuxiliaryShapeError("witness series needs a smooth matrix")
@@ -574,82 +513,6 @@ def witness_series(A: CurveMatrix, beta, level: int,
     if series.terms.get((0,) * A.n) != 1:
         raise CurveError(f"witness series at level {level} lacks its base term 1")
     return series
-
-
-def witness_defect(A: CurveMatrix, beta) -> FormalSeries:
-    """The image of the witness series under d_1^{a_{n-1}} - d_{n-1}: the finite sum
-
-        sum (beta + a_{n-1})! / (m_2! .. m_{n-2}! m_n! (beta - S)!)
-            * x_1^{beta - S} x_2^{m_2} .. x_{n-2}^{m_{n-2}} x_{n-1}^{-1} x_n^{m_n}
-
-    over m in N^{n-2} with S = sum_{i != n-1} a_i m_i <= beta.  Every term has
-    x_{n-1}-exponent exactly -1.  Offsets are relative to the witness base, so
-    the result is directly comparable with the operator application.
-    """
-    beta = Fraction(beta)
-    if beta.denominator != 1 or beta < 0:
-        raise BetaNotNaturalError(f"beta={beta} is not a natural number")
-    n = A.n
-    a = A.entries
-    base = witness_base(A, beta)
-    b = int(beta)
-    free = [i for i in range(1, n) if i != n - 2]   # 0-based slots 2..n-2, n
-    terms = {}
-
-    def rec(idx, remaining, m_acc):
-        if idx == len(free):
-            s = b - remaining
-            coeff = Fraction(math.factorial(b + a[n - 2]))
-            coeff /= math.factorial(remaining)
-            exponent = [Fraction(0)] * n
-            exponent[0] = Fraction(remaining)
-            exponent[n - 2] = Fraction(-1)
-            for slot, mi in zip(free, m_acc):
-                coeff /= math.factorial(mi)
-                exponent[slot] = Fraction(mi)
-            offset = tuple(int(e - v) for e, v in zip(exponent, base))
-            terms[offset] = coeff
-            return
-        slot = free[idx]
-        for mi in range(remaining // a[slot] + 1):
-            rec(idx + 1, remaining - mi * a[slot], m_acc + [mi])
-
-    rec(0, b, [])
-    return FormalSeries(base, terms, 0, FiniteSupport())
-
-
-# ---------------------------------------------------------------------------
-# Minimal negative support
-
-
-@record
-class MinimalSupportAnswer:
-    status: bool | None            # True / False / None = unknown at this radius
-    witness: tuple[int, ...] | None
-    radius: int
-
-
-def has_minimal_negative_support(A: CurveMatrix, v, radius: int = 3) -> MinimalSupportAnswer:
-    """Decide whether some kernel offset strictly shrinks the negative support.
-
-    Empty negative support is trivially minimal.  The search covers the
-    coordinate box |m_i| <= radius and answers None (unknown) when no witness
-    turns up.  A rank-1 kernel (n = 2) is searched up to the bound past which
-    the sign pattern of v + t*g is constant, so no witness there means True.
-    """
-    v = tuple(Fraction(x) for x in v)
-    nsupp = negative_support(v)
-    if not nsupp:
-        return MinimalSupportAnswer(True, None, radius)
-    basis = lattice_basis(A)
-    rank = basis.rank
-    reach = radius if rank > 1 else max(math.ceil((abs(x) + 2) / abs(gi))
-                                        for x, gi in zip(v, basis.rows[0]) if gi)
-    for m in filter(any, itertools.product(range(-reach, reach + 1), repeat=rank)):
-        u = basis.combine(m)
-        if negative_support(tuple(b + o for b, o in zip(v, u))) < nsupp:
-            return MinimalSupportAnswer(False, u, radius)
-    return MinimalSupportAnswer(True if rank == 1 else None, None, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -714,14 +577,6 @@ def substitute_x0(parent: FormalSeries, A: CurveMatrix) -> SubstitutionResult:
         and not semigroup_member(A, int(beta)) \
         and _is_polynomial_family_member(aux, parent.base, beta)
     return SubstitutionResult(series, dropped, certified)
-
-
-def apply_contiguity(S: FormalSeries, w) -> FormalSeries:
-    """Apply d^w termwise.  A solution for parameter beta maps to a solution for
-    beta - A.w; callers track the parameter shift."""
-    from .weyl import WeylOperator, apply
-    op = WeylOperator.monomial(S.nvars, (0,) * S.nvars, tuple(int(x) for x in w))
-    return apply(op, S)
 
 
 def inverse_contiguity(S: FormalSeries, w) -> FormalSeries:

@@ -21,6 +21,7 @@ from .curves import (
     NotInKernelError,
     CurveError,
     LatticeBasis,
+    clip,
     lattice_basis,
     lattice_points,
 )
@@ -415,7 +416,7 @@ def named_generators(A: CurveMatrix, beta, ball_radius: int = 3):
     count = sum(2 ** (k - 1) * math.comb(len(rows), k) * math.comb(max(ball_radius, 0), k)
                 for k in range(1, len(rows) + 1))
     if count > BOX_OPERATOR_CAP:
-        raise CurveError(f"ball radius {str(ball_radius)[:40]} gives {str(count)[:40]} "
+        raise CurveError(f"ball radius {clip(ball_radius)} gives {clip(count)} "
                          f"box operators, more than the cap of {BOX_OPERATOR_CAP}")
     out = [("euler", euler_operator(A, beta))]
     if A.is_smooth:
@@ -430,13 +431,3 @@ def named_generators(A: CurveMatrix, beta, ball_radius: int = 3):
                 u = tuple(c * a + b for a, b in zip(rows[k], u))
                 out.append((f"box{[0] * k + [c, *m]}", box_operator(A, u)))
     return out
-
-
-def series_match_on_window(result: _series.FormalSeries,
-                           reference: _series.FormalSeries) -> bool:
-    """Coefficientwise equality of an operator-application result against a
-    complete reference series, restricted to the result's certified window."""
-    return (all(reference.coefficient_known(off) == c
-                for off, c in result.terms.items())
-            and all(result.coefficient_known(off) in (None, c)
-                    for off, c in reference.terms.items()))

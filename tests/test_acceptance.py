@@ -22,7 +22,6 @@ from gkzcurve import (
     exponent_series,
     dimension_table_diff,
     frobenius_number,
-    gamma_coefficient,
     generic_exponents,
     generic_rank,
     gevrey_index_estimate,
@@ -32,15 +31,14 @@ from gkzcurve import (
     polynomial_exponent_index,
     restrict_first_variable,
     restrict_to_plane,
-    series_match_on_window,
     singular_exponents,
     slope,
     slope_subseries,
     solution_basis,
     substitute_x0,
     verify_basis,
-    witness_defect,
 )
+from oracles import gamma_coefficient, series_match_on_window, witness_defect
 
 MATRICES = [(1, 2, 3), (1, 2, 5), (1, 3, 4, 5)]
 BETAS = [0, 4, Fraction(1, 2), -1]

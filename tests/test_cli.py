@@ -641,7 +641,7 @@ def test_cli_import_leaves_dataclasses_and_inspect_out():
         assert f"'gkzcurve.{module}'" in loaded
 
 
-SUBMODULES = ("curves", "exponents", "irregularity", "restriction", "series", "weyl")
+SUBMODULES = ("basis", "curves", "exponents", "irregularity", "restriction", "series", "weyl")
 
 # Prints, after an optional command, the gkzcurve modules in sys.modules, those
 # whose body has run, and which of argparse, gettext and locale were imported.
@@ -674,29 +674,31 @@ def modules_after(*argv):
     ("", set()),
     ("--help", set()),
     ("semigroup --matrix 3,5,7 --beta 1 --member 8", set()),
+    # irregularity reads the point classes and the slope from basis
     ("gevrey-index --matrix 1,3,5 --stream exponent --beta 1/2 --terms 300",
-     {"cli_irregularity", "irregularity"}),
-    ("monodromy --matrix 1,2,3 --beta 1", {"cli_irregularity", "irregularity"}),
+     {"cli_irregularity", "irregularity", "basis"}),
+    ("monodromy --matrix 1,2,3 --beta 1", {"cli_irregularity", "irregularity", "basis"}),
     ("irregularity-table --matrix 1,2,3 --beta-special 4 --beta-generic 1/2 --s 2",
-     {"cli_irregularity", "irregularity"}),
+     {"cli_irregularity", "irregularity", "basis"}),
     ("restrict --matrix 1,3,6,8 --beta 1/3 --mode plane", {"cli_restriction", "restriction"}),
     # the operators are printed, and no series is built
     ("restrict --matrix 3,5,7 --beta 1/2 --mode aux",
      {"cli_restriction", "restriction", "weyl"}),
     ("b-function --matrix 1,4,6 --weight first", {"cli_restriction", "restriction"}),
     ("exponents --matrix 1,2,3 --beta 1/2", {"exponents", "series"}),
-    ("solve --matrix 1,2,3 --beta 4 --truncation 40", {"cli_basis", "irregularity", "series"}),
+    # solve and verify leave the tables, Gevrey streams and monodromy out
+    ("solve --matrix 1,2,3 --beta 4 --truncation 40", {"cli_basis", "basis", "series"}),
     ("solve --matrix 1,2,3,4,5,6 --beta 1/2 --truncation 8",
-     {"cli_basis", "irregularity", "series"}),
+     {"cli_basis", "basis", "series"}),
     ("solve --matrix 3,5,7 --beta 1/2 --truncation 14",
-     {"cli_basis", "irregularity", "series"}),
+     {"cli_basis", "basis", "series"}),
     # the gap route lifts by inverse contiguity, and applies no operator
     ("solve --matrix 3,5,7 --beta 4 --truncation 14",
-     {"cli_basis", "irregularity", "series"}),
+     {"cli_basis", "basis", "series"}),
     ("verify --matrix 1,3,6,8 --beta 1/3 --truncation 8",
-     {"cli_basis", "irregularity", "series", "weyl"}),
+     {"cli_basis", "basis", "series", "weyl"}),
     ("verify --matrix 1,2,3 --beta 4 --input {input}",
-     {"cli_basis", "irregularity", "series", "weyl"}),
+     {"cli_basis", "basis", "series", "weyl"}),
 ], ids=["import-only", "help", "semigroup", "gevrey-index", "monodromy",
         "irregularity-table", "restrict", "restrict-aux", "b-function", "exponents",
         "solve-123", "solve-123456", "solve-357-half", "solve-357-gap", "verify",
@@ -708,7 +710,7 @@ def test_each_command_runs_only_the_modules_it_uses(capsys, tmp_path, argv, extr
         (tmp_path / "solve.json").write_text(out)
         argv = argv.format(input=tmp_path / "solve.json")
     # every module stays registered: perfbench's tracer reads
-    # sys.modules["gkzcurve.<m>"] for all six right after importing gkzcurve.cli
+    # sys.modules["gkzcurve.<m>"] for all seven right after importing gkzcurve.cli
     registered, ran, stdlib = modules_after(*argv.split())
     assert registered >= set(SUBMODULES)
     assert ran == {"cli", "cli_flags", "curves", "records"} | extra

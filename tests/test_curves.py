@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ from gkzcurve.curves import (
     CurveKind,
     _in_semigroup,
     _lex_witness,
+    clip,
     lattice_points,
 )
 
@@ -339,6 +341,18 @@ def test_table_stops_at_the_conductor(monkeypatch):
     assert len(table.membership) == len(curves._TABLES[entries]) <= 332_999 + 1000 + 1
 
 
+def test_table_fills_a_block_of_a1_entries_per_step(monkeypatch):
+    # one entry per Python step took ~0.85 s for the table and the delta
+    # exponents' (1000, 1001, 1002, 2001) table; a block fill takes ~20 ms,
+    # and the bound leaves room for a loaded machine
+    monkeypatch.setattr(curves, "_TABLES", {})
+    A = make_curve((1000, 1001, 1002, 1003, 2001))
+    start = time.perf_counter()
+    assert semigroup_table(A).frobenius == 332_999
+    assert [d.delta for d in delta_exponents(A)] == [1, 1, 1, 333, 1]
+    assert time.perf_counter() - start < 0.4
+
+
 def test_tables_past_the_cap_are_refused_before_they_grow(monkeypatch):
     monkeypatch.setattr(curves, "_TABLES", {})
     A = make_curve((1000003, 1000033))
@@ -395,3 +409,20 @@ def test_beta_shift_by_entry_keeps_non_integer_class():
         for a in A.entries:
             if beta_class(A, beta).category is BetaClass.NON_INTEGER:
                 assert isomorphic_parameters(A, beta, beta + a)
+
+
+def test_clip_is_the_head_of_str():
+    # error lines echo clip(value); under cli.main, where the interpreter's
+    # digit limit is lifted, it must read as str(value)[:40] did
+    ints = [0, -7, 10**39, -10**39, 10**40, 2**132, -(2**132), 10**5000, -10**5000 + 1]
+    ints += [sign * (10**k - r) for k in range(1, 6000, 97) for r in (0, 1)
+             for sign in (1, -1)]
+    values = ints + [Fraction(v, d) for v in ints[:40]
+                     for d in (3, 10**38 + 1, 10**5000 + 1)] + ["x" * 50]
+    clipped = [clip(v) for v in values]         # under the default digit limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert clipped == [str(v)[:40] for v in values]
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -23,12 +23,8 @@ from gkzcurve import (
     verify_basis,
 )
 from gkzcurve.curves import CurveError
-from gkzcurve.irregularity import (
-    BasisMember,
-    InsufficientDataError,
-    SlopeTooSmallError,
-    _log_abs,
-)
+from gkzcurve.basis import BasisMember, SlopeTooSmallError
+from gkzcurve.irregularity import InsufficientDataError, _log_abs
 from gkzcurve.series import FormalSeries, IndexOutOfRangeError
 
 
@@ -111,6 +107,16 @@ def test_quotient_filtration_monotone():
 def test_dimension_table_matches_published():
     assert dimension_table_diff(make_curve((1, 2, 3)), 4, Fraction(1, 2), 2) == {}
     assert dimension_table_diff(make_curve((1, 3, 4, 5)), 0, Fraction(-1, 3), None) == {}
+
+
+@pytest.mark.parametrize("args, line", [
+    ((Fraction(1, 10**5000), Fraction(1, 2), 2), f"^beta_special = 1/1{'0' * 37} is not"),
+    ((4, Fraction(1, 2), Fraction(1, 10**5000)), f"^s = 1/1{'0' * 37} is below"),
+], ids=["beta_special", "s"])
+def test_dimension_table_cuts_a_huge_parameter(args, line):
+    # str() of the denominator raises ValueError under the interpreter's digit limit
+    with pytest.raises(CurveError, match=line):
+        dimension_table_diff(make_curve((1, 2, 3)), *args)
 
 
 def test_reference_table_shape():
@@ -332,7 +338,8 @@ def test_slope_subseries_values():
 def test_slope_subseries_matches_series_coefficients():
     # the streams are exactly the Gamma-series coefficients along the ray
     # m_{n-1} = a_n mu, m_n = a_{n-1} mu of the kernel coordinates
-    from gkzcurve import gamma_coefficient, lattice_basis
+    from gkzcurve import lattice_basis
+    from oracles import gamma_coefficient
     from gkzcurve.series import exponent_base, witness_base
 
     for entries, beta in [((1, 2, 3), 0), ((1, 2, 5), 4), ((1, 3, 4, 5), 1)]:
@@ -454,6 +461,12 @@ def test_slope_subseries_exponent_index_range(j):
     A = make_curve((1, 2, 3))
     with pytest.raises(IndexOutOfRangeError):
         slope_subseries(A, Fraction(1, 2), ("exponent", j), 4)
+
+
+def test_slope_subseries_cuts_a_huge_index():
+    # str() of 10^5000 raises ValueError under the interpreter's digit limit
+    with pytest.raises(IndexOutOfRangeError, match=f"^j=-1{'0' * 38} outside 0..1$"):
+        slope_subseries(make_curve((1, 2, 3)), Fraction(1, 2), ("exponent", -10**5000), 4)
 
 
 def reference_gevrey_index_estimate(stream, window=None):

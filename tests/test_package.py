@@ -10,7 +10,7 @@ import gkzcurve
 
 
 def test_every_name_in_all_resolves():
-    assert len(gkzcurve.__all__) == len(set(gkzcurve.__all__)) == 73
+    assert len(gkzcurve.__all__) == len(set(gkzcurve.__all__)) == 69
     for name in gkzcurve.__all__:
         value = getattr(gkzcurve, name)
         home = importlib.import_module(value.__module__)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from gkzcurve import curves, exponents, irregularity, restriction, series, weyl
+from gkzcurve import basis, curves, exponents, irregularity, restriction, series, weyl
 from gkzcurve.curves import CurveError, make_curve
 from gkzcurve.irregularity import SheafKind, SheafTag
 from gkzcurve.records import record
@@ -24,12 +24,12 @@ RECORDS = [
      {"auxiliary": False}),
     (irregularity.SheafTag, ("kind", "order"), {"order": None}),
     (irregularity.DimensionAnswer, ("value",), {}),
-    (irregularity.BasisMember, ("series", "label", "exponent", "is_solution",
-                                "defect_generator", "caveats"), {"caveats": ()}),
+    (basis.BasisMember, ("series", "label", "exponent", "is_solution",
+                         "defect_generator", "caveats"), {"caveats": ()}),
     (restriction.ModuleDescriptor, ("matrix", "parameter", "caveat"), {}),
     (restriction.RestrictionWitness, ("auxiliary", "p1", "q_operators", "deltas"), {}),
     (restriction.BFunction, ("roots", "caveat"), {}),
-    (series.MinimalSupportAnswer, ("status", "witness", "radius"), {}),
+    (exponents.MinimalSupportAnswer, ("status", "witness", "radius"), {}),
     (series.SubstitutionResult, ("series", "dropped", "certified_zero"), {}),
     (weyl.GeneratorViolation, ("name", "violation", "trusted_terms", "certified"), {}),
     (weyl.AnnihilationReport, ("max_violation", "per_generator"), {}),
@@ -49,7 +49,8 @@ def oracle(fields):
 
 
 def test_every_record_class_is_listed():
-    found = {cls for mod in (curves, exponents, irregularity, restriction, series, weyl)
+    found = {cls for mod in (basis, curves, exponents, irregularity, restriction, series,
+                             weyl)
              for cls in vars(mod).values()
              if isinstance(cls, type)
              and getattr(cls.__init__, "__module__", None) == "gkzcurve.records"}

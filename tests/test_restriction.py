@@ -41,6 +41,20 @@ def test_restrict_hyperplane_errors():
         restrict_hyperplane(make_curve((2, 3, 5)), 0, 2)
 
 
+# str() of 10^5000 raises ValueError under the interpreter's digit limit
+HUGE_INDEX_LINE = f"^i=1{'0' * 39} outside 2..3$"
+
+
+def test_restrict_hyperplane_cuts_a_huge_index():
+    with pytest.raises(IndexOutOfRangeError, match=HUGE_INDEX_LINE):
+        restrict_hyperplane(make_curve((1, 2, 3)), 0, 10**5000)
+
+
+def test_b_function_cuts_a_huge_index():
+    with pytest.raises(IndexOutOfRangeError, match=HUGE_INDEX_LINE):
+        b_function(make_curve((1, 2, 3)), ("standard_basis", 10**5000))
+
+
 def test_restrict_hyperplane_commutes():
     A = make_curve((1, 2, 3, 5))
     # drop column 3 then column 3-of-the-result vs drop 4 then 3

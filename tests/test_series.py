@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 from gkzcurve import (
     annihilation_report,
     apply,
-    apply_contiguity,
     box_operator,
     exponent_series,
-    gamma_coefficient,
     gamma_series,
     has_minimal_negative_support,
     inverse_contiguity,
@@ -21,10 +19,8 @@ from gkzcurve import (
     named_generators,
     negative_support,
     series_from_json,
-    series_match_on_window,
     substitute_x0,
     toric_generators,
-    witness_defect,
     witness_series,
 )
 from gkzcurve.curves import CurveError, lattice_basis, lattice_decompose, lattice_points
@@ -39,15 +35,21 @@ from gkzcurve.series import (
     SectionSupport,
     TermLimitError,
     WrongAuxiliaryShapeError,
-    _closed_form_coefficient,
     _support_bounds,
     exponent_base,
-    falling_product,
     generic_exponent_base,
     section_series,
     witness_base,
 )
 from gkzcurve.weyl import WeylOperator
+from oracles import (
+    apply_contiguity,
+    closed_form_coefficient,
+    falling_product,
+    gamma_coefficient,
+    series_match_on_window,
+    witness_defect,
+)
 
 
 def test_negative_support():
@@ -139,6 +141,14 @@ def test_exponent_bases():
     with pytest.raises(IndexOutOfRangeError):
         exponent_base(A, 0, 2)
     assert generic_exponent_base(A, 0, 1) == (1, 0, Fraction(-1, 3))
+
+
+@pytest.mark.parametrize("base", [exponent_base, generic_exponent_base],
+                         ids=["exponent_base", "generic_exponent_base"])
+def test_exponent_bases_cut_a_huge_index(base):
+    # str() of 10^5000 raises ValueError under the interpreter's digit limit
+    with pytest.raises(IndexOutOfRangeError, match=f"^j=1{'0' * 39} outside 0"):
+        base(make_curve((1, 2, 3)), 0, 10**5000)
 
 
 def test_polynomial_gamma_series():
@@ -431,14 +441,14 @@ def test_integer_classify_matches_the_negative_support_rule(entries):
 
 def _closed_form_mismatches(A, beta, j, level):
     """Stored terms of exponent_series with kernel coordinates m >= 0 that differ
-    from _closed_form_coefficient, and the number of such terms checked."""
+    from closed_form_coefficient, and the number of such terms checked."""
     basis = lattice_basis(A)
     bad, checked = [], 0
     for u, c in exponent_series(A, beta, j, level).terms.items():
         m = lattice_decompose(basis, u)
         if all(x >= 0 for x in m):
             checked += 1
-            if c != _closed_form_coefficient(A, beta, j, m):
+            if c != closed_form_coefficient(A, beta, j, m):
                 bad.append((u, m, c))
     return bad, checked
 

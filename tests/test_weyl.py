@@ -35,8 +35,9 @@ from gkzcurve.curves import (
     lattice_points,
     semigroup_member,
 )
-from gkzcurve.series import ContiguityError, FiniteSupport, WindowSupport, falling_product
+from gkzcurve.series import ContiguityError, FiniteSupport, WindowSupport
 from gkzcurve.weyl import OFFSET_LIMIT, GeneratorViolation, _pack, _unpack
+from oracles import falling_product
 
 
 def x(i, n=2):
