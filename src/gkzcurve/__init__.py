@@ -1,7 +1,7 @@
 """Exact Gevrey-series solutions and irregularity data for hypergeometric
 systems of affine monomial curves.
 
-The seven submodules are registered in sys.modules when the package is
+The eight engine submodules are registered in sys.modules when the package is
 imported, but each one's body runs only on first attribute access, so a
 command compiles and runs only the modules it uses.  `import gkzcurve.<m>`,
 `from gkzcurve.<m> import name` and every package-level name below work as
@@ -16,29 +16,32 @@ _EXPORTS = {
     "basis": (
         "BasisMember",
         "PointClass",
+        "polynomial_exponent_index",
         "slope",
         "solution_basis",
         "verify_basis",
     ),
-    "curves": (
-        "BetaClass",
-        "BetaClassification",
+    "core": (
         "CurveError",
         "CurveKind",
         "CurveMatrix",
-        "DeltaExponent",
         "GcdNotOneError",
-        "LatticeBasis",
         "NotIncreasingError",
-        "SemigroupTable",
         "TooShortError",
+        "make_curve",
+    ),
+    "curves": (
+        "BetaClass",
+        "BetaClassification",
+        "DeltaExponent",
+        "LatticeBasis",
+        "SemigroupTable",
         "beta_class",
         "delta_exponents",
         "frobenius_number",
         "isomorphic_parameters",
         "lattice_basis",
         "lattice_decompose",
-        "make_curve",
         "semigroup_gaps",
         "semigroup_member",
         "semigroup_table",
@@ -81,7 +84,6 @@ _EXPORTS = {
         "exponent_series",
         "gamma_series",
         "inverse_contiguity",
-        "polynomial_exponent_index",
         "series_from_json",
         "substitute_x0",
         "witness_series",

@@ -3,7 +3,8 @@
 The basis series of solve and verify: at the a_{n-1} exponents v^j of the
 smooth stratum of Y = (x_n = 0), with the witness series in place of the
 polynomial slot, or at the a_n exponents of a generic point.  General curves
-are routed through the auxiliary smooth matrix and its x_0 = 0 section.
+are routed through the auxiliary smooth matrix and its x_0 = 0 section.  The
+exponents themselves are closed forms in the entries of A and in beta.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from fractions import Fraction
 
 # lazily loaded modules: their names are read at call time, so a command
 # that never calls into one does not compile it
+from . import curves as _curves
 from . import series as _series
 from . import weyl as _weyl
-from .curves import CurveError, CurveMatrix, semigroup_member
-from .records import record
+from .core import CurveError, CurveMatrix, IndexOutOfRangeError, clip, record
 
 
 class SlopeTooSmallError(CurveError):
@@ -44,6 +45,47 @@ class BasisMember:
     caveats: tuple[str, ...] = ()
 
 
+def exponent_base(A: CurveMatrix, beta, j: int) -> tuple[Fraction, ...]:
+    """The exponent v^j = j e_1 + ((beta - j)/a_{n-1}) e_{n-1} of the system
+    along the singular support, for j = 0..a_{n-1}-1."""
+    beta = Fraction(beta)
+    n = A.n
+    a_pen = A.entries[n - 2]
+    if not 0 <= j < a_pen:
+        raise IndexOutOfRangeError(f"j={clip(j)} outside 0..{a_pen - 1}")
+    v = [Fraction(0)] * n
+    v[0] += j
+    v[n - 2] += Fraction(beta - j, a_pen)
+    return tuple(v)
+
+
+def generic_exponent_base(A: CurveMatrix, beta, j: int) -> tuple[Fraction, ...]:
+    """The exponent w^j = j e_1 + ((beta - j)/a_n) e_n at generic points,
+    for j = 0..a_n-1."""
+    beta = Fraction(beta)
+    n = A.n
+    a_n = A.entries[-1]
+    if not 0 <= j < a_n:
+        raise IndexOutOfRangeError(f"j={clip(j)} outside 0..{a_n - 1}")
+    v = [Fraction(0)] * n
+    v[0] += j
+    v[n - 1] += Fraction(beta - j, a_n)
+    return tuple(v)
+
+
+def polynomial_exponent_index(A: CurveMatrix, beta) -> int | None:
+    """The unique j in 0..a_{n-1}-1 with (beta - j)/a_{n-1} in N, when beta is a
+    natural number; the series at that exponent is a polynomial."""
+    beta = Fraction(beta)
+    if beta.denominator != 1 or beta < 0:
+        return None
+    a_pen = A.entries[A.n - 2]
+    q = int(beta) % a_pen
+    if Fraction(int(beta) - q, a_pen).denominator != 1:
+        raise CurveError(f"beta={beta} - {q} is not divisible by {a_pen}")
+    return q
+
+
 def _witness_defect_name(A: CurveMatrix) -> str:
     return f"toric[{A.n - 1}]"
 
@@ -52,20 +94,20 @@ def _smooth_singular_basis(A, beta, s, build, suffix="") -> list[BasisMember]:
     """The smooth-stratum basis of the smooth matrix A; build(base) makes the
     series at each base exponent and suffix marks the labels."""
     sigma = slope(A)
-    q = _series.polynomial_exponent_index(A, beta)
+    q = polynomial_exponent_index(A, beta)
     s_frac = None if s is None else Fraction(s)
     below = s_frac is not None and s_frac < sigma
     if below:
         if q is None:
             raise SlopeTooSmallError(
                 f"no classes of order {s} < slope {sigma} for beta = {beta}")
-        poly = build(_series.exponent_base(A, beta, q))
+        poly = build(exponent_base(A, beta, q))
         return [BasisMember(poly, f"exponent[{q}]{suffix}", poly.base, True, None)]
     out = []
     for j in range(A.entries[A.n - 2]):
         if j == q:
             continue
-        ser = build(_series.exponent_base(A, beta, j))
+        ser = build(exponent_base(A, beta, j))
         out.append(BasisMember(ser, f"exponent[{j}]{suffix}", ser.base, True, None))
     if q is not None:
         wit = build(_series.witness_base(A, beta))
@@ -78,7 +120,7 @@ def _smooth_generic_basis(A, beta, build, suffix="") -> list[BasisMember]:
     """The generic-point basis of the smooth matrix A, built as above."""
     out = []
     for j in range(A.entries[-1]):
-        ser = build(_series.generic_exponent_base(A, beta, j))
+        ser = build(generic_exponent_base(A, beta, j))
         out.append(BasisMember(ser, f"generic[{j}]{suffix}", ser.base, True, None))
     return out
 
@@ -98,7 +140,7 @@ def _general_basis(A, beta, point, s, level, max_terms) -> list[BasisMember]:
 
     beta = Fraction(beta)
     natural_gap = (beta.denominator == 1 and beta >= 0
-                   and not semigroup_member(A, int(beta)))
+                   and not _curves.semigroup_member(A, int(beta)))
     if not natural_gap:
         return members(beta)
 

@@ -9,7 +9,7 @@ from . import basis as _basis
 from . import series as _series
 from .cli_flags import (UsageError, emit, max_terms, nonnegative, parse_matrix,
                         parse_order, parse_rational)
-from .curves import CurveError, CurveMatrix, read_integer
+from .core import CurveError, CurveMatrix, read_integer
 
 
 def _serialize_member(member) -> dict:

@@ -6,7 +6,7 @@ import json
 import os
 from fractions import Fraction
 
-from .curves import CurveMatrix, clip, make_curve, read_integer, read_rational
+from .core import CurveMatrix, clip, make_curve, read_integer, read_rational
 
 
 class UsageError(Exception):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from . import irregularity as _irregularity
 from .cli_flags import UsageError, emit, nonnegative, parse_matrix, parse_order, parse_rational
-from .curves import CurveError, clip
+from .core import CurveError, clip
 
 # Largest stream gevrey-index builds, in factors of its last coefficient:
 # terms * a_n for a slope stream, terms for a factorial control.  Memory grows

@@ -6,7 +6,7 @@ import sys
 
 from . import restriction as _restriction
 from .cli_flags import UsageError, emit, parse_matrix, parse_rational, rat_json
-from .curves import read_integer
+from .core import read_integer
 
 
 def _descriptor_json(desc) -> dict:

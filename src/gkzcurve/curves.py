@@ -1,161 +1,37 @@
-"""Monomial-curve matrices, their integer kernels and numerical-semigroup arithmetic.
+"""The integer kernel and the numerical semigroup of a monomial-curve matrix.
 
-A curve matrix is a single row A = (a_1 ... a_n) of strictly increasing positive
-integers.  Everything downstream (series supports, toric operators, parameter
-classification) is driven by the integer kernel L_A = ker_Z(A) and by the
-numerical semigroup N*a_1 + ... + N*a_n.
+A curve matrix (core.CurveMatrix) is a single row A = (a_1 ... a_n) of
+strictly increasing positive integers.  The series supports, the toric
+operators and the parameter classification are driven by the integer kernel
+L_A = ker_Z(A) and by the numerical semigroup N*a_1 + ... + N*a_n.  The matrix,
+the input readers and the error classes are re-exported from core.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from enum import Enum
 from fractions import Fraction
 
-from .records import record
-
-# solve writes rationals as str(Fraction): "p" or "p/q", and the CLI's rational
-# flags take the same.  Fraction itself would also parse decimals and
-# exponents, and "1e999999999" builds a billion-digit integer before anything
-# can check it.  The series build and the Gevrey streams stop at 3 * DIGIT_CAP
-# bits, fewer than DIGIT_CAP digits, so whatever solve prints reads back.
-RATIONAL_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
-DIGIT_CAP = 50_000      # int() reads 50 000 digits in ~21 ms, 10^6 in ~7 s
-
-
-def read_integer(text: str) -> int:
-    """int(text); OverflowError past DIGIT_CAP digits, before any is read."""
-    if len(text) - text.startswith("-") > DIGIT_CAP:
-        raise OverflowError(f"more than {DIGIT_CAP} digits")
-    return int(text)
-
-
-def read_rational(text: str) -> Fraction:
-    """p or p/q (RATIONAL_TEXT): ValueError for other text, OverflowError past
-    DIGIT_CAP digits, ZeroDivisionError for q = 0."""
-    match = RATIONAL_TEXT.fullmatch(text)
-    if not match:
-        raise ValueError("not p or p/q")
-    p, q = read_integer(match[1]), read_integer(match[2] or "1")
-    if not q:
-        raise ZeroDivisionError("zero denominator")
-    return Fraction(p, q)
-
-
-def clip(value) -> str:
-    """str(value)[:40] for an error line.  An int, or each part of a Fraction,
-    is cut to its leading digits before it is formatted, since str() of an int
-    past CPython's 4 300-digit limit raises ValueError outside cli.main."""
-    if isinstance(value, Fraction):
-        head = clip(value.numerator)
-        if value.denominator == 1 or len(head) == 40:
-            return head
-        return (head + "/" + clip(value.denominator))[:40]
-    if not isinstance(value, int):
-        return str(value)[:40]
-    # |value| // 10^k keeps more than 40 of its leading digits, as
-    # (bits - 1) * log10(2) - k > 39
-    k = (abs(value).bit_length() - 1) * 30102 // 100_000 - 40
-    if k <= 0:
-        return str(value)[:40]
-    return (("-" if value < 0 else "") + str(abs(value) // 10 ** k))[:40]
-
-
-def check_size(num: int, den: int) -> None:
-    """CurveError before a build table or stream grows past 3 * DIGIT_CAP bits."""
-    if num.bit_length() > 3 * DIGIT_CAP or den.bit_length() > 3 * DIGIT_CAP:
-        raise CurveError(f"an integer passes the size cap of {3 * DIGIT_CAP} bits")
-
-
-class CurveError(Exception):
-    """Base class for domain errors raised by this package."""
-
-
-class TooShortError(CurveError):
-    """Fewer than two entries."""
-
-
-class NotIncreasingError(CurveError):
-    """Entries not positive or not strictly increasing."""
-
-
-class GcdNotOneError(CurveError):
-    """Entries of a non-smooth matrix must have gcd 1."""
-
-
-class NotInKernelError(CurveError):
-    """A vector expected in ker_Z(A) is not."""
-
-
-class DimensionMismatchError(CurveError):
-    """Vector or operator length does not match the number of variables."""
-
-
-class CurveKind(Enum):
-    SMOOTH = "smooth"
-    GENERAL = "general"
-
-
-@record
-class CurveMatrix:
-    """Row matrix A = (a_1 ... a_n), 0 < a_1 < ... < a_n, n >= 2.
-
-    Smooth kind means a_1 = 1 (the curve t -> (t, t^{a_2}, ...) is smooth);
-    general kind means a_1 > 1, in which case gcd(a_1, ..., a_n) = 1 is required.
-    """
-
-    entries: tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    @property
-    def kind(self) -> CurveKind:
-        return CurveKind.SMOOTH if self.entries[0] == 1 else CurveKind.GENERAL
-
-    @property
-    def is_smooth(self) -> bool:
-        return self.entries[0] == 1
-
-    def weight(self, vector) -> Fraction:
-        """The product A.v of the row with a rational vector of length n."""
-        if len(vector) != self.n:
-            raise DimensionMismatchError(
-                f"vector of length {len(vector)} against {self.n} variables"
-            )
-        return sum((Fraction(a) * Fraction(x) for a, x in zip(self.entries, vector)),
-                   Fraction(0))
-
-    def auxiliary(self) -> "CurveMatrix":
-        """The matrix A' = (1, a_1, ..., a_n) used to reduce a general curve to a
-        smooth one by one extra variable x_0."""
-        if self.is_smooth:
-            raise CurveError("auxiliary matrix is only defined for general kind")
-        return CurveMatrix((1,) + self.entries)
-
-    def __str__(self) -> str:
-        return "(" + " ".join(str(a) for a in self.entries) + ")"
-
-
-def make_curve(entries) -> CurveMatrix:
-    """Validate a list of integers as a curve matrix.
-
-    Raises TooShortError (n < 2), NotIncreasingError, or GcdNotOneError
-    (general kind with gcd > 1).
-    """
-    entries = list(entries)
-    if any(a != int(a) for a in entries):
-        raise NotIncreasingError(f"entries must be integers: {entries}")
-    tup = tuple(int(a) for a in entries)
-    if len(tup) < 2:
-        raise TooShortError(f"need at least 2 entries, got {len(tup)}")
-    if tup[0] < 1 or any(b <= a for a, b in zip(tup, tup[1:])):
-        raise NotIncreasingError(f"entries must be positive and strictly increasing: {tup}")
-    if tup[0] > 1 and math.gcd(*tup) != 1:
-        raise GcdNotOneError(f"gcd{tup} = {math.gcd(*tup)} != 1")
-    return CurveMatrix(tup)
+# the curve matrix, readers and errors live in core; they are re-exported here
+from .core import (  # noqa: F401
+    DIGIT_CAP,
+    RATIONAL_TEXT,
+    CurveError,
+    CurveKind,
+    CurveMatrix,
+    DimensionMismatchError,
+    GcdNotOneError,
+    NotIncreasingError,
+    NotInKernelError,
+    TooShortError,
+    check_size,
+    clip,
+    make_curve,
+    read_integer,
+    read_rational,
+    record,
+)
 
 
 # ---------------------------------------------------------------------------

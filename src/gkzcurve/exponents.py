@@ -7,8 +7,10 @@ smooth matrix, one weight gives <d_2, ..., d_{n-2}, d_1^{a_{n-1}}, d_n>, whose
 pairs (d_1^j, {n-1}) give the a_{n-1} exponents v^j along the singular
 support; another gives <d_2, ..., d_{n-1}, d_1^{a_n}>, whose pairs
 (d_1^j, {n}) give the a_n exponents w^j at generic points.  Both lists come
-from the closed forms series.exponent_base and series.generic_exponent_base;
-tests/test_exponents.py derives them from the Graver basis.
+from the closed forms basis.exponent_base and basis.generic_exponent_base;
+tests/test_exponents.py derives them from the Graver basis.  Only the
+minimality search reads the kernel lattice, from curves at call time, so
+listing the exponents compiles neither the lattice nor the series code.
 """
 
 from __future__ import annotations
@@ -17,13 +19,11 @@ import itertools
 import math
 from fractions import Fraction
 
-from .curves import CurveMatrix, lattice_basis
-from .records import record
-from .series import (
-    exponent_base,
-    generic_exponent_base,
-    polynomial_exponent_index,
-)
+# lazily loaded: its names are read at call time, so a command that never
+# calls into it does not compile it
+from . import curves as _curves
+from .basis import exponent_base, generic_exponent_base
+from .core import EXPONENT_VALUE_CAP, CurveError, CurveMatrix, clip, record
 
 
 def negative_support(v) -> frozenset[int]:
@@ -52,11 +52,17 @@ class ExponentVector:
 
 def _exponents(A: CurveMatrix, beta, base, count_entry: int) -> list[ExponentVector]:
     """base(A, beta, j) for j below A.entries[count_entry], each with a minimal
-    negative support; a general matrix is routed through its auxiliary matrix."""
+    negative support; a general matrix is routed through its auxiliary matrix.
+    CurveError, before any is built, when the vectors hold more than
+    EXPONENT_VALUE_CAP entries in all."""
     if not A.is_smooth:
         return [ExponentVector(e.vector, e.nsupp, e.minimal, auxiliary=True)
                 for e in _exponents(A.auxiliary(), beta, base, count_entry)]
-    vectors = [base(A, beta, j) for j in range(A.entries[count_entry])]
+    count = A.entries[count_entry]
+    if count * A.n > EXPONENT_VALUE_CAP:
+        raise CurveError(f"{clip(count)} exponents of {A.n} entries pass the cap of "
+                         f"{EXPONENT_VALUE_CAP} values")
+    vectors = [base(A, beta, j) for j in range(count)]
     return [ExponentVector(v, negative_support(v), True) for v in vectors]
 
 
@@ -107,7 +113,7 @@ def has_minimal_negative_support(A: CurveMatrix, v, radius: int = 3) -> MinimalS
     nsupp = negative_support(v)
     if not nsupp:
         return MinimalSupportAnswer(True, None, radius)
-    basis = lattice_basis(A)
+    basis = _curves.lattice_basis(A)
     rank = basis.rank
     reach = radius if rank > 1 else max(math.ceil((abs(x) + 2) / abs(gi))
                                         for x, gi in zip(v, basis.rows[0]) if gi)
@@ -124,6 +130,5 @@ __all__ = [
     "generic_exponents",
     "has_minimal_negative_support",
     "negative_support",
-    "polynomial_exponent_index",
     "singular_exponents",
 ]

@@ -12,14 +12,19 @@ import math
 from enum import Enum
 from fractions import Fraction
 
-# lazily loaded: its names are read at call time, so a command that never
-# calls into it does not compile it
-from . import series as _series
 # solution_basis and verify_basis are not called here; they are also read
 # under this module's name, as perfbench/tracer.py does
 from .basis import PointClass, slope, solution_basis, verify_basis  # noqa: F401
-from .curves import CurveError, CurveKind, CurveMatrix, check_size, clip
-from .records import record
+from .core import (
+    EXPONENT_VALUE_CAP,
+    CurveError,
+    CurveKind,
+    CurveMatrix,
+    IndexOutOfRangeError,
+    check_size,
+    clip,
+    record,
+)
 
 
 class InsufficientDataError(CurveError):
@@ -139,9 +144,13 @@ def irregularity_dimension(A: CurveMatrix, beta, point: PointClass,
 def monodromy_rotations(A: CurveMatrix, beta) -> list[Fraction]:
     """Rotation numbers (beta - k)/a_{n-1} mod 1, k = 0..a_{n-1}-1, of the
     monodromy of the quotient-class basis around x_{n-1} = 0; contains 0
-    exactly once when beta is an integer."""
+    exactly once when beta is an integer.  CurveError, before any is built,
+    when a_{n-1} passes EXPONENT_VALUE_CAP."""
     beta = Fraction(beta)
     a_pen = A.entries[A.n - 2]
+    if a_pen > EXPONENT_VALUE_CAP:
+        raise CurveError(f"{clip(a_pen)} rotation numbers pass the cap of "
+                         f"{EXPONENT_VALUE_CAP} values")
     out = []
     for k in range(a_pen):
         r = Fraction(beta - k, a_pen)
@@ -178,7 +187,7 @@ def slope_subseries(A: CurveMatrix, beta, which, count: int = 200):
         if kind != "exponent":
             raise CurveError(f"unknown subseries selector {which!r}")
         if not 0 <= j < a_pen:
-            raise _series.IndexOutOfRangeError(f"j={clip(j)} outside 0..{a_pen - 1}")
+            raise IndexOutOfRangeError(f"j={clip(j)} outside 0..{a_pen - 1}")
         theta = Fraction(Fraction(beta) - j, a_pen)
         if theta.denominator == 1 and theta >= 0:
             raise CurveError("the exponent-ray stream terminates for the polynomial slot")

@@ -15,18 +15,17 @@ from fractions import Fraction
 
 # lazily loaded modules: their names are read at call time, so a command
 # that never calls into one does not compile it
-from . import series as _series
+from . import curves as _curves
 from . import weyl as _weyl
-from .curves import (
+from .core import (
     CurveError,
     CurveMatrix,
-    DeltaExponent,
     GcdNotOneError,
+    IndexOutOfRangeError,
     clip,
-    delta_exponents,
     make_curve,
+    record,
 )
-from .records import record
 
 
 class WrongShapeError(CurveError):
@@ -60,7 +59,7 @@ class RestrictionWitness:
     auxiliary: CurveMatrix
     p1: _weyl.WeylOperator
     q_operators: tuple[_weyl.WeylOperator, ...]
-    deltas: tuple[DeltaExponent, ...]
+    deltas: tuple[_curves.DeltaExponent, ...]
 
 
 def restrict_hyperplane(A: CurveMatrix, beta, i: int) -> ModuleDescriptor:
@@ -69,7 +68,7 @@ def restrict_hyperplane(A: CurveMatrix, beta, i: int) -> ModuleDescriptor:
     if not A.is_smooth:
         raise _weyl.NotSmoothError(f"{A.entries} is not smooth")
     if not 2 <= i <= A.n:
-        raise _series.IndexOutOfRangeError(f"i={clip(i)} outside 2..{A.n}")
+        raise IndexOutOfRangeError(f"i={clip(i)} outside 2..{A.n}")
     if A.n < 3:
         raise WrongShapeError("dropping a column of a 1x2 matrix leaves no curve")
     entries = tuple(a for j, a in enumerate(A.entries, start=1) if j != i)
@@ -121,7 +120,7 @@ def auxiliary_restriction(A: CurveMatrix, beta) -> tuple[ModuleDescriptor, Restr
     monomial = _weyl.WeylOperator.monomial
     aux = A.auxiliary()
     nv = aux.n
-    deltas = delta_exponents(A)
+    deltas = _curves.delta_exponents(A)
     q_ops = []
     for d in deltas:
         left = [0] * nv
@@ -177,7 +176,7 @@ def b_function(A: CurveMatrix, weight) -> BFunction:
         if not A.is_smooth:
             raise UnsupportedShapeError(f"e_{i} weight covered for smooth matrices only")
         if not 2 <= i <= A.n:
-            raise _series.IndexOutOfRangeError(f"i={clip(i)} outside 2..{A.n}")
+            raise IndexOutOfRangeError(f"i={clip(i)} outside 2..{A.n}")
         return BFunction((Fraction(0),), Caveat.PROVEN_FOR_THIS_BETA)
     if weight is WeightTag.FIRST_COORDINATE:
         if not A.is_smooth:

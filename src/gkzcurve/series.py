@@ -17,21 +17,24 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .curves import (
+from .basis import exponent_base, generic_exponent_base
+from .core import (  # noqa: F401  (IndexOutOfRangeError is re-exported)
     CurveError,
     CurveMatrix,
     DimensionMismatchError,
-    LatticeBasis,
+    IndexOutOfRangeError,
     check_size,
-    clip,
+    make_curve,
+    read_rational,
+    record,
+)
+from .curves import (
+    LatticeBasis,
     lattice_basis,
     lattice_decompose,
     lattice_points,
-    make_curve,
-    read_rational,
     semigroup_member,
 )
-from .records import record
 
 
 class BetaNotNaturalError(CurveError):
@@ -40,10 +43,6 @@ class BetaNotNaturalError(CurveError):
 
 class WrongAuxiliaryShapeError(CurveError):
     """Series/matrix pair does not match the auxiliary (1, a_1, ..., a_n) setup."""
-
-
-class IndexOutOfRangeError(CurveError):
-    """Exponent index j outside its allowed range."""
 
 
 class TermLimitError(CurveError):
@@ -433,53 +432,12 @@ def section_series(A: CurveMatrix, aux_base, level: int,
     return FormalSeries._built(base[1:], terms, level, descriptor)
 
 
-def exponent_base(A: CurveMatrix, beta, j: int) -> tuple[Fraction, ...]:
-    """The exponent v^j = j e_1 + ((beta - j)/a_{n-1}) e_{n-1} of the system
-    along the singular support, for j = 0..a_{n-1}-1."""
-    beta = Fraction(beta)
-    n = A.n
-    a_pen = A.entries[n - 2]
-    if not 0 <= j < a_pen:
-        raise IndexOutOfRangeError(f"j={clip(j)} outside 0..{a_pen - 1}")
-    v = [Fraction(0)] * n
-    v[0] += j
-    v[n - 2] += Fraction(beta - j, a_pen)
-    return tuple(v)
-
-
-def generic_exponent_base(A: CurveMatrix, beta, j: int) -> tuple[Fraction, ...]:
-    """The exponent w^j = j e_1 + ((beta - j)/a_n) e_n at generic points,
-    for j = 0..a_n-1."""
-    beta = Fraction(beta)
-    n = A.n
-    a_n = A.entries[-1]
-    if not 0 <= j < a_n:
-        raise IndexOutOfRangeError(f"j={clip(j)} outside 0..{a_n - 1}")
-    v = [Fraction(0)] * n
-    v[0] += j
-    v[n - 1] += Fraction(beta - j, a_n)
-    return tuple(v)
-
-
 def exponent_series(A: CurveMatrix, beta, j: int, level: int,
                     max_terms: int | None = None) -> FormalSeries:
     """Gamma-series at the singular exponent v^j, for smooth A."""
     if not A.is_smooth:
         raise WrongAuxiliaryShapeError("direct exponent series needs a smooth matrix")
     return gamma_series(A, exponent_base(A, beta, j), level, max_terms=max_terms)
-
-
-def polynomial_exponent_index(A: CurveMatrix, beta) -> int | None:
-    """The unique j in 0..a_{n-1}-1 with (beta - j)/a_{n-1} in N, when beta is a
-    natural number; the series at that exponent is a polynomial."""
-    beta = Fraction(beta)
-    if beta.denominator != 1 or beta < 0:
-        return None
-    a_pen = A.entries[A.n - 2]
-    q = int(beta) % a_pen
-    if Fraction(int(beta) - q, a_pen).denominator != 1:
-        raise CurveError(f"beta={beta} - {q} is not divisible by {a_pen}")
-    return q
 
 
 def witness_base(A: CurveMatrix, beta) -> tuple[Fraction, ...]:

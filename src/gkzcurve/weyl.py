@@ -15,17 +15,15 @@ from fractions import Fraction
 # lazily loaded: only apply builds a series, so printing operators does not
 # compile series.py
 from . import series as _series
-from .curves import (
+from .core import (
+    CurveError,
     CurveMatrix,
     DimensionMismatchError,
     NotInKernelError,
-    CurveError,
-    LatticeBasis,
     clip,
-    lattice_basis,
-    lattice_points,
+    record,
 )
-from .records import record
+from .curves import LatticeBasis, lattice_basis, lattice_points
 
 
 class NotSmoothError(CurveError):

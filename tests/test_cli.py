@@ -603,6 +603,32 @@ def test_checking_set_over_the_cap_is_a_domain_error(capsys):
         "29bd9922f66b70fd56b2faa3119d75c41ac4d68a3e8e0a670d12aa094846d275")
 
 
+@pytest.mark.parametrize("argv,values", [
+    ("exponents --matrix 1,1000000 --beta 1/2 --point generic",
+     "1000000 exponents of 2 entries"),
+    ("exponents --matrix 1,10000000 --beta 1/2 --point generic",
+     "10000000 exponents of 2 entries"),
+    ("exponents --matrix 1,60001 --beta 1/2 --point generic",
+     "60001 exponents of 2 entries"),
+    ("exponents --matrix 1,40001,40002 --beta 1/2", "40001 exponents of 3 entries"),
+    # a general curve's vectors have the n + 1 auxiliary entries
+    ("exponents --matrix 2,30001,30002 --beta 1/2", "30001 exponents of 4 entries"),
+    ("monodromy --matrix 1,1000000,1000001 --beta 1/2", "1000000 rotation numbers"),
+    ("monodromy --matrix 1,120001,120002 --beta 1/2", "120001 rotation numbers"),
+], ids=["generic-1e6", "generic-1e7", "generic-edge", "smooth-edge", "general-edge",
+        "monodromy-1e6", "monodromy-edge"])
+def test_exponent_values_over_the_cap_are_a_domain_error(capsys, argv, values):
+    # counted before the first vector or rotation is built; one fewer passes,
+    # and at the cap exponents takes about a second
+    from gkzcurve.core import EXPONENT_VALUE_CAP
+
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv.split())
+    assert time.perf_counter() - start < 1
+    _one_line_error(code, out, err, 1)
+    assert f"{values} pass the cap of {EXPONENT_VALUE_CAP} values" in err
+
+
 def test_verify_exits_1_on_a_violation(tmp_path, capsys, solved):
     path = tmp_path / "basis.json"
     path.write_text(json.dumps(solved))
@@ -627,7 +653,7 @@ def test_cli_import_leaves_numpy_out():
 
 def test_cli_import_leaves_dataclasses_and_inspect_out():
     # both cost every command ~30 ms of import and generated-code exec; the
-    # import registers all six modules in sys.modules, and runs only curves
+    # import registers all eight modules in sys.modules, and runs only core
     src = os.path.dirname(os.path.dirname(gkzcurve.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     probe = ("import sys, gkzcurve.cli; "
@@ -641,7 +667,8 @@ def test_cli_import_leaves_dataclasses_and_inspect_out():
         assert f"'gkzcurve.{module}'" in loaded
 
 
-SUBMODULES = ("basis", "curves", "exponents", "irregularity", "restriction", "series", "weyl")
+SUBMODULES = ("basis", "core", "curves", "exponents", "irregularity", "restriction", "series",
+              "weyl")
 
 # Prints, after an optional command, the gkzcurve modules in sys.modules, those
 # whose body has run, and which of argparse, gettext and locale were imported.
@@ -673,7 +700,7 @@ def modules_after(*argv):
 @pytest.mark.parametrize("argv,extra", [
     ("", set()),
     ("--help", set()),
-    ("semigroup --matrix 3,5,7 --beta 1 --member 8", set()),
+    ("semigroup --matrix 3,5,7 --beta 1 --member 8", {"curves"}),
     # irregularity reads the point classes and the slope from basis
     ("gevrey-index --matrix 1,3,5 --stream exponent --beta 1/2 --terms 300",
      {"cli_irregularity", "irregularity", "basis"}),
@@ -683,24 +710,32 @@ def modules_after(*argv):
     ("restrict --matrix 1,3,6,8 --beta 1/3 --mode plane", {"cli_restriction", "restriction"}),
     # the operators are printed, and no series is built
     ("restrict --matrix 3,5,7 --beta 1/2 --mode aux",
-     {"cli_restriction", "restriction", "weyl"}),
+     {"cli_restriction", "restriction", "weyl", "curves"}),
     ("b-function --matrix 1,4,6 --weight first", {"cli_restriction", "restriction"}),
-    ("exponents --matrix 1,2,3 --beta 1/2", {"exponents", "series"}),
+    # an index out of range is a core error
+    ("gevrey-index --matrix 1,2,3 --stream exponent --beta 1/2 --j 5",
+     {"cli_irregularity", "irregularity", "basis"}),
+    ("restrict --matrix 1,2,3 --beta 1 --mode hyperplane --index 0",
+     {"cli_restriction", "restriction"}),
+    ("b-function --matrix 1,2,3 --weight e9", {"cli_restriction", "restriction"}),
+    ("exponents --matrix 1,2,3 --beta 1/2", {"exponents", "basis"}),
     # solve and verify leave the tables, Gevrey streams and monodromy out
-    ("solve --matrix 1,2,3 --beta 4 --truncation 40", {"cli_basis", "basis", "series"}),
+    ("solve --matrix 1,2,3 --beta 4 --truncation 40",
+     {"cli_basis", "basis", "series", "curves"}),
     ("solve --matrix 1,2,3,4,5,6 --beta 1/2 --truncation 8",
-     {"cli_basis", "basis", "series"}),
+     {"cli_basis", "basis", "series", "curves"}),
     ("solve --matrix 3,5,7 --beta 1/2 --truncation 14",
-     {"cli_basis", "basis", "series"}),
+     {"cli_basis", "basis", "series", "curves"}),
     # the gap route lifts by inverse contiguity, and applies no operator
     ("solve --matrix 3,5,7 --beta 4 --truncation 14",
-     {"cli_basis", "basis", "series"}),
+     {"cli_basis", "basis", "series", "curves"}),
     ("verify --matrix 1,3,6,8 --beta 1/3 --truncation 8",
-     {"cli_basis", "basis", "series", "weyl"}),
+     {"cli_basis", "basis", "series", "weyl", "curves"}),
     ("verify --matrix 1,2,3 --beta 4 --input {input}",
-     {"cli_basis", "basis", "series", "weyl"}),
+     {"cli_basis", "basis", "series", "weyl", "curves"}),
 ], ids=["import-only", "help", "semigroup", "gevrey-index", "monodromy",
-        "irregularity-table", "restrict", "restrict-aux", "b-function", "exponents",
+        "irregularity-table", "restrict", "restrict-aux", "b-function",
+        "gevrey-index-bad-j", "restrict-bad-index", "b-function-bad-weight", "exponents",
         "solve-123", "solve-123456", "solve-357-half", "solve-357-gap", "verify",
         "verify-input"])
 def test_each_command_runs_only_the_modules_it_uses(capsys, tmp_path, argv, extra):
@@ -713,7 +748,7 @@ def test_each_command_runs_only_the_modules_it_uses(capsys, tmp_path, argv, extr
     # sys.modules["gkzcurve.<m>"] for all seven right after importing gkzcurve.cli
     registered, ran, stdlib = modules_after(*argv.split())
     assert registered >= set(SUBMODULES)
-    assert ran == {"cli", "cli_flags", "curves", "records"} | extra
+    assert ran == {"cli", "cli_flags", "core"} | extra
     assert stdlib == set()
 
 

@@ -22,10 +22,10 @@ from gkzcurve import (
     solution_basis,
     verify_basis,
 )
-from gkzcurve.curves import CurveError
+from gkzcurve.core import CurveError, IndexOutOfRangeError
 from gkzcurve.basis import BasisMember, SlopeTooSmallError
 from gkzcurve.irregularity import InsufficientDataError, _log_abs
-from gkzcurve.series import FormalSeries, IndexOutOfRangeError
+from gkzcurve.series import FormalSeries
 
 
 def test_slope_values():
@@ -340,7 +340,8 @@ def test_slope_subseries_matches_series_coefficients():
     # m_{n-1} = a_n mu, m_n = a_{n-1} mu of the kernel coordinates
     from gkzcurve import lattice_basis
     from oracles import gamma_coefficient
-    from gkzcurve.series import exponent_base, witness_base
+    from gkzcurve.basis import exponent_base
+    from gkzcurve.series import witness_base
 
     for entries, beta in [((1, 2, 3), 0), ((1, 2, 5), 4), ((1, 3, 4, 5), 1)]:
         A = make_curve(entries)

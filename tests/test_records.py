@@ -11,7 +11,7 @@ import pytest
 from gkzcurve import basis, curves, exponents, irregularity, restriction, series, weyl
 from gkzcurve.curves import CurveError, make_curve
 from gkzcurve.irregularity import SheafKind, SheafTag
-from gkzcurve.records import record
+from gkzcurve.core import record
 
 # (class, field names, defaults)
 RECORDS = [
@@ -53,7 +53,7 @@ def test_every_record_class_is_listed():
                              weyl)
              for cls in vars(mod).values()
              if isinstance(cls, type)
-             and getattr(cls.__init__, "__module__", None) == "gkzcurve.records"}
+             and getattr(cls.__init__, "__module__", None) == "gkzcurve.core"}
     assert found == {cls for cls, *_ in RECORDS}
     assert len(found) == 16
 

@@ -24,7 +24,7 @@ from gkzcurve import (
     witness_series,
 )
 from gkzcurve.curves import CurveError, lattice_basis, lattice_decompose, lattice_points
-from gkzcurve.exponents import polynomial_exponent_index
+from gkzcurve.basis import exponent_base, generic_exponent_base, polynomial_exponent_index
 from gkzcurve.series import (
     BetaNotNaturalError,
     ContiguityError,
@@ -36,8 +36,6 @@ from gkzcurve.series import (
     TermLimitError,
     WrongAuxiliaryShapeError,
     _support_bounds,
-    exponent_base,
-    generic_exponent_base,
     section_series,
     witness_base,
 )

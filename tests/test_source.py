@@ -17,7 +17,7 @@ def test_no_assert_statements_in_the_package():
 
 
 def test_no_dataclasses_typing_or_inspect_imports_in_the_package():
-    # each costs every gkz command import time; records.record replaces
+    # each costs every gkz command import time; core.record replaces
     # dataclass, and cli's flag table replaces argparse
     banned = {"dataclasses", "typing", "inspect", "argparse"}
     found = []
@@ -51,6 +51,59 @@ def test_no_package_module_imports_cli():
             else:
                 continue
             found += [f"{path.name}:{node.lineno}" for m in modules if m == "gkzcurve.cli"]
+    assert found == []
+
+
+def _run_at_import(node):
+    """node and the nodes under it that run when the module is imported: not
+    function bodies, nor annotations (postponed by `from __future__ import
+    annotations`)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        parts = (getattr(node, "decorator_list", []) + node.args.defaults
+                 + [d for d in node.args.kw_defaults if d is not None])
+    elif isinstance(node, ast.AnnAssign):
+        parts = [node.target] + ([node.value] if node.value else [])
+    else:
+        parts = list(ast.iter_child_nodes(node))
+    yield node
+    for part in parts:
+        yield from _run_at_import(part)
+
+
+# series enumerates the kernel lattice for its supports and weyl for its
+# checking set, so both bind curves names at import
+LATTICE_USERS = {"curves.py", "series.py", "weyl.py"}
+
+
+def test_only_lattice_users_bind_a_curves_name_at_import():
+    # the closed-form commands (exponents, gevrey-index, irregularity-table,
+    # monodromy, restrict --mode plane, b-function) must not compile curves.py:
+    # other modules read its own names as _curves.<name> at call time
+    tree = ast.parse((PACKAGE / "curves.py").read_text(), filename="curves.py")
+    own = {node.name for node in tree.body
+           if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    own |= {target.id for node in tree.body if isinstance(node, ast.Assign)
+            for target in node.targets if isinstance(target, ast.Name)}
+    assert {"LatticeBasis", "lattice_points", "semigroup_member", "delta_exponents",
+            "beta_class", "DeltaExponent"} <= own
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in LATTICE_USERS:
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        nodes = list(_run_at_import(tree))
+        # `from . import curves as _curves` binds the lazily loaded module
+        aliases = {alias.asname or alias.name for node in nodes
+                   if isinstance(node, ast.ImportFrom) and node.level == 1 and not node.module
+                   for alias in node.names if alias.name == "curves"}
+        for node in nodes:
+            if isinstance(node, ast.ImportFrom) and (
+                    (node.level, node.module) in ((1, "curves"), (0, "gkzcurve.curves"))):
+                found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                          if alias.name in own or alias.name == "*"]
+            elif (isinstance(node, ast.Attribute) and node.attr in own
+                  and isinstance(node.value, ast.Name) and node.value.id in aliases):
+                found.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
     assert found == []
 
 

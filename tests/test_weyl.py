@@ -235,7 +235,8 @@ def test_annihilation_box_ball_on_built_series():
 
 def test_annihilation_box_ball_on_generic_point_series():
     # the generic-exponent support runs against the kernel ray direction
-    from gkzcurve.series import gamma_series, generic_exponent_base
+    from gkzcurve.basis import generic_exponent_base
+    from gkzcurve.series import gamma_series
 
     for entries, beta in [((1, 2, 3), Fraction(1, 2)), ((1, 2, 5), 0)]:
         A = make_curve(entries)
