@@ -177,6 +177,10 @@ class IndexOutOfRangeError(CurveError):
     """Exponent, variable or weight index outside its allowed range."""
 
 
+class NotSmoothError(CurveError):
+    """Operation defined only for smooth matrices."""
+
+
 # ---------------------------------------------------------------------------
 # Curve matrices
 

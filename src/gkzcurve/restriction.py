@@ -22,6 +22,7 @@ from .core import (
     CurveMatrix,
     GcdNotOneError,
     IndexOutOfRangeError,
+    NotSmoothError,
     clip,
     make_curve,
     record,
@@ -66,7 +67,7 @@ def restrict_hyperplane(A: CurveMatrix, beta, i: int) -> ModuleDescriptor:
     """Restriction of a smooth-curve module to (x_i = 0), i = 2..n: the module
     of the matrix with column i removed, same parameter, valid for every beta."""
     if not A.is_smooth:
-        raise _weyl.NotSmoothError(f"{A.entries} is not smooth")
+        raise NotSmoothError(f"{A.entries} is not smooth")
     if not 2 <= i <= A.n:
         raise IndexOutOfRangeError(f"i={clip(i)} outside 2..{A.n}")
     if A.n < 3:
@@ -94,7 +95,7 @@ def restrict_to_plane(A: CurveMatrix, beta) -> list[ModuleDescriptor]:
     """Restriction of a smooth-curve module to (x_1 = ... = x_{n-2} = 0):
     k = gcd(a_{n-1}, a_n) summands M_(a_{n-1}/k, a_n/k)((beta - i)/k)."""
     if not A.is_smooth:
-        raise _weyl.NotSmoothError(f"{A.entries} is not smooth")
+        raise NotSmoothError(f"{A.entries} is not smooth")
     if A.n < 3:
         raise WrongShapeError("need at least 3 variables")
     an1, an = A.entries[-2], A.entries[-1]

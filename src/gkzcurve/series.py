@@ -282,6 +282,9 @@ def series_from_json(data: dict, matrix: CurveMatrix | None = None) -> FormalSer
     if kind == "lattice":
         if matrix is None:
             raise CurveError("lattice descriptor needs the curve matrix")
+        if len(base) != matrix.n:
+            raise CurveError(f"lattice series of {matrix.n} variables needs a "
+                             f"base_exponent of length {matrix.n}, not {len(base)}")
         descriptor = LatticeGammaSupport(lattice_basis(matrix), base)
     elif kind == "x0_section":
         for key in ("aux_matrix", "aux_base"):

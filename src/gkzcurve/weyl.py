@@ -20,14 +20,11 @@ from .core import (
     CurveMatrix,
     DimensionMismatchError,
     NotInKernelError,
+    NotSmoothError,
     clip,
     record,
 )
 from .curves import LatticeBasis, lattice_basis, lattice_points
-
-
-class NotSmoothError(CurveError):
-    """Operation defined only for smooth matrices."""
 
 
 def _unit(n: int, i: int) -> tuple[int, ...]:
@@ -286,15 +283,18 @@ class _SeriesKernel:
             shift, math.prod(q ** gi for q, gi in zip(self.den, g)), slots, image)
         return out
 
+    def check(self, P: WeylOperator):
+        if P.nvars != len(self.num):
+            raise DimensionMismatchError(
+                f"operator on {P.nvars} variables against {len(self.num)}-variable series")
+
     def image(self, P: WeylOperator):
         """P applied to the series: (sums, denominator, plan).
 
         sums maps every packed offset that received a nonzero contribution to
         the integer numerator of its coefficient over denominator (zero where
         the contributions cancel); plan holds P's monomials, in term order."""
-        if P.nvars != len(self.num):
-            raise DimensionMismatchError(
-                f"operator on {P.nvars} variables against {len(self.num)}-variable series")
+        self.check(P)
         plan = [self.monomials.get(key) or self.monomial(key) for key in P.terms]
         scales = [c.denominator * m[1] for m, c in zip(plan, P.terms.values())]
         lcm = math.lcm(*scales)
@@ -306,21 +306,65 @@ class _SeriesKernel:
                 sums[w] = get(w, 0) + f * mult
         return sums, self.scale * lcm, plan
 
+    def missed_exact(self, key: int, slots) -> bool:
+        """Whether a monomial that did not land at an offset leaves the image
+        exact there: its contributor, the packed key, is certified or has a
+        zero falling factor.  The one exactness rule of the kernel."""
+        contrib = self.known[key]
+        if contrib is None:
+            return True
+        for i, table in slots:
+            if not table[contrib[i]]:
+                return True
+        return False
+
     def inexact(self, keys, plan) -> set:
-        """The packed offsets among keys where the image of plan is not exact: a
-        monomial that did not land there has an uncertain contributor with a
-        nonzero falling factor (one that landed has a stored contributor)."""
-        known, out = self.known, set()
-        for shift, _, slots, image in plan:
-            for w in keys - image.keys():
-                contrib = known[w - shift]
-                if contrib is not None:
-                    for i, table in slots:
-                        if not table[contrib[i]]:
-                            break
-                    else:
-                        out.add(w)
-        return out
+        """The packed offsets among keys where the image of plan is not exact:
+        some monomial missed them (one that landed has a stored contributor)
+        and missed_exact says no."""
+        exact = self.missed_exact
+        return {w for shift, _, slots, image in plan
+                for w in keys - image.keys() if not exact(w - shift, slots)}
+
+    def binomial(self, P: WeylOperator):
+        """A two-term P's row in one pass over its two monomial images:
+        (largest |numerator|, trusted_terms, certified, denominator), as image
+        and inexact give them, over the offsets where the image of P is exact."""
+        self.check(P)
+        (k1, c1), (k2, c2) = P.terms.items()
+        shift1, q1, slots1, image1 = self.monomials.get(k1) or self.monomial(k1)
+        shift2, q2, slots2, image2 = self.monomials.get(k2) or self.monomial(k2)
+        s1, s2 = c1.denominator * q1, c2.denominator * q2
+        lcm = math.lcm(s1, s2)
+        mult1, mult2 = c1.numerator * (lcm // s1), c2.numerator * (lcm // s2)
+        exact = self.missed_exact
+        hi = lo = trusted = certified = 0      # hi, lo: the extreme exact numerators
+        for w, f in image1.items():
+            g = image2.get(w)
+            if g is not None:
+                n = f * mult1 + g * mult2
+            elif exact(w - shift2, slots2):
+                n = f * mult1
+            else:
+                continue
+            certified += 1
+            if n:
+                trusted += 1
+                if n > hi:
+                    hi = n
+                elif n < lo:
+                    lo = n
+        # a monomial image holds nonzero products only, so a lone one is nonzero
+        for w, g in image2.items():
+            if w not in image1 and exact(w - shift1, slots1):
+                certified += 1
+                trusted += 1
+                n = g * mult2
+                if n > hi:
+                    hi = n
+                elif n < lo:
+                    lo = n
+        return max(hi, -lo), trusted, certified, self.scale * lcm
 
 
 def apply(P: WeylOperator, S: _series.FormalSeries) -> _series.FormalSeries:
@@ -384,12 +428,15 @@ def annihilation_report(generators, S: _series.FormalSeries) -> AnnihilationRepo
     rows = []
     zero = Fraction(0)
     for idx, (name, op) in enumerate(generators):
-        sums, den, plan = kernel.image(op)
-        inexact = kernel.inexact(sums.keys(), plan)
-        tops = [abs(n) for w, n in sums.items() if n and w not in inexact]
-        violation = Fraction(max(tops), den) if tops else zero
-        rows.append(GeneratorViolation(name, violation, len(tops),
-                                       len(sums) - len(inexact)))
+        if len(op.terms) == 2:
+            top, trusted, certified, den = kernel.binomial(op)
+        else:
+            sums, den, plan = kernel.image(op)
+            inexact = kernel.inexact(sums.keys(), plan)
+            tops = [abs(n) for w, n in sums.items() if n and w not in inexact]
+            top, trusted, certified = max(tops, default=0), len(tops), len(sums) - len(inexact)
+        rows.append(GeneratorViolation(name, Fraction(top, den) if top else zero,
+                                       trusted, certified))
         for key in op.terms:
             if last[key] == idx:
                 del kernel.monomials[key]

@@ -505,6 +505,18 @@ def test_verify_input_does_not_read_a_solution_flag_by_truthiness(tmp_path, caps
     assert "'is_solution' must be true or false, got 0" in err
 
 
+def test_verify_input_of_another_matrix_is_a_domain_error(tmp_path, capsys, solved):
+    # the (1,2,3) lattice series against a 4-entry matrix: refused where it is
+    # read, not at the first operator
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps(solved))
+    code, out, err = run_cli(capsys, "verify", "--matrix", "1,3,6,8", "--beta", "4",
+                             "--input", str(path))
+    _one_line_error(code, out, err, 1)
+    assert err == ("error: CurveError: lattice series of 4 variables needs a "
+                   "base_exponent of length 4, not 3\n")
+
+
 @pytest.mark.parametrize("field,value", [("aux_matrix", None), ("aux_base", None),
                                          ("aux_base", ["0", "1/2"]),
                                          ("aux_matrix", [1, 2, "x"])])
@@ -718,6 +730,10 @@ def modules_after(*argv):
     ("restrict --matrix 1,2,3 --beta 1 --mode hyperplane --index 0",
      {"cli_restriction", "restriction"}),
     ("b-function --matrix 1,2,3 --weight e9", {"cli_restriction", "restriction"}),
+    # so is a general matrix where a smooth one is needed
+    ("restrict --matrix 2,3,5 --beta 1 --mode plane", {"cli_restriction", "restriction"}),
+    ("restrict --matrix 2,3,5 --beta 1 --mode hyperplane --index 1",
+     {"cli_restriction", "restriction"}),
     ("exponents --matrix 1,2,3 --beta 1/2", {"exponents", "basis"}),
     # solve and verify leave the tables, Gevrey streams and monodromy out
     ("solve --matrix 1,2,3 --beta 4 --truncation 40",
@@ -735,7 +751,8 @@ def modules_after(*argv):
      {"cli_basis", "basis", "series", "weyl", "curves"}),
 ], ids=["import-only", "help", "semigroup", "gevrey-index", "monodromy",
         "irregularity-table", "restrict", "restrict-aux", "b-function",
-        "gevrey-index-bad-j", "restrict-bad-index", "b-function-bad-weight", "exponents",
+        "gevrey-index-bad-j", "restrict-bad-index", "b-function-bad-weight",
+        "restrict-plane-not-smooth", "restrict-hyperplane-not-smooth", "exponents",
         "solve-123", "solve-123456", "solve-357-half", "solve-357-gap", "verify",
         "verify-input"])
 def test_each_command_runs_only_the_modules_it_uses(capsys, tmp_path, argv, extra):

@@ -41,6 +41,15 @@ def test_restrict_hyperplane_errors():
         restrict_hyperplane(make_curve((2, 3, 5)), 0, 2)
 
 
+def test_not_smooth_error_is_one_class_in_core_and_weyl():
+    from gkzcurve import core, weyl
+    assert weyl.NotSmoothError is core.NotSmoothError
+    for restrict in (lambda A: restrict_hyperplane(A, 1, 2), lambda A: restrict_to_plane(A, 1),
+                     weyl.toric_generators):
+        with pytest.raises(core.NotSmoothError, match=r"^\(2, 3, 5\) is not smooth$"):
+            restrict(make_curve((2, 3, 5)))
+
+
 # str() of 10^5000 raises ValueError under the interpreter's digit limit
 HUGE_INDEX_LINE = f"^i=1{'0' * 39} outside 2..3$"
 

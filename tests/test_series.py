@@ -625,6 +625,18 @@ def test_serialization_roundtrip():
     assert report.max_violation == 0
 
 
+@pytest.mark.parametrize("entries", [(1, 3, 6, 8), (1, 2)])
+def test_lattice_series_of_another_length_is_refused_at_read_time(entries):
+    # a 3-entry base read against a 4- or 2-entry matrix used to give a series
+    # whose descriptor has another length than its offsets
+    data = json.loads(json.dumps(
+        exponent_series(make_curve((1, 2, 3)), Fraction(1, 2), 1, 4).to_json()))
+    A = make_curve(entries)
+    with pytest.raises(CurveError, match=f"^lattice series of {A.n} variables needs a "
+                                         f"base_exponent of length {A.n}, not 3$"):
+        series_from_json(data, A)
+
+
 def test_series_from_json_takes_the_validated_values_as_they_are():
     # the same series as the converting constructor builds from the raw values:
     # p/q strings reduced, zero coefficients dropped, a repeated offset's last

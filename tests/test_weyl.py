@@ -306,15 +306,21 @@ def reference_rows(generators, S):
     return rows
 
 
-def fraction_operator(rng, n):
-    """Two terms x^a d^g with non-integer coefficients; a term shifts each
-    coordinate by -5..5."""
+def fraction_operator(rng, n, nterms=2):
+    """nterms terms x^a d^g (fewer where two draws coincide) with non-integer
+    coefficients; a term shifts each coordinate by -5..5."""
     terms = {}
-    for _ in range(2):
+    for _ in range(nterms):
         a = tuple(rng.randint(0, 5) for _ in range(n))
         g = tuple(rng.randint(0, 5) for _ in range(n))
         terms[(a, g)] = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
     return WeylOperator(n, terms)
+
+
+def random_generators(rng, n):
+    """A random binomial beside a one-term and a three-term operator, so that
+    annihilation_report runs both of its paths on non-box operators."""
+    return [(f"random[{k}]", fraction_operator(rng, n, k)) for k in (2, 1, 3)]
 
 
 def series_variant(S: FormalSeries, variant: str, rng) -> FormalSeries:
@@ -381,8 +387,7 @@ def test_kernel_matches_fraction_reference(entries, beta):
     for point in (PointClass.SMOOTH_STRATUM, PointClass.GENERIC):
         for level in (0, 4):
             A, series = basis_series(entries, beta, point, level)
-            gens = named_generators(A, beta, 2)
-            gens += [("random", fraction_operator(rng, A.n))]
+            gens = named_generators(A, beta, 2) + random_generators(rng, A.n)
             # the first members and the last, which is the witness when there is one
             for S in series[:2] + series[2:][-1:]:
                 for variant in ("plain", "perturbed", "chained"):
@@ -425,7 +430,7 @@ def test_kernel_matches_fraction_reference_property(entries, beta, point, level,
         A, series = basis_series(entries, beta, point, level)
     except CurveError:        # e.g. natural beta on a smooth 2-entry matrix
         assume(False)
-    gens = named_generators(A, beta, 2) + [("random", fraction_operator(rng, A.n))]
+    gens = named_generators(A, beta, 2) + random_generators(rng, A.n)
     for S in series[:2]:
         assert_kernel_matches_reference(gens, series_variant(S, variant, rng), rng)
 
