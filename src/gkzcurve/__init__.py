@@ -39,7 +39,6 @@ _EXPORTS = {
         "beta_class",
         "delta_exponents",
         "frobenius_number",
-        "isomorphic_parameters",
         "lattice_basis",
         "lattice_decompose",
         "semigroup_gaps",
@@ -48,9 +47,7 @@ _EXPORTS = {
     ),
     "exponents": (
         "ExponentVector",
-        "MinimalSupportAnswer",
         "generic_exponents",
-        "has_minimal_negative_support",
         "negative_support",
         "singular_exponents",
     ),

@@ -79,11 +79,7 @@ def polynomial_exponent_index(A: CurveMatrix, beta) -> int | None:
     beta = Fraction(beta)
     if beta.denominator != 1 or beta < 0:
         return None
-    a_pen = A.entries[A.n - 2]
-    q = int(beta) % a_pen
-    if Fraction(int(beta) - q, a_pen).denominator != 1:
-        raise CurveError(f"beta={beta} - {q} is not divisible by {a_pen}")
-    return q
+    return int(beta) % A.entries[A.n - 2]
 
 
 def _witness_defect_name(A: CurveMatrix) -> str:

@@ -3,8 +3,7 @@
 A curve matrix (core.CurveMatrix) is a single row A = (a_1 ... a_n) of
 strictly increasing positive integers.  The series supports, the toric
 operators and the parameter classification are driven by the integer kernel
-L_A = ker_Z(A) and by the numerical semigroup N*a_1 + ... + N*a_n.  The matrix,
-the input readers and the error classes are re-exported from core.
+L_A = ker_Z(A) and by the numerical semigroup N*a_1 + ... + N*a_n.
 """
 
 from __future__ import annotations
@@ -13,25 +12,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 
-# the curve matrix, readers and errors live in core; they are re-exported here
-from .core import (  # noqa: F401
-    DIGIT_CAP,
-    RATIONAL_TEXT,
-    CurveError,
-    CurveKind,
-    CurveMatrix,
-    DimensionMismatchError,
-    GcdNotOneError,
-    NotIncreasingError,
-    NotInKernelError,
-    TooShortError,
-    check_size,
-    clip,
-    make_curve,
-    read_integer,
-    read_rational,
-    record,
-)
+from .core import CurveError, CurveMatrix, DimensionMismatchError, GcdNotOneError, record
 
 
 # ---------------------------------------------------------------------------
@@ -360,11 +341,3 @@ def beta_class(A: CurveMatrix, beta) -> BetaClassification:
         return BetaClassification(BetaClass.INTEGER_OUTSIDE, None)
     return BetaClassification(BetaClass.NON_INTEGER, beta - math.floor(beta))
 
-
-def isomorphic_parameters(A: CurveMatrix, b1, b2) -> bool:
-    c1, c2 = beta_class(A, b1), beta_class(A, b2)
-    if c1.category != c2.category:
-        return False
-    if c1.category is BetaClass.NON_INTEGER:
-        return (Fraction(b1) - Fraction(b2)).denominator == 1
-    return True

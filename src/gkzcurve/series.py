@@ -18,11 +18,10 @@ import math
 from fractions import Fraction
 
 from .basis import exponent_base, generic_exponent_base
-from .core import (  # noqa: F401  (IndexOutOfRangeError is re-exported)
+from .core import (
     CurveError,
     CurveMatrix,
     DimensionMismatchError,
-    IndexOutOfRangeError,
     check_size,
     make_curve,
     read_rational,
@@ -254,7 +253,8 @@ def _json_rational(x, what: str) -> Fraction:
 
 
 def series_from_json(data: dict, matrix: CurveMatrix | None = None) -> FormalSeries:
-    """Rebuild a series from its JSON form; lattice descriptors need the matrix.
+    """Rebuild a series from its JSON form; lattice descriptors need the matrix,
+    and a series of any descriptor read against a matrix must have its length.
 
     Raises CurveError when a required key (of the series or of a term) is
     missing or holds a value of the wrong kind: exponents and coefficients are
@@ -279,12 +279,12 @@ def series_from_json(data: dict, matrix: CurveMatrix | None = None) -> FormalSer
                              f"base_exponent has {len(base)}")
         terms[offset] = _json_rational(t["coeff"], "coeff")
     kind = data.get("descriptor", "finite")
+    if matrix is not None and len(base) != matrix.n:
+        raise CurveError(f"{kind} series of {matrix.n} variables needs a "
+                         f"base_exponent of length {matrix.n}, not {len(base)}")
     if kind == "lattice":
         if matrix is None:
             raise CurveError("lattice descriptor needs the curve matrix")
-        if len(base) != matrix.n:
-            raise CurveError(f"lattice series of {matrix.n} variables needs a "
-                             f"base_exponent of length {matrix.n}, not {len(base)}")
         descriptor = LatticeGammaSupport(lattice_basis(matrix), base)
     elif kind == "x0_section":
         for key in ("aux_matrix", "aux_base"):

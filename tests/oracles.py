@@ -5,13 +5,17 @@ route, and no command runs it: the Gamma-series coefficient straight from its
 falling-factorial definition, the closed form of the singular-exponent
 coefficients, the finite image of the witness series under its defect
 generator, contiguity as one operator application, and coefficientwise
-agreement on a certified window.
+agreement on a certified window.  Two answer questions the package settles by
+proof instead: a box search for a kernel offset that shrinks a negative
+support, and whether two parameters define isomorphic modules.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
-from gkzcurve.curves import CurveError, CurveMatrix
+from gkzcurve.core import CurveError, CurveMatrix, record
+from gkzcurve.curves import BetaClass, beta_class, lattice_basis
 from gkzcurve.exponents import negative_support
 from gkzcurve.series import BetaNotNaturalError, FiniteSupport, FormalSeries, witness_base
 from gkzcurve.weyl import WeylOperator, apply
@@ -127,3 +131,44 @@ def series_match_on_window(result: FormalSeries, reference: FormalSeries) -> boo
                 for off, c in result.terms.items())
             and all(result.coefficient_known(off) in (None, c)
                     for off, c in reference.terms.items()))
+
+
+@record
+class MinimalSupportAnswer:
+    status: bool | None            # True / False / None = unknown at this radius
+    witness: tuple[int, ...] | None
+    radius: int
+
+
+def has_minimal_negative_support(A: CurveMatrix, v, radius: int = 3) -> MinimalSupportAnswer:
+    """Decide whether some kernel offset strictly shrinks the negative support.
+
+    Empty negative support is trivially minimal.  The search covers the
+    coordinate box |m_i| <= radius and answers None (unknown) when no witness
+    turns up.  A rank-1 kernel (n = 2) is searched up to the bound past which
+    the sign pattern of v + t*g is constant, so no witness there means True.
+    """
+    v = tuple(Fraction(x) for x in v)
+    nsupp = negative_support(v)
+    if not nsupp:
+        return MinimalSupportAnswer(True, None, radius)
+    basis = lattice_basis(A)
+    rank = basis.rank
+    reach = radius if rank > 1 else max(math.ceil((abs(x) + 2) / abs(gi))
+                                        for x, gi in zip(v, basis.rows[0]) if gi)
+    for m in filter(any, itertools.product(range(-reach, reach + 1), repeat=rank)):
+        u = basis.combine(m)
+        if negative_support(tuple(b + o for b, o in zip(v, u))) < nsupp:
+            return MinimalSupportAnswer(False, u, radius)
+    return MinimalSupportAnswer(True if rank == 1 else None, None, radius)
+
+
+def isomorphic_parameters(A: CurveMatrix, b1, b2) -> bool:
+    """Whether b1 and b2 carry the same beta_class tag and, for non-integers,
+    differ by an integer: the condition for isomorphic hypergeometric modules."""
+    c1, c2 = beta_class(A, b1), beta_class(A, b2)
+    if c1.category != c2.category:
+        return False
+    if c1.category is BetaClass.NON_INTEGER:
+        return (Fraction(b1) - Fraction(b2)).denominator == 1
+    return True

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import gkzcurve
 from gkzcurve import PointClass, make_curve, series_from_json, slope, solution_basis
 from gkzcurve.cli import main
-from gkzcurve.curves import DIGIT_CAP
+from gkzcurve.core import DIGIT_CAP
 
 
 def run_cli(capsys, *argv):
@@ -515,6 +515,27 @@ def test_verify_input_of_another_matrix_is_a_domain_error(tmp_path, capsys, solv
     _one_line_error(code, out, err, 1)
     assert err == ("error: CurveError: lattice series of 4 variables needs a "
                    "base_exponent of length 4, not 3\n")
+
+
+@pytest.mark.parametrize("matrix, solve_flags", [
+    ("3,5,7", ("--beta", "2", "--truncation", "4")),
+    ("2,3", ("--beta", "1")),
+], ids=["3,5,7", "2,3"])
+def test_verify_window_input_of_another_matrix_is_a_domain_error(tmp_path, capsys, matrix,
+                                                                 solve_flags):
+    # the window series of a general curve used to pass the read and fail at
+    # the first operator, with a DimensionMismatchError
+    code, out, _ = run_cli(capsys, "solve", "--matrix", matrix, *solve_flags)
+    assert code == 0
+    assert {e["series"]["descriptor"] for e in json.loads(out)["basis"]} == {"window"}
+    path = tmp_path / "basis.json"
+    path.write_text(out)
+    n = len(matrix.split(","))
+    code, out, err = run_cli(capsys, "verify", "--matrix", "1,3,6,8", "--beta", "2",
+                             "--input", str(path))
+    _one_line_error(code, out, err, 1)
+    assert err == (f"error: CurveError: window series of 4 variables needs a "
+                   f"base_exponent of length 4, not {n}\n")
 
 
 @pytest.mark.parametrize("field,value", [("aux_matrix", None), ("aux_base", None),

@@ -15,7 +15,6 @@ from gkzcurve import (
     beta_class,
     delta_exponents,
     frobenius_number,
-    isomorphic_parameters,
     lattice_basis,
     lattice_decompose,
     make_curve,
@@ -27,15 +26,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkzcurve import curves
-from gkzcurve.curves import (
-    MEMBERSHIP_TABLE_CAP,
-    CurveError,
-    CurveKind,
-    _in_semigroup,
-    _lex_witness,
-    clip,
-    lattice_points,
-)
+from gkzcurve.core import CurveError, CurveKind, clip
+from gkzcurve.curves import MEMBERSHIP_TABLE_CAP, _in_semigroup, _lex_witness, lattice_points
+from oracles import isomorphic_parameters
 
 
 SMOOTH = [(1, 2, 3), (1, 2, 5), (1, 3, 4, 5), (1, 5), (1, 3, 4)]

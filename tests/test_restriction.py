@@ -19,8 +19,8 @@ from gkzcurve import (
     restrict_hyperplane,
     restrict_to_plane,
 )
+from gkzcurve.core import IndexOutOfRangeError
 from gkzcurve.restriction import WrongShapeError
-from gkzcurve.series import IndexOutOfRangeError
 from gkzcurve.weyl import NotSmoothError
 
 

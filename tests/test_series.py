@@ -8,29 +8,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkzcurve import (
+    PointClass,
     annihilation_report,
     apply,
     box_operator,
     exponent_series,
     gamma_series,
-    has_minimal_negative_support,
     inverse_contiguity,
     make_curve,
     named_generators,
     negative_support,
     series_from_json,
+    slope,
+    solution_basis,
     substitute_x0,
     toric_generators,
     witness_series,
 )
-from gkzcurve.curves import CurveError, lattice_basis, lattice_decompose, lattice_points
+from gkzcurve.core import CurveError, IndexOutOfRangeError
+from gkzcurve.curves import lattice_basis, lattice_decompose, lattice_points
 from gkzcurve.basis import exponent_base, generic_exponent_base, polynomial_exponent_index
 from gkzcurve.series import (
     BetaNotNaturalError,
     ContiguityError,
     FiniteSupport,
     FormalSeries,
-    IndexOutOfRangeError,
     LatticeGammaSupport,
     SectionSupport,
     TermLimitError,
@@ -45,6 +47,7 @@ from oracles import (
     closed_form_coefficient,
     falling_product,
     gamma_coefficient,
+    has_minimal_negative_support,
     series_match_on_window,
     witness_defect,
 )
@@ -635,6 +638,23 @@ def test_lattice_series_of_another_length_is_refused_at_read_time(entries):
     with pytest.raises(CurveError, match=f"^lattice series of {A.n} variables needs a "
                                          f"base_exponent of length {A.n}, not 3$"):
         series_from_json(data, A)
+
+
+@pytest.mark.parametrize("entries", [(1, 3, 6, 8), (1, 2)])
+def test_window_and_section_series_of_another_length_are_refused_at_read_time(entries):
+    # the (3,5,7) series of both kinds were read against any matrix: a verify
+    # of another length failed only at its first operator
+    Ag = make_curve((3, 5, 7))
+    section = substitute_x0(exponent_series(Ag.auxiliary(), Fraction(1, 2), 0, 4), Ag).series
+    window = solution_basis(Ag, 2, PointClass.GENERIC, s=slope(Ag), level=4)[0].series
+    A = make_curve(entries)
+    for kind, series in (("x0_section", section), ("window", window)):
+        data = json.loads(json.dumps(series.to_json()))
+        assert data["descriptor"] == kind
+        assert series_from_json(data, Ag).terms == series.terms
+        with pytest.raises(CurveError, match=f"^{kind} series of {A.n} variables needs a "
+                                             f"base_exponent of length {A.n}, not 3$"):
+            series_from_json(data, A)
 
 
 def test_series_from_json_takes_the_validated_values_as_they_are():

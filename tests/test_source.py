@@ -54,6 +54,21 @@ def test_no_package_module_imports_cli():
     assert found == []
 
 
+def test_every_name_imported_from_core_is_used():
+    # core is the one home of the matrix, readers, caps and errors: a module
+    # that imports a core name it never reads is re-exporting it
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    (node.level, node.module) in ((1, "core"), (0, "gkzcurve.core"))):
+                found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                          if (alias.asname or alias.name) not in used]
+    assert found == []
+
+
 def _run_at_import(node):
     """node and the nodes under it that run when the module is imported: not
     function bodies, nor annotations (postponed by `from __future__ import

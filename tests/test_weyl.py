@@ -27,14 +27,8 @@ from gkzcurve import (
     verify_basis,
     weyl,
 )
-from gkzcurve.curves import (
-    CurveError,
-    DimensionMismatchError,
-    NotInKernelError,
-    lattice_basis,
-    lattice_points,
-    semigroup_member,
-)
+from gkzcurve.core import CurveError, DimensionMismatchError, NotInKernelError
+from gkzcurve.curves import lattice_basis, lattice_points, semigroup_member
 from gkzcurve.series import ContiguityError, FiniteSupport, WindowSupport
 from gkzcurve.weyl import OFFSET_LIMIT, GeneratorViolation, _pack, _unpack
 from oracles import falling_product
