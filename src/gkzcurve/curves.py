@@ -37,13 +37,6 @@ class LatticeBasis:
     def rank(self) -> int:
         return len(self.rows)
 
-    def combine(self, m) -> tuple[int, ...]:
-        """u(m) = sum_i m_i u^i for integer coordinates m of length n-1."""
-        if len(m) != self.rank:
-            raise DimensionMismatchError(f"{len(m)} coordinates for rank {self.rank}")
-        return tuple(sum(c * row[j] for c, row in zip(m, self.rows))
-                     for j in range(self.matrix.n))
-
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
@@ -88,7 +81,7 @@ def lattice_basis(A: CurveMatrix) -> LatticeBasis:
             coeffs = [x * c for c in coeffs] + [y]
             g = g_new
     for k, row in enumerate(rows):
-        if A.weight(row) != 0 or row[k + 1] == 0 or any(row[k + 2:]):
+        if sum(x * y for x, y in zip(a, row)) or row[k + 1] == 0 or any(row[k + 2:]):
             raise CurveError(f"kernel row {k} = {row} is not a lower-triangular "
                              f"element of L_A")
     return LatticeBasis(A, tuple(rows))
@@ -123,48 +116,68 @@ def lattice_points(basis: LatticeBasis, radius: int,
     lexicographic order of m, keeping only the points whose u(m) obeys bounds.
 
     bounds maps a coordinate j of u to (lo, hi), either end None for unbounded.
-    The bound is enforced on the last coordinate m_k whose basis row touches j:
-    once m_1..m_{k-1} are fixed, u_j is affine in m_k and no later row changes
-    it, so the bound cuts the range of m_k to an integer interval.
+    The last row k that touches j closes the bound: once m_1..m_{k-1} are
+    fixed, u_j is affine in m_k, so the bound cuts m_k to an integer interval.
+    An earlier m_l = c is cut to where u_j can still meet it, as the rows
+    l+1..k move u_j by at most step * (budget - |c|), step their largest
+    |row[j]|, and by multiples of their gcd g (README, Series build).
     """
     rows = basis.rows
-    rank = len(rows)
-    closing = [[] for _ in rows]     # per level k: (j, sign, |row_k[j]|, lo, hi)
+    cuts = [[] for _ in rows]        # per level: (j, sign, step, edge, slopes)
+    residues = [[] for _ in rows]    # per level: (j, g, lo) of a bound lo == hi
     for j, (lo, hi) in (bounds or {}).items():
-        k = max(k for k, row in enumerate(rows) if row[j])   # L_A has no zero column
-        r = rows[k][j]
-        if r > 0:
-            closing[k].append((j, 1, r, lo, hi))
-        else:                        # lo <= p + c r <= hi  <=>  -hi <= -p + c|r| <= -lo
-            closing[k].append((j, -1, -r,
-                               None if hi is None else -hi,
-                               None if lo is None else -lo))
-
-    def line(prefixes, level):
-        # one more level: m_level runs over an integer interval, along which
-        # u moves by the row in the coordinates where the row is nonzero
-        moving = [(j, x) for j, x in enumerate(rows[level]) if x]
-        for m, u, budget in prefixes:
-            c_lo, c_hi = -budget, budget
-            for j, sign, r, lo, hi in closing[level]:
-                q = sign * u[j]      # need lo <= q + c r <= hi
-                if lo is not None:
-                    c_lo = max(c_lo, -((q - lo) // r))
-                if hi is not None:
-                    c_hi = min(c_hi, (hi - q) // r)
-            point = list(u)
-            for j, x in moving:
+        col = [row[j] for row in rows]
+        close = max(k for k, x in enumerate(col) if x)       # L_A has no zero column
+        for level in range(close + 1):
+            later = col[level + 1:close + 1]
+            step = max(map(abs, later), default=0)
+            for sign, edge in ((1, lo), (-1, None if hi is None else -hi)):
+                # m_level = c keeps sign u_j + step (budget - |c|) >= edge iff
+                # k c >= edge - sign u_j - step budget for both slopes k; a zero
+                # slope only prunes, and a u_j = 0 that meets the edge needs none
+                if edge is not None and (edge > 0 or any(col[:level + 1])):
+                    r = sign * col[level]
+                    cuts[level].append((j, sign, step, edge, {r - step, r + step} - {0}))
+            if lo == hi is not None and math.gcd(*later) > 1:
+                residues[level].append((j, math.gcd(*later), lo))
+    # depth first, smallest m_level popped first, at most 2 radius + 1 stacked
+    # per level; along m_level, u moves where the level's row is nonzero
+    moving = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
+    last = len(rows) - 1
+    stack = [((), (0,) * basis.matrix.n, radius)]
+    while stack:
+        m, u, budget = stack.pop()
+        level = len(m)
+        if level > last:             # rank 0
+            yield m, u
+            continue
+        c_lo, c_hi = -budget, budget
+        for j, sign, step, edge, slopes in cuts[level]:
+            d = edge - sign * u[j] - step * budget
+            for k in slopes:
+                if k > 0:
+                    c_lo = max(c_lo, -(-d // k))
+                else:
+                    c_hi = min(c_hi, d // k)
+        point, move = list(u), moving[level]
+        if level == last:
+            for j, x in move:
                 point[j] += c_lo * x
             for c in range(c_lo, c_hi + 1):
-                yield m + (c,), tuple(point), budget - abs(c)
-                for j, x in moving:
+                yield m + (c,), tuple(point)
+                for j, x in move:
                     point[j] += x
-
-    points = [((), (0,) * basis.matrix.n, radius)]
-    for level in range(rank):
-        points = line(points, level)
-    for m, u, _ in points:
-        yield m, u
+            continue
+        for j, x in move:
+            point[j] += c_hi * x
+        for c in range(c_hi, c_lo - 1, -1):
+            for j, g, lo in residues[level]:
+                if (lo - point[j]) % g:
+                    break
+            else:
+                stack.append((m + (c,), tuple(point), budget - abs(c)))
+            for j, x in move:
+                point[j] -= x
 
 
 # ---------------------------------------------------------------------------

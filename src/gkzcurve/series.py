@@ -373,16 +373,25 @@ def _gamma_terms(basis: LatticeBasis, base, level: int, bounds, max_terms, drop:
     inside bounds, in enumeration order: the term loop of every build.
 
     Each coefficient is a product of integer factor pairs, so the loop builds
-    exactly one Fraction per stored term, and none past the size cap."""
+    exactly one Fraction per stored term, and none past the size cap.  Along a
+    last-level line only the coordinates of the last kernel row move, so the
+    product over the others is formed once per line."""
     factors = [_GammaFactor(z) for z in base]
-    terms = {}
-    for _, u in lattice_points(basis, level, bounds):
-        num = den = 1
-        for g, t in zip(factors, u):
-            if t:
-                a, b = g(t)
-                num *= a
-                den *= b
+    moving = [(j, factors[j]) for j, x in enumerate(basis.rows[-1]) if x]
+    fixed = [(j, g) for j, g in enumerate(factors) if not basis.rows[-1][j]]
+    terms, line = {}, None
+    for m, u in lattice_points(basis, level, bounds):
+        if m[:-1] != line:
+            line, line_num, line_den = m[:-1], 1, 1
+            for j, g in fixed:
+                if u[j]:
+                    a, b = g(u[j])
+                    line_num, line_den = line_num * a, line_den * b
+        num, den = line_num, line_den
+        for j, g in moving:
+            if u[j]:
+                a, b = g(u[j])
+                num, den = num * a, den * b
         check_size(num, den)
         terms[u[drop:]] = Fraction(num, den)
         if max_terms is not None and len(terms) > max_terms:
@@ -570,4 +579,5 @@ def inverse_contiguity(S: FormalSeries, w) -> FormalSeries:
             return False
         return all(table[offset[i]] for i, table in slots)
 
-    return FormalSeries(S.base, terms, S.truncation, WindowSupport(trusted_at))
+    # int offsets and nonzero Fractions (c != 0, factor != 0): taken as they are
+    return FormalSeries._built(S.base, terms, S.truncation, WindowSupport(trusted_at))

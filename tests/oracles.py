@@ -7,14 +7,16 @@ coefficients, the finite image of the witness series under its defect
 generator, contiguity as one operator application, and coefficientwise
 agreement on a certified window.  Two answer questions the package settles by
 proof instead: a box search for a kernel offset that shrinks a negative
-support, and whether two parameters define isomorphic modules.
+support, and whether two parameters define isomorphic modules.  combine
+gives the lattice vector of kernel coordinates, which the package only
+enumerates.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
-from gkzcurve.core import CurveError, CurveMatrix, record
+from gkzcurve.core import CurveError, CurveMatrix, DimensionMismatchError, record
 from gkzcurve.curves import BetaClass, beta_class, lattice_basis
 from gkzcurve.exponents import negative_support
 from gkzcurve.series import BetaNotNaturalError, FiniteSupport, FormalSeries, witness_base
@@ -157,10 +159,18 @@ def has_minimal_negative_support(A: CurveMatrix, v, radius: int = 3) -> MinimalS
     reach = radius if rank > 1 else max(math.ceil((abs(x) + 2) / abs(gi))
                                         for x, gi in zip(v, basis.rows[0]) if gi)
     for m in filter(any, itertools.product(range(-reach, reach + 1), repeat=rank)):
-        u = basis.combine(m)
+        u = combine(basis, m)
         if negative_support(tuple(b + o for b, o in zip(v, u))) < nsupp:
             return MinimalSupportAnswer(False, u, radius)
     return MinimalSupportAnswer(True if rank == 1 else None, None, radius)
+
+
+def combine(basis, m) -> tuple[int, ...]:
+    """u(m) = sum_i m_i u^i for integer coordinates m of length rank."""
+    if len(m) != basis.rank:
+        raise DimensionMismatchError(f"{len(m)} coordinates for rank {basis.rank}")
+    return tuple(sum(c * row[j] for c, row in zip(m, basis.rows))
+                 for j in range(basis.matrix.n))
 
 
 def isomorphic_parameters(A: CurveMatrix, b1, b2) -> bool:

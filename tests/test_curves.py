@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from gkzcurve import curves
 from gkzcurve.core import CurveError, CurveKind, clip
 from gkzcurve.curves import MEMBERSHIP_TABLE_CAP, _in_semigroup, _lex_witness, lattice_points
-from oracles import isomorphic_parameters
+from oracles import combine, isomorphic_parameters
 
 
 SMOOTH = [(1, 2, 3), (1, 2, 5), (1, 3, 4, 5), (1, 5), (1, 3, 4)]
@@ -76,7 +76,7 @@ def test_lattice_invariants_over_random_matrices():
         rng = random.Random(sum(entries))
         for _ in range(10):
             m = tuple(rng.randint(-10, 10) for _ in range(B.rank))
-            assert lattice_decompose(B, B.combine(m)) == m
+            assert lattice_decompose(B, combine(B, m)) == m
 
 
 def test_lattice_basis_shapes():
@@ -138,14 +138,14 @@ def test_lattice_decompose_roundtrip(entries):
     rng = random.Random(hash(entries) & 0xFFFF)
     for _ in range(50):
         m = tuple(rng.randint(-10, 10) for _ in range(B.rank))
-        u = B.combine(m)
+        u = combine(B, m)
         assert lattice_decompose(B, u) == m
         # off L_A: one coordinate moved, so A.u != 0
         off = list(u)
         off[rng.randrange(A.n)] += rng.choice([-1, 1])
         assert lattice_decompose(B, tuple(off)) is None
         # A.u = 0 but not integral: a half of a lattice vector with an odd entry
-        half = tuple(Fraction(x, 2) for x in B.combine(tuple(2 * c + 1 for c in m)))
+        half = tuple(Fraction(x, 2) for x in combine(B, tuple(2 * c + 1 for c in m)))
         assert A.weight(half) == 0
         if any(x.denominator != 1 for x in half):
             assert lattice_decompose(B, half) is None
@@ -183,9 +183,114 @@ def test_lattice_points_equal_the_filtered_ball(entries, radius, raw):
                    for j, (lo, hi) in bounds.items())
 
     cube = itertools.product(range(-radius, radius + 1), repeat=B.rank)   # lexicographic
-    expected = [(m, B.combine(m)) for m in cube
-                if sum(abs(c) for c in m) <= radius and inside(B.combine(m))]
+    expected = [(m, combine(B, m)) for m in cube
+                if sum(abs(c) for c in m) <= radius and inside(combine(B, m))]
     assert list(lattice_points(B, radius, bounds)) == expected
+
+
+def l1_ball(rank, radius):
+    """Every m in Z^rank with sum |m_i| <= radius, in lexicographic order."""
+    if rank == 0:
+        yield ()
+        return
+    for c in range(-radius, radius + 1):
+        for rest in l1_ball(rank - 1, radius - abs(c)):
+            yield (c,) + rest
+
+
+def filtered_ball(B, radius, bounds):
+    return [(m, u) for m, u in ((m, combine(B, m)) for m in l1_ball(B.rank, radius))
+            if all((lo is None or lo <= u[j]) and (hi is None or u[j] <= hi)
+                   for j, (lo, hi) in bounds.items())]
+
+
+# ranks 1 to 5: smooth curves and the auxiliary curves (1, a_1, ..., a_n) of
+# general ones, whose rows drive every section build
+PRUNED_CURVES = [(1, 2), (1, 2, 3), (1, 3, 4, 5), (1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 6),
+                 (1, 3, 5, 7), (1, 4, 6, 9), (1, 2, 5, 7, 9), (3, 5, 7), (2, 5, 7, 9)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    entries=st.sampled_from(PRUNED_CURVES),
+    radius=st.integers(0, 6),
+    raw=st.lists(st.tuples(st.none() | st.integers(-12, 12), st.none() | st.integers(-12, 12),
+                           st.booleans()), min_size=6, max_size=6),
+)
+def test_pruned_lattice_points_equal_the_ball_under_equalities(entries, radius, raw):
+    # a bound with lo == hi prunes by divisibility as well as by reach
+    B = lattice_basis(make_curve(entries))
+    bounds = {j: (lo, lo) if equal and lo is not None else (lo, hi)
+              for j, (lo, hi, equal) in enumerate(raw[:len(entries)])}
+    assert list(lattice_points(B, radius, bounds)) == filtered_ball(B, radius, bounds)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    entries=st.sampled_from([e for e in PRUNED_CURVES if e[0] == 1]),
+    radius=st.integers(0, 6),
+    kind=st.sampled_from(["singular", "generic", "witness"]),
+    beta=st.sampled_from([Fraction(1, 2), Fraction(-7, 3), 0, 1, 2, 4, 5, 9]),
+    j=st.integers(0, 8),
+    section=st.booleans(),
+)
+def test_pruned_lattice_points_equal_the_ball_under_support_bounds(
+        entries, radius, kind, beta, j, section):
+    # the bounds every build enumerates with: the negative-support guard of a
+    # basis exponent, and u_0 = -v_0 for the x_0 = 0 section
+    from gkzcurve.basis import exponent_base, generic_exponent_base
+    from gkzcurve.series import _support_bounds, witness_base
+
+    A = make_curve(entries)
+    if kind == "witness":
+        if len(entries) < 3 or beta < 0 or Fraction(beta).denominator != 1:
+            return
+        base = witness_base(A, beta)
+    else:
+        choose = exponent_base if kind == "singular" else generic_exponent_base
+        base = choose(A, beta, j % entries[-2 if kind == "singular" else -1])
+    bounds = _support_bounds(base)
+    if section:
+        bounds[0] = (-int(base[0]), -int(base[0]))
+    B = lattice_basis(A)
+    assert list(lattice_points(B, radius, bounds)) == filtered_ball(B, radius, bounds)
+
+
+def test_pruning_where_a_row_is_as_long_as_the_rows_after_it():
+    # rows of (1, 2, 3) spanning a sublattice with |row_0[0]| = |row_1[0]|:
+    # one slope of the cut on m_0 is 0, so a prefix is kept or dropped whole
+    B = curves.LatticeBasis(make_curve((1, 2, 3)), ((-2, 1, 0), (2, 2, -2)))
+    for radius in range(5):
+        for lo in range(-9, 10):
+            for bounds in ({0: (lo, None)}, {0: (None, lo)}, {0: (lo, lo)},
+                           {0: (lo, lo + 3), 2: (-1, None)}):
+                assert list(lattice_points(B, radius, bounds)) == \
+                    filtered_ball(B, radius, bounds), (radius, bounds)
+
+
+def test_section_bounds_of_a_general_basis_keep_the_ball_points():
+    # solve (3,5,7) beta=1/2 L32: the five section builds prune almost every
+    # prefix and keep the 161 points of the filtered ball
+    from gkzcurve import PointClass, slope, solution_basis
+    from gkzcurve.series import _support_bounds
+
+    A = make_curve((3, 5, 7))
+    members = solution_basis(A, Fraction(1, 2), PointClass.SMOOTH_STRATUM, s=slope(A),
+                             level=32)
+    B = lattice_basis(A.auxiliary())
+    ball = [(m, combine(B, m)) for m in l1_ball(B.rank, 32)]
+    kept = 0
+    for member in members:
+        parent = member.series.descriptor.parent
+        bounds = _support_bounds(parent.base)
+        bounds[0] = (-int(parent.base[0]), -int(parent.base[0]))
+        expected = [(m, u) for m, u in ball if all(
+            (lo is None or lo <= u[j]) and (hi is None or u[j] <= hi)
+            for j, (lo, hi) in bounds.items())]
+        assert list(lattice_points(B, 32, bounds)) == expected
+        assert [u[1:] for _, u in expected] == list(member.series.terms)
+        kept += len(expected)
+    assert len(members) == 5 and kept == 161
 
 
 def test_semigroup_membership_examples():

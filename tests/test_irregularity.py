@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 import re
@@ -293,6 +294,32 @@ def test_general_basis_build_work_equals_stored_terms(monkeypatch, beta):
     assert counts == {"points": stored, "fractions": stored}
 
 
+@pytest.mark.parametrize("entries, beta, level, terms, lookups", [
+    ((1, 2, 3, 4, 5, 6), Fraction(1, 2), 8, 1338, 3945),
+    ((1, 2, 3), 5, 40, 762, 1504),
+])
+def test_the_build_looks_up_fixed_factors_once_per_line(monkeypatch, entries, beta,
+                                                        level, terms, lookups):
+    # term by term over every nonzero coordinate the two builds looked up
+    # 5 044 and 2 182 Gamma factors.  Along a last-level line only the two
+    # coordinates of the last kernel row move, and the others' product is
+    # formed once per line.
+    from gkzcurve import series
+
+    count = collections.Counter()
+    lookup = series._GammaFactor.__call__
+
+    def counting(factor, t):
+        count["lookups"] += 1
+        return lookup(factor, t)
+
+    monkeypatch.setattr(series._GammaFactor, "__call__", counting)
+    A = make_curve(entries)
+    basis = solution_basis(A, beta, PointClass.SMOOTH_STRATUM, s=slope(A), level=level)
+    assert sum(len(m.series.terms) for m in basis) == terms
+    assert count["lookups"] == lookups
+
+
 def test_certified_window_per_generator():
     # at truncation 0 almost no generator has a certified offset where a
     # contribution landed: max_violation 0 there rests on 6 offsets in total
@@ -339,7 +366,7 @@ def test_slope_subseries_matches_series_coefficients():
     # the streams are exactly the Gamma-series coefficients along the ray
     # m_{n-1} = a_n mu, m_n = a_{n-1} mu of the kernel coordinates
     from gkzcurve import lattice_basis
-    from oracles import gamma_coefficient
+    from oracles import combine, gamma_coefficient
     from gkzcurve.basis import exponent_base
     from gkzcurve.series import witness_base
 
@@ -352,7 +379,7 @@ def test_slope_subseries_matches_series_coefficients():
             m = [0] * (n - 1)
             m[n - 3] = a_top * mu
             m[n - 2] = a_pen * mu
-            return basis.combine(m)
+            return combine(basis, m)
 
         wstream = dict(slope_subseries(A, beta, "witness", 4))
         wbase = witness_base(A, beta)

@@ -45,6 +45,7 @@ from gkzcurve.weyl import WeylOperator
 from oracles import (
     apply_contiguity,
     closed_form_coefficient,
+    combine,
     falling_product,
     gamma_coefficient,
     has_minimal_negative_support,
@@ -258,7 +259,7 @@ def reference_gamma_terms(A, v, level):
     basis = lattice_basis(A)
     terms = {}
     for m in _ball(basis.rank, level):
-        u = basis.combine(m)
+        u = combine(basis, m)
         c = gamma_coefficient(v, u)
         if c != 0:
             terms[u] = c
@@ -345,7 +346,7 @@ def assert_section_matches_substitution(A, v, level, rng):
     assert got.descriptor.json_fields() == want.descriptor.json_fields()
     basis = lattice_basis(A)
     offsets = list(got.terms)
-    offsets += [basis.combine([rng.randint(-level - 2, level + 2)
+    offsets += [combine(basis, [rng.randint(-level - 2, level + 2)
                                for _ in range(basis.rank)]) for _ in range(12)]
     offsets += [tuple(rng.randint(-9, 9) for _ in range(A.n)) for _ in range(4)]
     for d in offsets:
@@ -430,7 +431,7 @@ def test_integer_classify_matches_the_negative_support_rule(entries):
     guarded = 0
     for v in _oracle_bases(A):
         descriptor = LatticeGammaSupport(basis, v)
-        offsets = [basis.combine([rng.randint(-6, 6) for _ in range(basis.rank)])
+        offsets = [combine(basis, [rng.randint(-6, 6) for _ in range(basis.rank)])
                    for _ in range(80)]
         offsets += [tuple(rng.randint(-9, 9) for _ in range(A.n)) for _ in range(20)]
         for u in offsets:
