@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 from .core import CurveError, CurveMatrix, DimensionMismatchError, GcdNotOneError, record
 
@@ -36,6 +37,13 @@ class LatticeBasis:
     @property
     def rank(self) -> int:
         return len(self.rows)
+
+    @cached_property
+    def substitution(self) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
+        """lattice_decompose's steps, last row first: (k, the pivot row[k+1],
+        the nonzero (j, row[j]) with j <= k), worked out once per basis."""
+        return tuple((k, row[k + 1], tuple((j, x) for j, x in enumerate(row[:k + 1]) if x))
+                     for k, row in reversed(tuple(enumerate(self.rows))))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -92,21 +100,21 @@ def lattice_decompose(basis: LatticeBasis, u) -> tuple[int, ...] | None:
 
     Back-substitution on the lower-triangular rows: slot k+1 of u, once the
     rows above k are subtracted, fixes m_k; a remainder, a fractional entry or
-    a leftover in slot 0 means u is not in L_A."""
-    rows = basis.rows
+    a leftover in slot 0 means u is not in L_A.  Row k is subtracted only
+    where it is nonzero below its pivot (LatticeBasis.substitution): a smooth
+    row touches slot 0 alone, and slot k+1 is read no more."""
     if len(u) != basis.matrix.n:
         raise DimensionMismatchError(
             f"vector of length {len(u)} for {basis.matrix.n} variables")
     res = list(u)
-    m = [0] * len(rows)
-    for k in range(len(rows) - 1, -1, -1):
-        row = rows[k]
-        q, r = divmod(res[k + 1], row[k + 1])
+    m = [0] * len(basis.rows)
+    for k, pivot, rest in basis.substitution:
+        q, r = divmod(res[k + 1], pivot)
         if r:
             return None
         m[k] = q
-        for j in range(k + 2):
-            res[j] -= q * row[j]
+        for j, x in rest:
+            res[j] -= q * x
     return tuple(m) if res[0] == 0 else None
 
 

@@ -84,7 +84,7 @@ class LatticeGammaSupport:
         for i, lo, hi in self._bounds:
             if lo is not None and offset[i] < lo or hi is not None and offset[i] > hi:
                 return None
-        return sum(abs(c) for c in m)
+        return sum(map(abs, m))
 
     def json_fields(self) -> dict:
         return {"descriptor": "lattice"}
@@ -259,7 +259,9 @@ def series_from_json(data: dict, matrix: CurveMatrix | None = None) -> FormalSer
     Raises CurveError when a required key (of the series or of a term) is
     missing or holds a value of the wrong kind: exponents and coefficients are
     integers or rational strings, offsets lists of integers as long as the base
-    exponent, the truncation an integer."""
+    exponent, the truncation an integer.  An x0_section series must carry the
+    aux_matrix (1, a_1, ..., a_n) of the matrix and an aux_base whose entries
+    after the first are the base exponent."""
     if not isinstance(data, dict):
         raise CurveError("series JSON is not an object")
     for key in ("base_exponent", "terms", "truncation"):
@@ -298,6 +300,14 @@ def series_from_json(data: dict, matrix: CurveMatrix | None = None) -> FormalSer
             raise CurveError(f"x0_section of {aux.n} auxiliary variables needs an "
                              f"aux_base of length {aux.n} and a base_exponent of "
                              f"length {aux.n - 1}")
+        # the descriptor classifies with aux_matrix and aux_base, the kernel
+        # computes with base_exponent: they must describe one series
+        if matrix is not None and aux.entries != (1,) + matrix.entries:
+            raise CurveError("x0_section aux_matrix is not (1, a_1, ..., a_n) of the "
+                             "matrix the series is read against")
+        if aux_base[1:] != base:
+            raise CurveError("x0_section aux_base without its first entry differs "
+                             "from base_exponent")
         descriptor = SectionSupport(LatticeGammaSupport(lattice_basis(aux), aux_base))
     elif kind == "finite":
         descriptor = FiniteSupport()
@@ -356,10 +366,17 @@ class _GammaFactor:
 
 
 class _FallingFactors(dict):
-    """t -> prod_{j<g} (p + q t - q j), i.e. q^g (p/q + t)_g, filled on demand."""
+    """t -> prod_{j<g} (p + q t - q j), i.e. q^g (p/q + t)_g: filled at the
+    given values of t, or from the table of g - 1 by one multiply per entry
+    where it is given, and on demand at any other t."""
 
-    def __init__(self, p: int, q: int, g: int):
-        super().__init__()
+    def __init__(self, p: int, q: int, g: int, values=(), below=None):
+        if below is None:
+            super().__init__({t: math.prod(range(p + q * t, p + q * t - q * g, -q))
+                              for t in values})
+        else:
+            step = p - q * (g - 1)
+            super().__init__({t: f * (step + q * t) for t, f in below.items()})
         self.p, self.q, self.g = p, q, g
 
     def __missing__(self, t: int) -> int:

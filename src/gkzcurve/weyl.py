@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
 from bisect import bisect_left
 from fractions import Fraction
 
@@ -187,7 +188,6 @@ def toric_generators(A: CurveMatrix) -> list[WeylOperator]:
 OFFSET_LIMIT = 1 << 61
 _WIDTH = 64
 _BIAS = 1 << 63
-_MASK = (1 << _WIDTH) - 1
 
 
 def _pack(offset) -> int:
@@ -200,8 +200,18 @@ def _pack(offset) -> int:
     return key
 
 
+_FIELDS: dict[int, tuple] = {}     # nvars -> (its struct unpack, every field's top bit, bytes)
+
+
 def _unpack(key: int, nvars: int) -> tuple[int, ...]:
-    return tuple((key >> (_WIDTH * i) & _MASK) - _BIAS for i in range(nvars))
+    # field i, u_i + 2^63, is u_i's two's complement with its top bit flipped
+    fields = _FIELDS.get(nvars)
+    if fields is None:
+        fields = _FIELDS[nvars] = (struct.Struct(f"<{nvars}q").unpack,
+                                   int.from_bytes(b"\0\0\0\0\0\0\0\x80" * nvars, "little"),
+                                   8 * nvars)
+    unpack, flips, size = fields
+    return unpack((key ^ flips).to_bytes(size, "little"))
 
 
 class _Certainty(dict):
@@ -217,6 +227,13 @@ class _Certainty(dict):
         offset = _unpack(key, self.series.nvars)
         out = self[key] = None if self.series.certifies(offset) else offset
         return out
+
+
+# Largest g whose falling-factor table a kernel builds from the table of g - 1
+# when it holds none.  It bounds the recursion and the tables held: a box
+# operator of (1, 1000) at radius 3 asks for g = 1000, 2000 and 3000 alone,
+# which are filled directly.  The verify windows ask for g up to 24.
+_CHAIN_LIMIT = 32
 
 
 class _SeriesKernel:
@@ -239,6 +256,8 @@ class _SeriesKernel:
         self.terms = [(_pack(u), u, c.numerator * (self.scale // c.denominator))
                       for u, c in S.terms.items()]
         self.known = _Certainty(S, (key for key, _, _ in self.terms))
+        # i -> the distinct stored u_i, where each table of coordinate i is filled
+        self.values = [set(column) for column in zip(*S.terms)] or [()] * S.nvars
         self.by_coordinate = {}     # i -> (the terms sorted by u_i, their u_i)
         for i, q in enumerate(self.den):
             if q == 1:
@@ -249,20 +268,31 @@ class _SeriesKernel:
         self.formed = 0             # falling-factor products, over all monomials
         self._zero = _pack((0,) * S.nvars)
 
+    def table(self, i: int, g: int) -> _series._FallingFactors:
+        """The falling-factor table of (i, g), memoized: filled at the stored
+        values of u_i from the table of (i, g - 1), one multiply per entry.
+        Up to g = _CHAIN_LIMIT that table is built first, the same way; past
+        it, a table the kernel does not hold is filled directly."""
+        out = self.falling.get((i, g))
+        if out is None:
+            below = (self.table(i, g - 1) if 1 < g <= _CHAIN_LIMIT
+                     else self.falling.get((i, g - 1)))
+            out = self.falling[i, g] = _series._FallingFactors(
+                self.num[i], self.den[i], g, self.values[i], below)
+        return out
+
     def monomial(self, key):
         """(shift, q^g, slots, image) of the monomial key = (a, g), memoized
         whichever operators hold it.  image maps each offset where a stored
         term lands with a nonzero falling factor to the integer product.  Where
         p_i/q_i is an integer the factor vanishes exactly for
         -p_i <= u_i < g_i - p_i, and the scan skips that slice of the terms
-        sorted by u_i."""
+        sorted by u_i.  The falling-factor tables come from table."""
         a, g = key
         scan, skipped, slots = self.terms, 0, []
         for i, gi in enumerate(g):
             if gi:
-                if (i, gi) not in self.falling:
-                    self.falling[i, gi] = _series._FallingFactors(self.num[i], self.den[i], gi)
-                slots.append((i, self.falling[i, gi]))
+                slots.append((i, self.table(i, gi)))
             if gi and i in self.by_coordinate:
                 ordered, coords = self.by_coordinate[i]
                 lo = bisect_left(coords, -self.num[i])

@@ -560,6 +560,29 @@ def test_verify_input_bad_section_is_a_domain_error(tmp_path, capsys, field, val
     assert field in err
 
 
+@pytest.mark.parametrize("field,index,value", [("aux_matrix", None, [1, 2, 3, 4]),
+                                               ("aux_base", 2, "7/3")])
+def test_verify_input_section_that_contradicts_its_series_is_a_domain_error(
+        tmp_path, capsys, field, index, value):
+    # the first used to report a large violation on a true solution, the
+    # second to exit 0 with its descriptor at another base than its terms
+    code, out, _ = run_cli(capsys, "solve", "--matrix", "3,5,7", "--beta", "1/2",
+                           "--truncation", "6")
+    assert code == 0
+    data = json.loads(out)
+    series = data["basis"][0]["series"]
+    assert series["descriptor"] == "x0_section"
+    target, key = (series, field) if index is None else (series[field], index)
+    assert target[key] != value
+    target[key] = value
+    path = tmp_path / "section.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "verify", "--matrix", "3,5,7", "--beta", "1/2",
+                             "--input", str(path))
+    _one_line_error(code, out, err, 1)
+    assert err.startswith(f"error: CurveError: x0_section {field}")
+
+
 @pytest.mark.parametrize("args", [("--point", "deep"), ("--input", "EMPTY")])
 def test_verify_of_an_empty_basis_is_a_domain_error(tmp_path, capsys, args):
     empty = tmp_path / "empty.json"

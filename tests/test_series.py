@@ -658,6 +658,26 @@ def test_window_and_section_series_of_another_length_are_refused_at_read_time(en
             series_from_json(data, A)
 
 
+@pytest.mark.parametrize("field, index, value, match", [
+    ("aux_matrix", None, [1, 2, 3, 4], "aux_matrix is not"),
+    ("aux_base", 2, "7/3", "aux_base without its first entry differs"),
+])
+def test_a_section_whose_descriptor_contradicts_its_series_is_refused_at_read_time(
+        field, index, value, match):
+    # both used to be read: the descriptor then classified offsets of another
+    # lattice or base than the kernel computed with, so verify reported a
+    # violation on a true solution, or certified a series it did not check
+    Ag = make_curve((3, 5, 7))
+    section = substitute_x0(exponent_series(Ag.auxiliary(), Fraction(1, 2), 0, 4), Ag).series
+    data = json.loads(json.dumps(section.to_json()))
+    assert series_from_json(data, Ag).terms == section.terms
+    target, key = (data, field) if index is None else (data[field], index)
+    assert target[key] != value
+    target[key] = value
+    with pytest.raises(CurveError, match=f"^x0_section {match}"):
+        series_from_json(data, Ag)
+
+
 def test_series_from_json_takes_the_validated_values_as_they_are():
     # the same series as the converting constructor builds from the raw values:
     # p/q strings reduced, zero coefficients dropped, a repeated offset's last

@@ -523,6 +523,57 @@ def test_the_kernel_forms_products_only_outside_the_vanishing_range(monkeypatch)
     assert counts == {"formed": 6083, "nonzero": 4514}
 
 
+def test_the_kernel_fills_tables_at_the_stored_values_and_decomposes_each_offset_once(
+        monkeypatch):
+    # verify (1,...,6) beta = 1/2 L4 at radius 3: filled one entry at a time,
+    # the falling-factor tables took 1 647 on-demand fills; filled at the
+    # stored values, only 267 entries at window contributors are left.
+    # Each of the 692 offsets classified is decomposed once.
+    counts = collections.Counter()
+    fill = weyl._series._FallingFactors.__missing__
+    decompose = weyl._series.lattice_decompose
+
+    def counting_fill(table, t):
+        counts["on_demand"] += 1
+        return fill(table, t)
+
+    def counting_decompose(basis, u):
+        counts["decompose"] += 1
+        return decompose(basis, u)
+
+    monkeypatch.setattr(weyl._series._FallingFactors, "__missing__", counting_fill)
+    monkeypatch.setattr(weyl._series, "lattice_decompose", counting_decompose)
+    A = make_curve((1, 2, 3, 4, 5, 6))
+    members = solution_basis(A, Fraction(1, 2), PointClass.SMOOTH_STRATUM, s=slope(A),
+                             level=4)
+    for _, report in verify_basis(A, members, Fraction(1, 2), 3):
+        assert report.max_violation == 0
+    assert counts == {"on_demand": 267, "decompose": 692}
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.integers(-12, 12), q=st.integers(1, 4),
+       values=st.sets(st.integers(-15, 15), min_size=1, max_size=12),
+       gs=st.lists(st.integers(1, weyl._CHAIN_LIMIT + 6), min_size=1, max_size=6),
+       queries=st.lists(st.integers(-20, 20), max_size=8))
+def test_every_falling_factor_table_entry_is_the_product(p, q, values, gs, queries):
+    # one coordinate at p/q (an integer when q = 1, so its vanishing range is
+    # cut); tables in the drawn order are filled at the stored values from the
+    # table of g - 1 or, past the chain limit, directly, and other entries on
+    # demand
+    assume(math.gcd(p, q) == 1)
+    S = FormalSeries((Fraction(p, q),), {(t,): 1 for t in values}, 0, FiniteSupport())
+    kernel = weyl._SeriesKernel(S)
+    for g in gs:
+        table = kernel.monomial(((0,), (g,)))[2][0][1]
+        for t in queries:
+            table[t]
+    for (i, g), table in kernel.falling.items():
+        assert i == 0 and set(values) <= set(table)
+        for t, f in table.items():
+            assert f == math.prod(range(p + q * t, p + q * t - q * g, -q)), (g, t)
+
+
 def test_a_vanishing_range_cut_off_by_one_is_caught(monkeypatch):
     # the mutation skips the first non-vanishing term, u_i = g_i - p_i, too;
     # the Fraction reference catches it on the fixed sweep and in the property
