@@ -1,7 +1,7 @@
 """Exact Gevrey-series solutions and irregularity data for hypergeometric
 systems of affine monomial curves.
 
-The eight engine submodules are registered in sys.modules when the package is
+The ten engine submodules are registered in sys.modules when the package is
 imported, but each one's body runs only on first attribute access, so a
 command compiles and runs only the modules it uses.  `import gkzcurve.<m>`,
 `from gkzcurve.<m> import name` and every package-level name below work as
@@ -15,9 +15,7 @@ import sys
 _EXPORTS = {
     "basis": (
         "BasisMember",
-        "PointClass",
         "polynomial_exponent_index",
-        "slope",
         "solution_basis",
         "verify_basis",
     ),
@@ -27,23 +25,15 @@ _EXPORTS = {
         "CurveMatrix",
         "GcdNotOneError",
         "NotIncreasingError",
+        "PointClass",
         "TooShortError",
         "make_curve",
+        "slope",
     ),
     "curves": (
-        "BetaClass",
-        "BetaClassification",
-        "DeltaExponent",
         "LatticeBasis",
-        "SemigroupTable",
-        "beta_class",
-        "delta_exponents",
-        "frobenius_number",
         "lattice_basis",
         "lattice_decompose",
-        "semigroup_gaps",
-        "semigroup_member",
-        "semigroup_table",
     ),
     "exponents": (
         "ExponentVector",
@@ -76,11 +66,25 @@ _EXPORTS = {
         "restrict_hyperplane",
         "restrict_to_plane",
     ),
+    "semigroup": (
+        "BetaClass",
+        "BetaClassification",
+        "DeltaExponent",
+        "SemigroupTable",
+        "beta_class",
+        "delta_exponents",
+        "frobenius_number",
+        "semigroup_gaps",
+        "semigroup_member",
+        "semigroup_table",
+    ),
     "series": (
         "FormalSeries",
-        "exponent_series",
         "gamma_series",
         "inverse_contiguity",
+    ),
+    "series_io": (
+        "exponent_series",
         "series_from_json",
         "substitute_x0",
         "witness_series",

@@ -9,30 +9,26 @@ exponents themselves are closed forms in the entries of A and in beta.
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 
 # lazily loaded modules: their names are read at call time, so a command
 # that never calls into one does not compile it
-from . import curves as _curves
+from . import semigroup as _semigroup
 from . import series as _series
 from . import weyl as _weyl
-from .core import CurveError, CurveMatrix, IndexOutOfRangeError, clip, record
+from .core import (
+    CurveError,
+    CurveMatrix,
+    IndexOutOfRangeError,
+    PointClass,
+    clip,
+    record,
+    slope,
+)
 
 
 class SlopeTooSmallError(CurveError):
     """No Gevrey-quotient classes below the slope for non-natural parameters."""
-
-
-class PointClass(Enum):
-    GENERIC = "generic"            # points off Y
-    SMOOTH_STRATUM = "smooth"      # Y minus Y * Z
-    DEEP_STRATUM = "deep"          # Y * Z
-
-
-def slope(A: CurveMatrix) -> Fraction:
-    """The unique slope a_n / a_{n-1} of the system along its singular support."""
-    return Fraction(A.entries[-1], A.entries[-2])
 
 
 @record
@@ -136,7 +132,7 @@ def _general_basis(A, beta, point, s, level, max_terms) -> list[BasisMember]:
 
     beta = Fraction(beta)
     natural_gap = (beta.denominator == 1 and beta >= 0
-                   and not _curves.semigroup_member(A, int(beta)))
+                   and not _semigroup.semigroup_member(A, int(beta)))
     if not natural_gap:
         return members(beta)
 

@@ -18,8 +18,8 @@ from types import SimpleNamespace
 
 # lazily loaded: their names are read at call time, so a command that never
 # calls into one does not compile it
-from . import curves as _curves
 from . import exponents as _exponents
+from . import semigroup as _semigroup
 from .cli_flags import UsageError, emit, parse_matrix, parse_rational, rat_json
 from .core import RATIONAL_TEXT, CurveError, read_integer
 
@@ -45,21 +45,21 @@ def _cmd_exponents(args):
 
 def _cmd_semigroup(args):
     A = parse_matrix(args.matrix)
-    payload = {"matrix": list(A.entries), "frobenius": _curves.frobenius_number(A),
-               "gaps": list(_curves.semigroup_gaps(A))}
+    payload = {"matrix": list(A.entries), "frobenius": _semigroup.frobenius_number(A),
+               "gaps": list(_semigroup.semigroup_gaps(A))}
     if args.member is not None:
         payload["value"] = args.member
-        payload["is_member"] = _curves.semigroup_member(A, args.member)
+        payload["is_member"] = _semigroup.semigroup_member(A, args.member)
     if args.beta is not None:
         beta = parse_rational(args.beta)
-        cls = _curves.beta_class(A, beta)
+        cls = _semigroup.beta_class(A, beta)
         payload["beta"] = str(beta)
         payload["beta_class"] = cls.category.value
         if cls.residue is not None:
             payload["residue"] = str(cls.residue)
     payload["delta_exponents"] = [
         {"entry": A.entries[d.position], "delta": d.delta, "witness": list(d.witness)}
-        for d in _curves.delta_exponents(A)]
+        for d in _semigroup.delta_exponents(A)]
     emit(payload, args.format)
     return 0
 

@@ -6,10 +6,10 @@ import json
 from fractions import Fraction
 
 from . import basis as _basis
-from . import series as _series
+from . import series_io as _series_io
 from .cli_flags import (UsageError, emit, max_terms, nonnegative, parse_matrix,
                         parse_order, parse_rational)
-from .core import CurveError, CurveMatrix, read_integer
+from .core import CurveError, CurveMatrix, PointClass, read_integer, slope
 
 
 def _serialize_member(member) -> dict:
@@ -51,7 +51,7 @@ def _read_members(path: str, A: CurveMatrix) -> list[_basis.BasisMember]:
                 raise CurveError(f"basis entry {i} of {path}: {key!r} must be {text}, "
                                  f"got {json.dumps(value)[:40]}")
         label, is_solution, defect = fields
-        series = _series.series_from_json(entry["series"], matrix=A)
+        series = _series_io.series_from_json(entry["series"], matrix=A)
         members.append(_basis.BasisMember(series, label, series.base, is_solution, defect))
     return members
 
@@ -59,8 +59,8 @@ def _read_members(path: str, A: CurveMatrix) -> list[_basis.BasisMember]:
 def solve(args):
     A = parse_matrix(args.matrix)
     beta = parse_rational(args.beta)
-    s = parse_order(args.s) if args.s else _basis.slope(A)
-    point = _basis.PointClass(args.point)
+    s = parse_order(args.s) if args.s else slope(A)
+    point = PointClass(args.point)
     members = _basis.solution_basis(
         A, beta, point, s=s, level=nonnegative(args.truncation, "--truncation"),
         max_terms=max_terms())
@@ -70,7 +70,7 @@ def solve(args):
         "point": point.value,
         "s": "inf" if s is None else str(s),
         "truncation": args.truncation,
-        "slope": str(_basis.slope(A)),
+        "slope": str(slope(A)),
         "basis": [_serialize_member(m) for m in members],
     }
     caveats = sorted({c for m in members for c in m.caveats})
@@ -88,8 +88,8 @@ def verify(args):
     if args.input:
         members = _read_members(args.input, A)
     else:
-        point = _basis.PointClass(args.point)
-        members = _basis.solution_basis(A, beta, point, s=_basis.slope(A),
+        point = PointClass(args.point)
+        members = _basis.solution_basis(A, beta, point, s=slope(A),
                                         level=level, max_terms=max_terms())
     rows = []
     worst = Fraction(0)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from . import irregularity as _irregularity
 from .cli_flags import UsageError, emit, nonnegative, parse_matrix, parse_order, parse_rational
-from .core import CurveError, clip
+from .core import CurveError, clip, slope
 
 # Largest stream gevrey-index builds, in factors of its last coefficient:
 # terms * a_n for a slope stream, terms for a factorial control.  Memory grows
@@ -40,7 +40,7 @@ def gevrey_index(args):
         "stream": args.stream,
         "terms": terms,
         "estimate": round(estimate, 6),
-        "slope": str(_irregularity.slope(A)),
+        "slope": str(slope(A)),
     }
     if args.csv:
         try:

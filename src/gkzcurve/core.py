@@ -2,10 +2,12 @@
 
 What every gkz command runs: the flag readers' integer and rational parsing,
 the CurveError classes, the row matrix A = (a_1 ... a_n) of strictly
-increasing positive integers, and `@record`.  The closed forms in the entries
-of A and in beta (starting exponents, Gevrey slope, dimension tables,
-monodromy, b-functions) need nothing more; the integer kernel L_A and the
-numerical semigroup live in curves.py.
+increasing positive integers, and `@record`; also the point classes and the
+slope, which the solution bases and the dimension tables both read.  The
+closed forms in the entries of A and in beta (starting exponents, Gevrey
+slope, dimension tables, monodromy, b-functions) need nothing more; the
+integer kernel L_A lives in curves.py and the numerical semigroup in
+semigroup.py.
 """
 
 from __future__ import annotations
@@ -249,3 +251,18 @@ def make_curve(entries) -> CurveMatrix:
     if tup[0] > 1 and math.gcd(*tup) != 1:
         raise GcdNotOneError(f"gcd{tup} = {math.gcd(*tup)} != 1")
     return CurveMatrix(tup)
+
+
+# ---------------------------------------------------------------------------
+# Point classes along the singular support Y = (x_n = 0) and its slope
+
+
+class PointClass(Enum):
+    GENERIC = "generic"            # points off Y
+    SMOOTH_STRATUM = "smooth"      # Y minus Y * Z
+    DEEP_STRATUM = "deep"          # Y * Z
+
+
+def slope(A: CurveMatrix) -> Fraction:
+    """The unique slope a_n / a_{n-1} of the system along its singular support."""
+    return Fraction(A.entries[-1], A.entries[-2])

@@ -2,8 +2,8 @@
 
 Everything here is stated along the singular support Y = (x_n = 0) and its
 stratification by Z = (x_{n-1} = 0).  Queries the covered results do not
-answer return a NotCovered value instead of a guess.  The slope and the
-solution bases live in basis.py, and their names are also read from here.
+answer return a NotCovered value instead of a guess.  The point classes and
+the slope live in core.py, the solution bases in basis.py.
 """
 
 from __future__ import annotations
@@ -12,18 +12,19 @@ import math
 from enum import Enum
 from fractions import Fraction
 
-# solution_basis and verify_basis are not called here; they are also read
-# under this module's name, as perfbench/tracer.py does
-from .basis import PointClass, slope, solution_basis, verify_basis  # noqa: F401
+# lazily loaded: read only by __getattr__ below
+from . import basis as _basis
 from .core import (
     EXPONENT_VALUE_CAP,
     CurveError,
     CurveKind,
     CurveMatrix,
     IndexOutOfRangeError,
+    PointClass,
     check_size,
     clip,
     record,
+    slope,
 )
 
 
@@ -329,3 +330,14 @@ def dimension_table_diff(A: CurveMatrix, beta_special, beta_generic, s) -> dict:
     expected = reference_dimension_table(A)
     return {k: (computed[k], expected[k])
             for k in expected if computed[k] != expected[k]}
+
+
+# Names that perfbench/tracer.py still reads under this module; each is served
+# from its home, so a command that never reads one does not compile it.
+_FORWARDED = ("solution_basis", "verify_basis")
+
+
+def __getattr__(name):
+    if name not in _FORWARDED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_basis, name)

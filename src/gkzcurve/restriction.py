@@ -15,7 +15,7 @@ from fractions import Fraction
 
 # lazily loaded modules: their names are read at call time, so a command
 # that never calls into one does not compile it
-from . import curves as _curves
+from . import semigroup as _semigroup
 from . import weyl as _weyl
 from .core import (
     CurveError,
@@ -60,7 +60,7 @@ class RestrictionWitness:
     auxiliary: CurveMatrix
     p1: _weyl.WeylOperator
     q_operators: tuple[_weyl.WeylOperator, ...]
-    deltas: tuple[_curves.DeltaExponent, ...]
+    deltas: tuple[_semigroup.DeltaExponent, ...]
 
 
 def restrict_hyperplane(A: CurveMatrix, beta, i: int) -> ModuleDescriptor:
@@ -121,7 +121,7 @@ def auxiliary_restriction(A: CurveMatrix, beta) -> tuple[ModuleDescriptor, Restr
     monomial = _weyl.WeylOperator.monomial
     aux = A.auxiliary()
     nv = aux.n
-    deltas = _curves.delta_exponents(A)
+    deltas = _semigroup.delta_exponents(A)
     q_ops = []
     for d in deltas:
         left = [0] * nv

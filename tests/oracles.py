@@ -17,8 +17,9 @@ import math
 from fractions import Fraction
 
 from gkzcurve.core import CurveError, CurveMatrix, DimensionMismatchError, record
-from gkzcurve.curves import BetaClass, beta_class, lattice_basis
+from gkzcurve.curves import lattice_basis
 from gkzcurve.exponents import negative_support
+from gkzcurve.semigroup import BetaClass, beta_class
 from gkzcurve.series import BetaNotNaturalError, FiniteSupport, FormalSeries, witness_base
 from gkzcurve.weyl import WeylOperator, apply
 

@@ -709,7 +709,7 @@ def test_cli_import_leaves_numpy_out():
 
 def test_cli_import_leaves_dataclasses_and_inspect_out():
     # both cost every command ~30 ms of import and generated-code exec; the
-    # import registers all eight modules in sys.modules, and runs only core
+    # import registers all ten modules in sys.modules, and runs only core
     src = os.path.dirname(os.path.dirname(gkzcurve.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     probe = ("import sys, gkzcurve.cli; "
@@ -719,12 +719,12 @@ def test_cli_import_leaves_dataclasses_and_inspect_out():
                             capture_output=True, text=True, check=True)
     banned, loaded = result.stdout.splitlines()
     assert banned == "[]"
-    for module in ("curves", "exponents", "irregularity", "restriction", "series", "weyl"):
+    for module in SUBMODULES:
         assert f"'gkzcurve.{module}'" in loaded
 
 
-SUBMODULES = ("basis", "core", "curves", "exponents", "irregularity", "restriction", "series",
-              "weyl")
+SUBMODULES = ("basis", "core", "curves", "exponents", "irregularity", "restriction",
+              "semigroup", "series", "series_io", "weyl")
 
 # Prints, after an optional command, the gkzcurve modules in sys.modules, those
 # whose body has run, and which of argparse, gettext and locale were imported.
@@ -756,21 +756,22 @@ def modules_after(*argv):
 @pytest.mark.parametrize("argv,extra", [
     ("", set()),
     ("--help", set()),
-    ("semigroup --matrix 3,5,7 --beta 1 --member 8", {"curves"}),
-    # irregularity reads the point classes and the slope from basis
+    ("semigroup --matrix 3,5,7 --beta 1 --member 8", {"semigroup"}),
+    # the point classes and the slope are core names, and no solution basis
+    # is built
     ("gevrey-index --matrix 1,3,5 --stream exponent --beta 1/2 --terms 300",
-     {"cli_irregularity", "irregularity", "basis"}),
-    ("monodromy --matrix 1,2,3 --beta 1", {"cli_irregularity", "irregularity", "basis"}),
+     {"cli_irregularity", "irregularity"}),
+    ("monodromy --matrix 1,2,3 --beta 1", {"cli_irregularity", "irregularity"}),
     ("irregularity-table --matrix 1,2,3 --beta-special 4 --beta-generic 1/2 --s 2",
-     {"cli_irregularity", "irregularity", "basis"}),
+     {"cli_irregularity", "irregularity"}),
     ("restrict --matrix 1,3,6,8 --beta 1/3 --mode plane", {"cli_restriction", "restriction"}),
     # the operators are printed, and no series is built
     ("restrict --matrix 3,5,7 --beta 1/2 --mode aux",
-     {"cli_restriction", "restriction", "weyl", "curves"}),
+     {"cli_restriction", "restriction", "weyl", "curves", "semigroup"}),
     ("b-function --matrix 1,4,6 --weight first", {"cli_restriction", "restriction"}),
     # an index out of range is a core error
     ("gevrey-index --matrix 1,2,3 --stream exponent --beta 1/2 --j 5",
-     {"cli_irregularity", "irregularity", "basis"}),
+     {"cli_irregularity", "irregularity"}),
     ("restrict --matrix 1,2,3 --beta 1 --mode hyperplane --index 0",
      {"cli_restriction", "restriction"}),
     ("b-function --matrix 1,2,3 --weight e9", {"cli_restriction", "restriction"}),
@@ -786,13 +787,15 @@ def modules_after(*argv):
      {"cli_basis", "basis", "series", "curves"}),
     ("solve --matrix 3,5,7 --beta 1/2 --truncation 14",
      {"cli_basis", "basis", "series", "curves"}),
-    # the gap route lifts by inverse contiguity, and applies no operator
+    # the gap route tests membership and lifts by inverse contiguity, and
+    # applies no operator
     ("solve --matrix 3,5,7 --beta 4 --truncation 14",
-     {"cli_basis", "basis", "series", "curves"}),
+     {"cli_basis", "basis", "series", "curves", "semigroup"}),
     ("verify --matrix 1,3,6,8 --beta 1/3 --truncation 8",
      {"cli_basis", "basis", "series", "weyl", "curves"}),
+    # only a basis read back from JSON runs the reader
     ("verify --matrix 1,2,3 --beta 4 --input {input}",
-     {"cli_basis", "basis", "series", "weyl", "curves"}),
+     {"cli_basis", "basis", "series", "series_io", "weyl", "curves"}),
 ], ids=["import-only", "help", "semigroup", "gevrey-index", "monodromy",
         "irregularity-table", "restrict", "restrict-aux", "b-function",
         "gevrey-index-bad-j", "restrict-bad-index", "b-function-bad-weight",
@@ -806,7 +809,7 @@ def test_each_command_runs_only_the_modules_it_uses(capsys, tmp_path, argv, extr
         (tmp_path / "solve.json").write_text(out)
         argv = argv.format(input=tmp_path / "solve.json")
     # every module stays registered: perfbench's tracer reads
-    # sys.modules["gkzcurve.<m>"] for all seven right after importing gkzcurve.cli
+    # sys.modules["gkzcurve.<m>"] for all of them right after importing gkzcurve.cli
     registered, ran, stdlib = modules_after(*argv.split())
     assert registered >= set(SUBMODULES)
     assert ran == {"cli", "cli_flags", "core"} | extra

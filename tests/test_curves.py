@@ -25,9 +25,10 @@ from gkzcurve import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkzcurve import curves
+from gkzcurve import semigroup
 from gkzcurve.core import CurveError, CurveKind, clip
-from gkzcurve.curves import MEMBERSHIP_TABLE_CAP, _in_semigroup, _lex_witness, lattice_points
+from gkzcurve.curves import LatticeBasis, lattice_points
+from gkzcurve.semigroup import MEMBERSHIP_TABLE_CAP, _in_semigroup, _lex_witness
 from oracles import combine, isomorphic_parameters
 
 
@@ -259,7 +260,7 @@ def test_pruned_lattice_points_equal_the_ball_under_support_bounds(
 def test_pruning_where_a_row_is_as_long_as_the_rows_after_it():
     # rows of (1, 2, 3) spanning a sublattice with |row_0[0]| = |row_1[0]|:
     # one slope of the cut on m_0 is 0, so a prefix is kept or dropped whole
-    B = curves.LatticeBasis(make_curve((1, 2, 3)), ((-2, 1, 0), (2, 2, -2)))
+    B = LatticeBasis(make_curve((1, 2, 3)), ((-2, 1, 0), (2, 2, -2)))
     for radius in range(5):
         for lo in range(-9, 10):
             for bounds in ({0: (lo, None)}, {0: (None, lo)}, {0: (lo, lo)},
@@ -409,41 +410,41 @@ def test_semigroup_routines_against_brute_force(base, scale):
 
 def test_member_past_the_cap_with_a_small_conductor(monkeypatch):
     # once a table of 5 million entries; now no table at all
-    monkeypatch.setattr(curves, "_TABLES", {})
+    monkeypatch.setattr(semigroup, "_TABLES", {})
     A = make_curve((3, 5, 7))
     start = time.perf_counter()
     assert semigroup_member(A, 5_000_000) and semigroup_member(A, 4_999_999)
     assert beta_class(A, 5_000_001).category is BetaClass.IN_SEMIGROUP
     assert time.perf_counter() - start < 0.1
-    assert curves._TABLES == {}
+    assert semigroup._TABLES == {}
 
 
 def test_one_table_per_generator_set_up_to_its_conductor(monkeypatch):
     # each queried value once built and kept a table of its own
-    monkeypatch.setattr(curves, "_TABLES", {})
+    monkeypatch.setattr(semigroup, "_TABLES", {})
     A = make_curve((3, 5, 7))
     start = time.perf_counter()
     answers = [semigroup_member(A, b) for b in range(1, 3001)]
     assert time.perf_counter() - start < 0.1
     assert [b for b, hit in zip(range(1, 3001), answers) if not hit] == [1, 2, 4]
-    assert list(curves._TABLES) == [(3, 5, 7)]
-    assert len(curves._TABLES[(3, 5, 7)]) <= 4 + 3 + 1
+    assert list(semigroup._TABLES) == [(3, 5, 7)]
+    assert len(semigroup._TABLES[(3, 5, 7)]) <= 4 + 3 + 1
 
 
 def test_table_stops_at_the_conductor(monkeypatch):
     # it was filled to a_1 * a_n = 2 001 000 entries
-    monkeypatch.setattr(curves, "_TABLES", {})
+    monkeypatch.setattr(semigroup, "_TABLES", {})
     entries = (1000, 1001, 1002, 1003, 2001)
     table = semigroup_table(make_curve(entries))
     assert table.frobenius == 332_999
-    assert len(table.membership) == len(curves._TABLES[entries]) <= 332_999 + 1000 + 1
+    assert len(table.membership) == len(semigroup._TABLES[entries]) <= 332_999 + 1000 + 1
 
 
 def test_table_fills_a_block_of_a1_entries_per_step(monkeypatch):
     # one entry per Python step took ~0.85 s for the table and the delta
     # exponents' (1000, 1001, 1002, 2001) table; a block fill takes ~20 ms,
     # and the bound leaves room for a loaded machine
-    monkeypatch.setattr(curves, "_TABLES", {})
+    monkeypatch.setattr(semigroup, "_TABLES", {})
     A = make_curve((1000, 1001, 1002, 1003, 2001))
     start = time.perf_counter()
     assert semigroup_table(A).frobenius == 332_999
@@ -452,17 +453,17 @@ def test_table_fills_a_block_of_a1_entries_per_step(monkeypatch):
 
 
 def test_tables_past_the_cap_are_refused_before_they_grow(monkeypatch):
-    monkeypatch.setattr(curves, "_TABLES", {})
+    monkeypatch.setattr(semigroup, "_TABLES", {})
     A = make_curve((1000003, 1000033))
     with pytest.raises(CurveError, match=f"up to 1000035000066 exceeds {MEMBERSHIP_TABLE_CAP}"):
         frobenius_number(A)
     with pytest.raises(CurveError, match="up to 5000000 exceeds"):
         semigroup_member(A, 5_000_000)
-    assert curves._TABLES == {}
+    assert semigroup._TABLES == {}
     assert semigroup_member(A, 1000003 * 1000033)     # past a_1 a_n: no table
-    assert curves._TABLES == {}
+    assert semigroup._TABLES == {}
     assert not semigroup_member(A, 9)                 # grown only as far as asked
-    assert len(curves._TABLES[(1000003, 1000033)]) == 10
+    assert len(semigroup._TABLES[(1000003, 1000033)]) == 10
 
 
 def test_gcd_reduction():

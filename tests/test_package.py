@@ -37,14 +37,51 @@ def test_unknown_name_is_an_attribute_error():
         gkzcurve.no_such_name
 
 
-def test_every_name_the_tracer_wraps_resolves():
-    # perfbench/tracer.py wraps each (home, name) of its TRACED table on
-    # gkzcurve.<home>; read the table without importing the tracer
+def _traced_pairs():
+    """(home, name) of every row of perfbench/tracer.py's TRACED table, which
+    the tracer wraps on gkzcurve.<home>; read without importing the tracer."""
     tracer = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
     table = next(node.value for node in ast.parse(tracer.read_text()).body
                  if isinstance(node, ast.Assign)
                  and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TRACED"])
-    pairs = [(row.elts[0].value, row.elts[1].value) for row in table.elts]
+    return [(row.elts[0].value, row.elts[1].value) for row in table.elts]
+
+
+def test_every_name_the_tracer_wraps_resolves():
+    pairs = _traced_pairs()
     assert len(pairs) > 20
     for home, name in pairs:
         assert callable(getattr(getattr(gkzcurve, home), name)), (home, name)
+
+
+# module -> (the home it serves the tracer's moved names from, a name of that
+# home the tracer does not read there)
+BRIDGES = {"curves": ("semigroup", "semigroup_table"),
+           "series": ("series_io", "SubstitutionResult"),
+           "irregularity": ("basis", "BasisMember")}
+
+
+def test_each_bridge_forwards_exactly_the_moved_names_the_tracer_reads():
+    moved = {}
+    for home, name in _traced_pairs():
+        if name not in vars(getattr(gkzcurve, home)):
+            moved.setdefault(home, set()).add(name)
+    assert moved.keys() == BRIDGES.keys()
+    for module, (target, _) in BRIDGES.items():
+        bridge = getattr(gkzcurve, module)
+        assert set(bridge._FORWARDED) == moved[module], module
+        for name in bridge._FORWARDED:
+            assert getattr(bridge, name) is getattr(getattr(gkzcurve, target), name)
+
+
+@pytest.mark.parametrize("module", sorted(BRIDGES))
+def test_a_bridge_refuses_every_other_name(module):
+    bridge = importlib.import_module(f"gkzcurve.{module}")
+    with pytest.raises(AttributeError, match=f"'gkzcurve.{module}' has no attribute 'no_such'"):
+        bridge.no_such
+    with pytest.raises(ImportError, match="no_such"):
+        exec(f"from gkzcurve.{module} import no_such", {})
+    target, unread = BRIDGES[module]
+    assert hasattr(getattr(gkzcurve, target), unread)
+    with pytest.raises(AttributeError, match=f"'gkzcurve.{module}' has no attribute"):
+        getattr(bridge, unread)

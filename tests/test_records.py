@@ -9,7 +9,18 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from gkzcurve import basis, core, curves, exponents, irregularity, restriction, series, weyl
+from gkzcurve import (
+    basis,
+    core,
+    curves,
+    exponents,
+    irregularity,
+    restriction,
+    semigroup,
+    series,
+    series_io,
+    weyl,
+)
 from gkzcurve.core import CurveError, make_curve, record
 from gkzcurve.irregularity import SheafKind, SheafTag
 
@@ -17,9 +28,9 @@ from gkzcurve.irregularity import SheafKind, SheafTag
 RECORDS = [
     (core.CurveMatrix, ("entries",), {}),
     (curves.LatticeBasis, ("matrix", "rows"), {}),
-    (curves.SemigroupTable, ("entries", "bound", "membership", "frobenius"), {}),
-    (curves.DeltaExponent, ("position", "delta", "witness"), {}),
-    (curves.BetaClassification, ("category", "residue"), {}),
+    (semigroup.SemigroupTable, ("entries", "bound", "membership", "frobenius"), {}),
+    (semigroup.DeltaExponent, ("position", "delta", "witness"), {}),
+    (semigroup.BetaClassification, ("category", "residue"), {}),
     (exponents.ExponentVector, ("vector", "nsupp", "auxiliary"), {"auxiliary": False}),
     (irregularity.SheafTag, ("kind", "order"), {"order": None}),
     (irregularity.DimensionAnswer, ("value",), {}),
@@ -29,7 +40,7 @@ RECORDS = [
     (restriction.RestrictionWitness, ("auxiliary", "p1", "q_operators", "deltas"), {}),
     (restriction.BFunction, ("roots", "caveat"), {}),
     (oracles.MinimalSupportAnswer, ("status", "witness", "radius"), {}),
-    (series.SubstitutionResult, ("series", "dropped", "certified_zero"), {}),
+    (series_io.SubstitutionResult, ("series", "dropped", "certified_zero"), {}),
     (weyl.GeneratorViolation, ("name", "violation", "trusted_terms", "certified"), {}),
     (weyl.AnnihilationReport, ("max_violation", "per_generator"), {}),
 ]
@@ -50,7 +61,7 @@ def oracle(fields):
 def test_every_record_class_is_listed():
     # every record of the package, and the one of the test oracles
     found = {cls for mod in (basis, core, curves, exponents, irregularity, restriction,
-                             series, weyl)
+                             semigroup, series, series_io, weyl)
              for cls in vars(mod).values()
              if isinstance(cls, type)
              and getattr(cls.__init__, "__module__", None) == "gkzcurve.core"}
@@ -125,7 +136,7 @@ def test_repr_is_the_dataclass_repr(cls, fields, defaults):
 
 
 def test_repr_literals_and_own_str():
-    assert repr(curves.DeltaExponent(1, 2, (1, 0))) == \
+    assert repr(semigroup.DeltaExponent(1, 2, (1, 0))) == \
         "DeltaExponent(position=1, delta=2, witness=(1, 0))"
     assert repr(SheafTag.formal(2)) == \
         "SheafTag(kind=<SheafKind.GEVREY_FORMAL: 'gevrey_formal'>, order=Fraction(2, 1))"

@@ -85,40 +85,61 @@ def _run_at_import(node):
         yield from _run_at_import(part)
 
 
-# series enumerates the kernel lattice for its supports and weyl for its
-# checking set, so both bind curves names at import
-LATTICE_USERS = {"curves.py", "series.py", "weyl.py"}
-
-
-def test_only_lattice_users_bind_a_curves_name_at_import():
-    # the closed-form commands (exponents, gevrey-index, irregularity-table,
-    # monodromy, restrict --mode plane, b-function) must not compile curves.py:
-    # other modules read its own names as _curves.<name> at call time
-    tree = ast.parse((PACKAGE / "curves.py").read_text(), filename="curves.py")
+def _names_bound_at_import(module: str, users: set[str]) -> tuple[set[str], list[str]]:
+    """The names module.py defines, and where a package module outside users
+    binds one when it is imported: `from .module import name`, or
+    `_alias.name` run at import after `from . import module as _alias`, which
+    binds the lazily loaded module and compiles nothing until a name is read."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(), filename=f"{module}.py")
     own = {node.name for node in tree.body
            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     own |= {target.id for node in tree.body if isinstance(node, ast.Assign)
             for target in node.targets if isinstance(target, ast.Name)}
-    assert {"LatticeBasis", "lattice_points", "semigroup_member", "delta_exponents",
-            "beta_class", "DeltaExponent"} <= own
+    own |= {node.target.id for node in tree.body if isinstance(node, ast.AnnAssign)}
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name in LATTICE_USERS:
+        if path.name in users | {f"{module}.py"}:
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
         nodes = list(_run_at_import(tree))
-        # `from . import curves as _curves` binds the lazily loaded module
         aliases = {alias.asname or alias.name for node in nodes
                    if isinstance(node, ast.ImportFrom) and node.level == 1 and not node.module
-                   for alias in node.names if alias.name == "curves"}
+                   for alias in node.names if alias.name == module}
         for node in nodes:
             if isinstance(node, ast.ImportFrom) and (
-                    (node.level, node.module) in ((1, "curves"), (0, "gkzcurve.curves"))):
+                    (node.level, node.module) in ((1, module), (0, f"gkzcurve.{module}"))):
                 found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
                           if alias.name in own or alias.name == "*"]
             elif (isinstance(node, ast.Attribute) and node.attr in own
                   and isinstance(node.value, ast.Name) and node.value.id in aliases):
                 found.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
+    return own, found
+
+
+# series enumerates the kernel lattice for its supports and weyl for its
+# checking set, so both bind curves names at import; series_io reads series
+# back, which loads curves anyway
+LATTICE_USERS = {"series.py", "series_io.py", "weyl.py"}
+
+
+def test_only_lattice_users_bind_a_curves_name_at_import():
+    # the closed-form commands (exponents, gevrey-index, irregularity-table,
+    # monodromy, restrict --mode plane, b-function) and semigroup must not
+    # compile curves.py: other modules read its own names as _curves.<name>
+    # at call time
+    own, found = _names_bound_at_import("curves", LATTICE_USERS)
+    assert {"LatticeBasis", "lattice_basis", "lattice_decompose", "lattice_points"} <= own
+    assert found == []
+
+
+def test_no_module_binds_a_semigroup_name_at_import():
+    # solve (but for the gap route of a general curve), verify and every
+    # closed-form command must not compile semigroup.py: other modules read
+    # its names as _semigroup.<name> at call time
+    own, found = _names_bound_at_import("semigroup", set())
+    assert {"SemigroupTable", "MEMBERSHIP_TABLE_CAP", "_TABLES", "semigroup_member",
+            "frobenius_number", "semigroup_gaps", "delta_exponents", "DeltaExponent",
+            "beta_class", "BetaClass"} <= own
     assert found == []
 
 

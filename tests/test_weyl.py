@@ -28,7 +28,8 @@ from gkzcurve import (
     weyl,
 )
 from gkzcurve.core import CurveError, DimensionMismatchError, NotInKernelError
-from gkzcurve.curves import lattice_basis, lattice_points, semigroup_member
+from gkzcurve.curves import lattice_basis, lattice_points
+from gkzcurve.semigroup import semigroup_member
 from gkzcurve.series import ContiguityError, FiniteSupport, WindowSupport
 from gkzcurve.weyl import OFFSET_LIMIT, GeneratorViolation, _pack, _unpack
 from oracles import falling_product
