@@ -1,7 +1,7 @@
 """Exact Gevrey-series solutions and irregularity data for hypergeometric
 systems of affine monomial curves.
 
-The ten engine submodules are registered in sys.modules when the package is
+The twelve engine submodules are registered in sys.modules when the package is
 imported, but each one's body runs only on first attribute access, so a
 command compiles and runs only the modules it uses.  `import gkzcurve.<m>`,
 `from gkzcurve.<m> import name` and every package-level name below work as
@@ -41,6 +41,10 @@ _EXPORTS = {
         "negative_support",
         "singular_exponents",
     ),
+    "gevrey": (
+        "gevrey_index_estimate",
+        "slope_subseries",
+    ),
     "irregularity": (
         "DimensionAnswer",
         "SheafKind",
@@ -48,10 +52,14 @@ _EXPORTS = {
         "stratum_dimension_table",
         "dimension_table_diff",
         "reference_dimension_table",
-        "gevrey_index_estimate",
         "irregularity_dimension",
         "monodromy_rotations",
-        "slope_subseries",
+    ),
+    "operators": (
+        "WeylOperator",
+        "box_operator",
+        "euler_operator",
+        "toric_generators",
     ),
     "restriction": (
         "BFunction",
@@ -91,13 +99,9 @@ _EXPORTS = {
     ),
     "weyl": (
         "AnnihilationReport",
-        "WeylOperator",
         "annihilation_report",
         "apply",
-        "box_operator",
-        "euler_operator",
         "named_generators",
-        "toric_generators",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -16,58 +16,15 @@ import re
 import sys
 from types import SimpleNamespace
 
-# lazily loaded: their names are read at call time, so a command that never
-# calls into one does not compile it
-from . import exponents as _exponents
-from . import semigroup as _semigroup
-from .cli_flags import UsageError, emit, parse_matrix, parse_rational, rat_json
+from .cli_flags import UsageError
 from .core import RATIONAL_TEXT, CurveError, read_integer
 
 
 # ---------------------------------------------------------------------------
-# Command handlers.  The others live in one handler module per engine family,
-# imported by main only for the command it runs.
-
-
-def _cmd_exponents(args):
-    A = parse_matrix(args.matrix)
-    beta = parse_rational(args.beta)
-    find = (_exponents.generic_exponents if args.point == "generic"
-            else _exponents.singular_exponents)
-    vectors = find(A, beta)
-    payload = [[rat_json(x) for x in e.vector] for e in vectors]
-    if vectors and vectors[0].auxiliary:
-        sys.stderr.write(
-            "note: auxiliary coordinates (1, a_1, ..., a_n); substitute x_0 = 0\n")
-    emit(payload, args.format)
-    return 0
-
-
-def _cmd_semigroup(args):
-    A = parse_matrix(args.matrix)
-    payload = {"matrix": list(A.entries), "frobenius": _semigroup.frobenius_number(A),
-               "gaps": list(_semigroup.semigroup_gaps(A))}
-    if args.member is not None:
-        payload["value"] = args.member
-        payload["is_member"] = _semigroup.semigroup_member(A, args.member)
-    if args.beta is not None:
-        beta = parse_rational(args.beta)
-        cls = _semigroup.beta_class(A, beta)
-        payload["beta"] = str(beta)
-        payload["beta_class"] = cls.category.value
-        if cls.residue is not None:
-            payload["residue"] = str(cls.residue)
-    payload["delta_exponents"] = [
-        {"entry": A.entries[d.position], "delta": d.delta, "witness": list(d.witness)}
-        for d in _semigroup.delta_exponents(A)]
-    emit(payload, args.format)
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# Flags.  Each command maps to its handler, or the "module.function" name of
-# one in a handler module, its description and its flag table.  A flag table
-# maps a flag's attribute name (`--ball-radius` -> ball_radius) to its kind
+# Flags.  Each command maps to its handler's "module.function" name, its
+# description and its flag table.  The handlers live in one module per engine
+# family, which main imports only for the command it runs.  A flag table maps
+# a flag's attribute name (`--ball-radius` -> ball_radius) to its kind
 # (int, str, or a tuple of choices), its default and whether it is required.
 
 _TEXT, _INT = (str, None, False), (int, None, False)
@@ -85,14 +42,14 @@ def _flags(beta_required, formats=("json",), **own) -> dict:
 
 
 _COMMANDS = {
-    "exponents": (_cmd_exponents, "starting exponents of the solution series",
+    "exponents": ("cli_curve.exponents", "starting exponents of the solution series",
                   _flags(True, point=(("smooth", "generic"), "smooth", False))),
     "solve": ("cli_basis.solve", "basis series for a point class",
               _flags(True, point=_POINT, s=_TEXT, truncation=(int, 12, False))),
     "verify": ("cli_basis.verify", "annihilation check of a basis (built or from file)",
                _flags(True, point=_POINT, truncation=(int, 12, False),
                       ball_radius=(int, 3, False), input=_TEXT)),
-    "gevrey-index": ("cli_irregularity.gevrey_index",
+    "gevrey-index": ("cli_gevrey.gevrey_index",
                      "growth-rate fit of a coefficient stream",
                      _flags(False, stream=(("witness", "exponent", "factorial",
                                             "inverse-factorial"), "witness", False),
@@ -108,7 +65,7 @@ _COMMANDS = {
     "b-function": ("cli_restriction.b_function", "closed-form b-function roots",
                    _flags(None, weight=(str, None, True))),
     "monodromy": ("cli_irregularity.monodromy", "monodromy rotation numbers", _flags(True)),
-    "semigroup": (_cmd_semigroup, "semigroup data and parameter class",
+    "semigroup": ("cli_curve.semigroup", "semigroup data and parameter class",
                   _flags(False, member=_INT)),
 }
 

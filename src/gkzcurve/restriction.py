@@ -15,8 +15,8 @@ from fractions import Fraction
 
 # lazily loaded modules: their names are read at call time, so a command
 # that never calls into one does not compile it
+from . import operators as _operators
 from . import semigroup as _semigroup
-from . import weyl as _weyl
 from .core import (
     CurveError,
     CurveMatrix,
@@ -58,8 +58,8 @@ class RestrictionWitness:
     of the auxiliary toric ideal (the exponent differences lie in ker_Z(A'))."""
 
     auxiliary: CurveMatrix
-    p1: _weyl.WeylOperator
-    q_operators: tuple[_weyl.WeylOperator, ...]
+    p1: _operators.WeylOperator
+    q_operators: tuple[_operators.WeylOperator, ...]
     deltas: tuple[_semigroup.DeltaExponent, ...]
 
 
@@ -118,7 +118,7 @@ def auxiliary_restriction(A: CurveMatrix, beta) -> tuple[ModuleDescriptor, Restr
         raise WrongShapeError("auxiliary restriction applies to general matrices")
     if math.gcd(*A.entries) != 1:
         raise GcdNotOneError(f"gcd{A.entries} != 1")
-    monomial = _weyl.WeylOperator.monomial
+    monomial = _operators.WeylOperator.monomial
     aux = A.auxiliary()
     nv = aux.n
     deltas = _semigroup.delta_exponents(A)

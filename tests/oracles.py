@@ -19,9 +19,10 @@ from fractions import Fraction
 from gkzcurve.core import CurveError, CurveMatrix, DimensionMismatchError, record
 from gkzcurve.curves import lattice_basis
 from gkzcurve.exponents import negative_support
+from gkzcurve.operators import WeylOperator
 from gkzcurve.semigroup import BetaClass, beta_class
 from gkzcurve.series import BetaNotNaturalError, FiniteSupport, FormalSeries, witness_base
-from gkzcurve.weyl import WeylOperator, apply
+from gkzcurve.weyl import apply
 
 
 def falling_product(z, alpha) -> Fraction:

@@ -239,7 +239,7 @@ def test_gevrey_index_past_the_stream_cap_is_a_domain_error(capsys, argv):
 
 
 def test_gevrey_index_stream_cap_counts_factors(capsys):
-    from gkzcurve.cli_irregularity import STREAM_FACTOR_CAP
+    from gkzcurve.cli_gevrey import STREAM_FACTOR_CAP
     # a_n = 500: 20 terms reach the cap exactly, 21 pass it
     code, _, _ = run_cli(capsys, "gevrey-index", "--matrix", "1,500", "--terms", "20")
     assert code == 0 and 20 * 500 == STREAM_FACTOR_CAP
@@ -709,7 +709,7 @@ def test_cli_import_leaves_numpy_out():
 
 def test_cli_import_leaves_dataclasses_and_inspect_out():
     # both cost every command ~30 ms of import and generated-code exec; the
-    # import registers all ten modules in sys.modules, and runs only core
+    # import registers all twelve modules in sys.modules, and runs only core
     src = os.path.dirname(os.path.dirname(gkzcurve.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     probe = ("import sys, gkzcurve.cli; "
@@ -723,8 +723,8 @@ def test_cli_import_leaves_dataclasses_and_inspect_out():
         assert f"'gkzcurve.{module}'" in loaded
 
 
-SUBMODULES = ("basis", "core", "curves", "exponents", "irregularity", "restriction",
-              "semigroup", "series", "series_io", "weyl")
+SUBMODULES = ("basis", "core", "curves", "exponents", "gevrey", "irregularity", "operators",
+              "restriction", "semigroup", "series", "series_io", "weyl")
 
 # Prints, after an optional command, the gkzcurve modules in sys.modules, those
 # whose body has run, and which of argparse, gettext and locale were imported.
@@ -756,22 +756,22 @@ def modules_after(*argv):
 @pytest.mark.parametrize("argv,extra", [
     ("", set()),
     ("--help", set()),
-    ("semigroup --matrix 3,5,7 --beta 1 --member 8", {"semigroup"}),
+    ("semigroup --matrix 3,5,7 --beta 1 --member 8", {"cli_curve", "semigroup"}),
     # the point classes and the slope are core names, and no solution basis
-    # is built
+    # is built; the Gevrey streams leave the tables and monodromy out
     ("gevrey-index --matrix 1,3,5 --stream exponent --beta 1/2 --terms 300",
-     {"cli_irregularity", "irregularity"}),
+     {"cli_gevrey", "gevrey"}),
     ("monodromy --matrix 1,2,3 --beta 1", {"cli_irregularity", "irregularity"}),
     ("irregularity-table --matrix 1,2,3 --beta-special 4 --beta-generic 1/2 --s 2",
      {"cli_irregularity", "irregularity"}),
     ("restrict --matrix 1,3,6,8 --beta 1/3 --mode plane", {"cli_restriction", "restriction"}),
-    # the operators are printed, and no series is built
+    # the operators are printed, and no series is built or checked
     ("restrict --matrix 3,5,7 --beta 1/2 --mode aux",
-     {"cli_restriction", "restriction", "weyl", "curves", "semigroup"}),
+     {"cli_restriction", "restriction", "operators", "semigroup"}),
     ("b-function --matrix 1,4,6 --weight first", {"cli_restriction", "restriction"}),
     # an index out of range is a core error
     ("gevrey-index --matrix 1,2,3 --stream exponent --beta 1/2 --j 5",
-     {"cli_irregularity", "irregularity"}),
+     {"cli_gevrey", "gevrey"}),
     ("restrict --matrix 1,2,3 --beta 1 --mode hyperplane --index 0",
      {"cli_restriction", "restriction"}),
     ("b-function --matrix 1,2,3 --weight e9", {"cli_restriction", "restriction"}),
@@ -779,7 +779,7 @@ def modules_after(*argv):
     ("restrict --matrix 2,3,5 --beta 1 --mode plane", {"cli_restriction", "restriction"}),
     ("restrict --matrix 2,3,5 --beta 1 --mode hyperplane --index 1",
      {"cli_restriction", "restriction"}),
-    ("exponents --matrix 1,2,3 --beta 1/2", {"exponents", "basis"}),
+    ("exponents --matrix 1,2,3 --beta 1/2", {"cli_curve", "exponents", "basis"}),
     # solve and verify leave the tables, Gevrey streams and monodromy out
     ("solve --matrix 1,2,3 --beta 4 --truncation 40",
      {"cli_basis", "basis", "series", "curves"}),
@@ -792,10 +792,10 @@ def modules_after(*argv):
     ("solve --matrix 3,5,7 --beta 4 --truncation 14",
      {"cli_basis", "basis", "series", "curves", "semigroup"}),
     ("verify --matrix 1,3,6,8 --beta 1/3 --truncation 8",
-     {"cli_basis", "basis", "series", "weyl", "curves"}),
+     {"cli_basis", "basis", "series", "weyl", "operators", "curves"}),
     # only a basis read back from JSON runs the reader
     ("verify --matrix 1,2,3 --beta 4 --input {input}",
-     {"cli_basis", "basis", "series", "series_io", "weyl", "curves"}),
+     {"cli_basis", "basis", "series", "series_io", "weyl", "operators", "curves"}),
 ], ids=["import-only", "help", "semigroup", "gevrey-index", "monodromy",
         "irregularity-table", "restrict", "restrict-aux", "b-function",
         "gevrey-index-bad-j", "restrict-bad-index", "b-function-bad-weight",

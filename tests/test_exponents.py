@@ -229,6 +229,36 @@ def test_exponents_are_the_fake_exponents_of_the_initial_ideal(rest, num, den):
 
 
 # ---------------------------------------------------------------------------
+# The oracle on a general curve itself.  The commands route a general curve
+# through its auxiliary matrix (1, a_1, ..., a_n).  Run on A directly, both
+# smooth-curve weights give one monomial ideal whose top-dimensional pairs all
+# free d_1: fake exponents ((beta - A.b)/a_1, b_2, ..., b_n), no more of them
+# than the package's lists hold in the auxiliary coordinates.  Recorded here,
+# changing no output; which of the two the paper's series start from is open.
+
+
+@pytest.mark.parametrize("entries, ideal, direct, singular, generic", [
+    ((2, 3), {(0, 2)}, 2, 2, 3),
+    ((2, 5), {(0, 2)}, 2, 2, 5),
+    ((3, 5, 7), {(0, 0, 2), (0, 1, 1), (0, 2, 0)}, 3, 5, 7),
+])
+def test_the_oracle_on_a_general_curve_itself(entries, ideal, direct, singular, generic):
+    A, beta, n = make_curve(entries), Fraction(1, 2), len(entries)
+    for weight in (singular_weight, generic_weight):
+        gens, _ = initial_ideal(entries, weight(entries))
+        assert gens == ideal, weight.__name__
+        pairs = top_standard_pairs(gens, n)
+        assert [i for _, i in pairs] == [1] * direct
+        for pair in pairs:
+            (v,) = fake_exponents(entries, beta, [pair])
+            assert v[1:] == pair[0][1:] and A.weight(v) == beta
+    for find, count in ((singular_exponents, singular), (generic_exponents, generic)):
+        vectors = find(A, beta)
+        assert len(vectors) == count
+        assert all(e.auxiliary and len(e.vector) == n + 1 for e in vectors)
+
+
+# ---------------------------------------------------------------------------
 # The exponent lists
 
 

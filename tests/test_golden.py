@@ -71,7 +71,7 @@ def test_golden_command_reproduces_as_a_module_run(tmp_path, key):
 
 
 def test_flag_error_in_a_handler_module_exits_2_as_a_module_run():
-    # raised by cli_irregularity: one UsageError class, whichever module raises it
+    # raised by cli_gevrey: one UsageError class, whichever module raises it
     code, out, err = run_module(["gevrey-index", "--matrix", "1,2,3", "--stream", "exponent"])
     assert (code, out) == (2, "")
     assert err == "error: --stream exponent needs --beta\n"

@@ -25,7 +25,7 @@ from gkzcurve import (
 )
 from gkzcurve.core import CurveError, IndexOutOfRangeError
 from gkzcurve.basis import BasisMember, SlopeTooSmallError
-from gkzcurve.irregularity import InsufficientDataError, _log_abs
+from gkzcurve.gevrey import InsufficientDataError, _log_abs
 from gkzcurve.series import FormalSeries
 
 

@@ -54,11 +54,11 @@ def test_every_name_the_tracer_wraps_resolves():
         assert callable(getattr(getattr(gkzcurve, home), name)), (home, name)
 
 
-# module -> (the home it serves the tracer's moved names from, a name of that
-# home the tracer does not read there)
-BRIDGES = {"curves": ("semigroup", "semigroup_table"),
-           "series": ("series_io", "SubstitutionResult"),
-           "irregularity": ("basis", "BasisMember")}
+# module -> {each home it serves the tracer's moved names from: a name of that
+# home the tracer does not read there}
+BRIDGES = {"curves": {"semigroup": "semigroup_table"},
+           "series": {"series_io": "SubstitutionResult"},
+           "irregularity": {"basis": "BasisMember", "gevrey": "InsufficientDataError"}}
 
 
 def test_each_bridge_forwards_exactly_the_moved_names_the_tracer_reads():
@@ -67,11 +67,16 @@ def test_each_bridge_forwards_exactly_the_moved_names_the_tracer_reads():
         if name not in vars(getattr(gkzcurve, home)):
             moved.setdefault(home, set()).add(name)
     assert moved.keys() == BRIDGES.keys()
-    for module, (target, _) in BRIDGES.items():
+    for module, homes in BRIDGES.items():
         bridge = getattr(gkzcurve, module)
         assert set(bridge._FORWARDED) == moved[module], module
+        served = {}
         for name in bridge._FORWARDED:
-            assert getattr(bridge, name) is getattr(getattr(gkzcurve, target), name)
+            value = getattr(bridge, name)
+            home = value.__module__.rpartition(".")[2]
+            assert value is getattr(getattr(gkzcurve, home), name)
+            served.setdefault(home, set()).add(name)
+        assert served.keys() == homes.keys(), module
 
 
 @pytest.mark.parametrize("module", sorted(BRIDGES))
@@ -81,7 +86,7 @@ def test_a_bridge_refuses_every_other_name(module):
         bridge.no_such
     with pytest.raises(ImportError, match="no_such"):
         exec(f"from gkzcurve.{module} import no_such", {})
-    target, unread = BRIDGES[module]
-    assert hasattr(getattr(gkzcurve, target), unread)
-    with pytest.raises(AttributeError, match=f"'gkzcurve.{module}' has no attribute"):
-        getattr(bridge, unread)
+    for home, unread in BRIDGES[module].items():
+        assert hasattr(getattr(gkzcurve, home), unread)
+        with pytest.raises(AttributeError, match=f"'gkzcurve.{module}' has no attribute"):
+            getattr(bridge, unread)

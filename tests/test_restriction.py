@@ -19,9 +19,8 @@ from gkzcurve import (
     restrict_hyperplane,
     restrict_to_plane,
 )
-from gkzcurve.core import IndexOutOfRangeError
+from gkzcurve.core import IndexOutOfRangeError, NotSmoothError
 from gkzcurve.restriction import WrongShapeError
-from gkzcurve.weyl import NotSmoothError
 
 
 def test_restrict_hyperplane_examples():
@@ -41,11 +40,11 @@ def test_restrict_hyperplane_errors():
         restrict_hyperplane(make_curve((2, 3, 5)), 0, 2)
 
 
-def test_not_smooth_error_is_one_class_in_core_and_weyl():
-    from gkzcurve import core, weyl
-    assert weyl.NotSmoothError is core.NotSmoothError
+def test_not_smooth_error_is_one_class_in_core_and_operators():
+    from gkzcurve import core, operators
+    assert operators.NotSmoothError is core.NotSmoothError
     for restrict in (lambda A: restrict_hyperplane(A, 1, 2), lambda A: restrict_to_plane(A, 1),
-                     weyl.toric_generators):
+                     operators.toric_generators):
         with pytest.raises(core.NotSmoothError, match=r"^\(2, 3, 5\) is not smooth$"):
             restrict(make_curve((2, 3, 5)))
 

@@ -41,7 +41,7 @@ from gkzcurve.series import (
     section_series,
     witness_base,
 )
-from gkzcurve.weyl import WeylOperator
+from gkzcurve.operators import WeylOperator
 from oracles import (
     apply_contiguity,
     closed_form_coefficient,

@@ -143,6 +143,35 @@ def test_no_module_binds_a_semigroup_name_at_import():
     assert found == []
 
 
+def _package_imports(path) -> set[str]:
+    """The package modules path imports in any form: `from .m import name`,
+    `from . import m`, `import gkzcurve.m` and the absolute `from` forms."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            base = ".".join(["gkzcurve"] * node.level + [node.module or ""]).strip(".")
+            if base == "gkzcurve":
+                out |= {alias.name for alias in node.names}
+            elif base.startswith("gkzcurve."):
+                out.add(base.split(".")[1])
+        elif isinstance(node, ast.Import):
+            out |= {alias.name.split(".")[1] for alias in node.names
+                    if alias.name.startswith("gkzcurve.")}
+    return out
+
+
+def test_the_operator_algebra_leaves_the_kernel_and_the_series_out():
+    # restrict --mode aux only builds and prints operators: operators.py binds
+    # nothing from curves, series or weyl, so that command compiles none of
+    # them; the verification kernel in weyl.py is reached from basis alone
+    own, found = _names_bound_at_import("weyl", {"basis.py"})
+    assert {"_SeriesKernel", "apply", "annihilation_report", "named_generators"} <= own
+    assert found == []
+    assert _package_imports(PACKAGE / "operators.py") == {"core"}
+    assert [path.name for path in sorted(PACKAGE.glob("*.py"))
+            if "weyl" in _package_imports(path)] == ["basis.py"]
+
+
 # the verification kernel and the support guard it classifies with
 INTEGER_ONLY = {"weyl.py": ("_SeriesKernel", "_Certainty"),
                 "series.py": ("_FallingFactors", "LatticeGammaSupport.classify")}
