@@ -1,7 +1,7 @@
 """Exact Gevrey-series solutions and irregularity data for hypergeometric
 systems of affine monomial curves.
 
-The twelve engine submodules are registered in sys.modules when the package is
+The engine submodules are registered in sys.modules when the package is
 imported, but each one's body runs only on first attribute access, so a
 command compiles and runs only the modules it uses.  `import gkzcurve.<m>`,
 `from gkzcurve.<m> import name` and every package-level name below work as

@@ -83,12 +83,7 @@ def restrict_first_variable(A: CurveMatrix, beta) -> list[ModuleDescriptor]:
     finitely many beta."""
     if A.n != 3 or not A.is_smooth:
         raise WrongShapeError(f"{A.entries} does not have shape (1, ka, kb)")
-    k = math.gcd(A.entries[1], A.entries[2])
-    a, b = A.entries[1] // k, A.entries[2] // k
-    beta = Fraction(beta)
-    return [ModuleDescriptor(make_curve((a, b)), Fraction(beta - i, k),
-                             Caveat.GENERIC_BETA_ONLY)
-            for i in range(k)]
+    return restrict_to_plane(A, beta)
 
 
 def restrict_to_plane(A: CurveMatrix, beta) -> list[ModuleDescriptor]:

@@ -13,7 +13,7 @@ from fractions import Fraction
 # lazily loaded: only a certified-zero check of substitute_x0 reads it
 from . import semigroup as _semigroup
 from .basis import exponent_base, generic_exponent_base
-from .core import CurveError, CurveMatrix, make_curve, read_rational, record
+from .core import CurveError, CurveMatrix, clip, make_curve, read_rational, record
 from .curves import lattice_basis
 from .series import (
     FiniteSupport,
@@ -61,9 +61,9 @@ def series_from_json(data: dict, matrix: CurveMatrix | None = None) -> FormalSer
     Raises CurveError when a required key (of the series or of a term) is
     missing or holds a value of the wrong kind: exponents and coefficients are
     integers or rational strings, offsets lists of integers as long as the base
-    exponent, the truncation an integer.  An x0_section series must carry the
-    aux_matrix (1, a_1, ..., a_n) of the matrix and an aux_base whose entries
-    after the first are the base exponent."""
+    exponent, the truncation an integer >= 0.  An x0_section series must carry
+    the aux_matrix (1, a_1, ..., a_n) of the matrix and an aux_base whose
+    entries after the first are the base exponent."""
     if not isinstance(data, dict):
         raise CurveError("series JSON is not an object")
     for key in ("base_exponent", "terms", "truncation"):
@@ -72,6 +72,8 @@ def series_from_json(data: dict, matrix: CurveMatrix | None = None) -> FormalSer
     base = tuple(_json_rational(x, "base_exponent entry")
                  for x in _json_list(data["base_exponent"], "base_exponent"))
     truncation = _json_int(data["truncation"], "truncation")
+    if truncation < 0:
+        raise CurveError(f"truncation must be >= 0, got {clip(truncation)}")
     terms = {}
     for t in _json_list(data["terms"], "terms"):
         if not isinstance(t, dict) or "offset" not in t or "coeff" not in t:

@@ -457,6 +457,7 @@ def test_verify_input_offset_past_the_kernel_range_is_a_domain_error(tmp_path, c
 
 
 @pytest.mark.parametrize("field,value", [("coeff", "x"), ("truncation", "ten"),
+                                         ("truncation", -5),
                                          ("terms", 5), ("offset", [0, 1.5, 0]),
                                          ("offset", 5), ("coeff", "1/0"),
                                          ("coeff", "1e5")])
@@ -709,7 +710,7 @@ def test_cli_import_leaves_numpy_out():
 
 def test_cli_import_leaves_dataclasses_and_inspect_out():
     # both cost every command ~30 ms of import and generated-code exec; the
-    # import registers all twelve modules in sys.modules, and runs only core
+    # import registers every engine module in sys.modules, and runs only core
     src = os.path.dirname(os.path.dirname(gkzcurve.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     probe = ("import sys, gkzcurve.cli; "
@@ -753,66 +754,77 @@ def modules_after(*argv):
     return set(registered.split()), set(ran.split()), set(stdlib.split())
 
 
-@pytest.mark.parametrize("argv,extra", [
-    ("", set()),
-    ("--help", set()),
-    ("semigroup --matrix 3,5,7 --beta 1 --member 8", {"cli_curve", "semigroup"}),
+# The package modules each command runs besides cli, cli_flags and core.
+# README.md's "Modules a command runs" table states exactly these rows
+# (tests/test_readme.py); basis.json stands for the output of
+# `solve --matrix 1,2,3 --beta 4 --truncation 40`.
+ALWAYS_RUN = {"cli", "cli_flags", "core"}
+COMMAND_MODULES = {
+    "import-only": ("", set()),
+    "help": ("--help", set()),
+    "semigroup": ("semigroup --matrix 3,5,7 --beta 1 --member 8", {"cli_curve", "semigroup"}),
     # the point classes and the slope are core names, and no solution basis
     # is built; the Gevrey streams leave the tables and monodromy out
-    ("gevrey-index --matrix 1,3,5 --stream exponent --beta 1/2 --terms 300",
-     {"cli_gevrey", "gevrey"}),
-    ("monodromy --matrix 1,2,3 --beta 1", {"cli_irregularity", "irregularity"}),
-    ("irregularity-table --matrix 1,2,3 --beta-special 4 --beta-generic 1/2 --s 2",
-     {"cli_irregularity", "irregularity"}),
-    ("restrict --matrix 1,3,6,8 --beta 1/3 --mode plane", {"cli_restriction", "restriction"}),
+    "gevrey-index": ("gevrey-index --matrix 1,3,5 --stream exponent --beta 1/2 --terms 300",
+                     {"cli_gevrey", "gevrey"}),
+    "monodromy": ("monodromy --matrix 1,2,3 --beta 1", {"cli_irregularity", "irregularity"}),
+    "irregularity-table": (
+        "irregularity-table --matrix 1,2,3 --beta-special 4 --beta-generic 1/2 --s 2",
+        {"cli_irregularity", "irregularity"}),
+    "restrict": ("restrict --matrix 1,3,6,8 --beta 1/3 --mode plane",
+                 {"cli_restriction", "restriction"}),
     # the operators are printed, and no series is built or checked
-    ("restrict --matrix 3,5,7 --beta 1/2 --mode aux",
-     {"cli_restriction", "restriction", "operators", "semigroup"}),
-    ("b-function --matrix 1,4,6 --weight first", {"cli_restriction", "restriction"}),
+    "restrict-aux": ("restrict --matrix 3,5,7 --beta 1/2 --mode aux",
+                     {"cli_restriction", "restriction", "operators", "semigroup"}),
+    "b-function": ("b-function --matrix 1,4,6 --weight first",
+                   {"cli_restriction", "restriction"}),
     # an index out of range is a core error
-    ("gevrey-index --matrix 1,2,3 --stream exponent --beta 1/2 --j 5",
-     {"cli_gevrey", "gevrey"}),
-    ("restrict --matrix 1,2,3 --beta 1 --mode hyperplane --index 0",
-     {"cli_restriction", "restriction"}),
-    ("b-function --matrix 1,2,3 --weight e9", {"cli_restriction", "restriction"}),
+    "gevrey-index-bad-j": ("gevrey-index --matrix 1,2,3 --stream exponent --beta 1/2 --j 5",
+                           {"cli_gevrey", "gevrey"}),
+    "restrict-bad-index": ("restrict --matrix 1,2,3 --beta 1 --mode hyperplane --index 0",
+                           {"cli_restriction", "restriction"}),
+    "b-function-bad-weight": ("b-function --matrix 1,2,3 --weight e9",
+                              {"cli_restriction", "restriction"}),
     # so is a general matrix where a smooth one is needed
-    ("restrict --matrix 2,3,5 --beta 1 --mode plane", {"cli_restriction", "restriction"}),
-    ("restrict --matrix 2,3,5 --beta 1 --mode hyperplane --index 1",
-     {"cli_restriction", "restriction"}),
-    ("exponents --matrix 1,2,3 --beta 1/2", {"cli_curve", "exponents", "basis"}),
+    "restrict-plane-not-smooth": ("restrict --matrix 2,3,5 --beta 1 --mode plane",
+                                  {"cli_restriction", "restriction"}),
+    "restrict-hyperplane-not-smooth": (
+        "restrict --matrix 2,3,5 --beta 1 --mode hyperplane --index 1",
+        {"cli_restriction", "restriction"}),
+    "exponents": ("exponents --matrix 1,2,3 --beta 1/2", {"cli_curve", "exponents", "basis"}),
     # solve and verify leave the tables, Gevrey streams and monodromy out
-    ("solve --matrix 1,2,3 --beta 4 --truncation 40",
-     {"cli_basis", "basis", "series", "curves"}),
-    ("solve --matrix 1,2,3,4,5,6 --beta 1/2 --truncation 8",
-     {"cli_basis", "basis", "series", "curves"}),
-    ("solve --matrix 3,5,7 --beta 1/2 --truncation 14",
-     {"cli_basis", "basis", "series", "curves"}),
+    "solve-123": ("solve --matrix 1,2,3 --beta 4 --truncation 40",
+                  {"cli_basis", "basis", "series", "curves"}),
+    "solve-123456": ("solve --matrix 1,2,3,4,5,6 --beta 1/2 --truncation 8",
+                     {"cli_basis", "basis", "series", "curves"}),
+    "solve-357-half": ("solve --matrix 3,5,7 --beta 1/2 --truncation 14",
+                       {"cli_basis", "basis", "series", "curves"}),
     # the gap route tests membership and lifts by inverse contiguity, and
     # applies no operator
-    ("solve --matrix 3,5,7 --beta 4 --truncation 14",
-     {"cli_basis", "basis", "series", "curves", "semigroup"}),
-    ("verify --matrix 1,3,6,8 --beta 1/3 --truncation 8",
-     {"cli_basis", "basis", "series", "weyl", "operators", "curves"}),
+    "solve-357-gap": ("solve --matrix 3,5,7 --beta 4 --truncation 14",
+                      {"cli_basis", "basis", "series", "curves", "semigroup"}),
+    "verify": ("verify --matrix 1,3,6,8 --beta 1/3 --truncation 8",
+               {"cli_basis", "basis", "series", "curves", "weyl", "operators"}),
     # only a basis read back from JSON runs the reader
-    ("verify --matrix 1,2,3 --beta 4 --input {input}",
-     {"cli_basis", "basis", "series", "series_io", "weyl", "operators", "curves"}),
-], ids=["import-only", "help", "semigroup", "gevrey-index", "monodromy",
-        "irregularity-table", "restrict", "restrict-aux", "b-function",
-        "gevrey-index-bad-j", "restrict-bad-index", "b-function-bad-weight",
-        "restrict-plane-not-smooth", "restrict-hyperplane-not-smooth", "exponents",
-        "solve-123", "solve-123456", "solve-357-half", "solve-357-gap", "verify",
-        "verify-input"])
+    "verify-input": ("verify --matrix 1,2,3 --beta 4 --input basis.json",
+                     {"cli_basis", "basis", "series", "curves", "weyl", "operators",
+                      "series_io"}),
+}
+
+
+@pytest.mark.parametrize("argv,extra", list(COMMAND_MODULES.values()),
+                         ids=list(COMMAND_MODULES))
 def test_each_command_runs_only_the_modules_it_uses(capsys, tmp_path, argv, extra):
-    if "{input}" in argv:
+    if "basis.json" in argv:
         _, out, _ = run_cli(capsys, "solve", "--matrix", "1,2,3", "--beta", "4",
                             "--truncation", "40")
-        (tmp_path / "solve.json").write_text(out)
-        argv = argv.format(input=tmp_path / "solve.json")
+        (tmp_path / "basis.json").write_text(out)
+        argv = argv.replace("basis.json", str(tmp_path / "basis.json"))
     # every module stays registered: perfbench's tracer reads
     # sys.modules["gkzcurve.<m>"] for all of them right after importing gkzcurve.cli
     registered, ran, stdlib = modules_after(*argv.split())
     assert registered >= set(SUBMODULES)
-    assert ran == {"cli", "cli_flags", "core"} | extra
+    assert ran == ALWAYS_RUN | extra
     assert stdlib == set()
 
 

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gkzcurve import (
     BetaClass,
@@ -91,11 +93,19 @@ def test_restrict_to_plane():
     assert all(d.caveat is Caveat.GENERIC_BETA_ONLY for d in ds)
     one = restrict_to_plane(make_curve((1, 2, 3, 5)), 9)
     assert [(d.matrix.entries, d.parameter) for d in one] == [((3, 5), 9)]
-    # for n = 3 this is the same statement as the x1 restriction
-    a, b = restrict_to_plane(make_curve((1, 4, 6)), 2), restrict_first_variable(
-        make_curve((1, 4, 6)), 2)
-    assert [(d.matrix.entries, d.parameter) for d in a] == \
-        [(d.matrix.entries, d.parameter) for d in b]
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.integers(1, 12), b=st.integers(2, 12), k=st.integers(1, 6),
+       p=st.integers(-30, 30), q=st.integers(1, 9))
+def test_plane_and_x1_restrictions_agree_on_1_ka_kb(a, b, k, p, q):
+    # for n = 3 both state k summands M_(a,b)((beta - i)/k), i = 0..k-1
+    assume(a < b and math.gcd(a, b) == 1 and k * a > 1)
+    A, beta = make_curve((1, k * a, k * b)), Fraction(p, q)
+    want = [((a, b), (beta - i) / k, Caveat.GENERIC_BETA_ONLY) for i in range(k)]
+    for restrict in (restrict_to_plane, restrict_first_variable):
+        assert [(d.matrix.entries, d.parameter, d.caveat)
+                for d in restrict(A, beta)] == want
 
 
 def test_auxiliary_restriction_small_example():

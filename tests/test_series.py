@@ -678,6 +678,22 @@ def test_a_section_whose_descriptor_contradicts_its_series_is_refused_at_read_ti
         series_from_json(data, Ag)
 
 
+@pytest.mark.parametrize("truncation", [-1, -5, -10 ** 60])
+def test_a_negative_truncation_is_refused_at_read_time(truncation):
+    # a level below 0 certifies no offset that is not stored, so most rows of
+    # a verify would check nothing and still read 0
+    A = make_curve((1, 2, 3))
+    data = json.loads(json.dumps(
+        solution_basis(A, Fraction(1, 2), PointClass.SMOOTH_STRATUM, s=slope(A),
+                       level=4)[0].series.to_json()))
+    data["truncation"] = 0
+    assert series_from_json(data, A).truncation == 0
+    data["truncation"] = truncation
+    with pytest.raises(CurveError, match=f"^truncation must be >= 0, got "
+                                         f"{str(truncation)[:40]}$"):
+        series_from_json(data, A)
+
+
 def test_series_from_json_takes_the_validated_values_as_they_are():
     # the same series as the converting constructor builds from the raw values:
     # p/q strings reduced, zero coefficients dropped, a repeated offset's last
