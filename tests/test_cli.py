@@ -457,10 +457,9 @@ def test_verify_input_offset_past_the_kernel_range_is_a_domain_error(tmp_path, c
 
 
 @pytest.mark.parametrize("field,value", [("coeff", "x"), ("truncation", "ten"),
-                                         ("truncation", -5),
                                          ("terms", 5), ("offset", [0, 1.5, 0]),
                                          ("offset", 5), ("coeff", "1/0"),
-                                         ("coeff", "1e5")])
+                                         ("coeff", "1e5"), ("truncation", -5)])
 def test_verify_input_bad_value_is_a_domain_error(tmp_path, capsys, solved, field,
                                                   value):
     series = solved["basis"][0]["series"]
