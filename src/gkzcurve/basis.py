@@ -196,11 +196,12 @@ def verify_basis(A: CurveMatrix, members, beta, ball_radius: int = 3):
                              f"nothing was checked")
     gens = _weyl.named_generators(A, beta, ball_radius)
     out = []
-    for m in members:
-        if m.is_solution:
-            subset = gens
-        else:
-            subset = [(name, op) for name, op in gens
-                      if name != m.defect_generator and not name.startswith("box")]
-        out.append((m, _weyl.annihilation_report(subset, m.series)))
+    with _weyl._basis_tables():
+        for m in members:
+            if m.is_solution:
+                subset = gens
+            else:
+                subset = [(name, op) for name, op in gens
+                          if name != m.defect_generator and not name.startswith("box")]
+            out.append((m, _weyl.annihilation_report(subset, m.series)))
     return out

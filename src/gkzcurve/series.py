@@ -68,12 +68,14 @@ class LatticeGammaSupport:
         gamma_series enumerates with (_support_bounds).  The Fraction form of
         the guard is gamma_coefficient in tests/oracles.py."""
         m = lattice_decompose(self.basis, offset)
-        if m is None:
-            return None
+        return None if m is None else self.placed(offset, sum(map(abs, m)))
+
+    def placed(self, offset, level: int):
+        """classify at an offset of L_A whose level sum |m_i| is known."""
         for i, lo, hi in self._bounds:
             if lo is not None and offset[i] < lo or hi is not None and offset[i] > hi:
                 return None
-        return sum(map(abs, m))
+        return level
 
     def json_fields(self) -> dict:
         return {"descriptor": "lattice"}
@@ -257,22 +259,25 @@ class _GammaFactor:
 
 
 class _FallingFactors(dict):
-    """t -> prod_{j<g} (p + q t - q j), i.e. q^g (p/q + t)_g: filled at the
-    given values of t, or from the table of g - 1 by one multiply per entry
-    where it is given, and on demand at any other t."""
+    """z -> prod_{j<g} (z - q j), i.e. q^g (z/q)_g, or q^g (p/q + t)_g at
+    z = p + q t: filled at given values of z, from the table of g - 1 by one
+    multiply per entry where it is given, and on demand at any other z."""
 
-    def __init__(self, p: int, q: int, g: int, values=(), below=None):
+    def __init__(self, q: int, g: int):
+        self.q, self.g = q, g
+
+    def fill(self, values, below=None):
+        """Fill the entries at values that the table lacks; below, where given,
+        holds them all."""
         if below is None:
-            super().__init__({t: math.prod(range(p + q * t, p + q * t - q * g, -q))
-                              for t in values})
+            self.update({z: math.prod(range(z, z - self.q * self.g, -self.q))
+                         for z in values if z not in self})
         else:
-            step = p - q * (g - 1)
-            super().__init__({t: f * (step + q * t) for t, f in below.items()})
-        self.p, self.q, self.g = p, q, g
+            step = self.q * (self.g - 1)
+            self.update({z: below[z] * (z - step) for z in values if z not in self})
 
-    def __missing__(self, t: int) -> int:
-        z = self.p + self.q * t
-        f = self[t] = math.prod(range(z, z - self.q * self.g, -self.q))
+    def __missing__(self, z: int) -> int:
+        f = self[z] = math.prod(range(z, z - self.q * self.g, -self.q))
         return f
 
 
@@ -382,14 +387,14 @@ def inverse_contiguity(S: FormalSeries, w) -> FormalSeries:
     w = tuple(int(x) for x in w)
     if len(w) != S.nvars or any(x < 0 for x in w):
         raise DimensionMismatchError(f"bad derivative multi-index {w}")
-    # (v_i + t)_{w_i} = F_i[t] / q_i^{w_i} with v_i = p_i/q_i
-    slots = [(i, _FallingFactors(b.numerator, b.denominator, wi))
+    # (v_i + t)_{w_i} = F_i[p_i + q_i t] / q_i^{w_i} with v_i = p_i/q_i
+    slots = [(i, b.numerator, b.denominator, _FallingFactors(b.denominator, wi))
              for i, (b, wi) in enumerate(zip(S.base, w)) if wi]
     scale = math.prod(b.denominator ** wi for b, wi in zip(S.base, w))
     terms = {}
     for u, c in S.terms.items():
         target = tuple(ui + wi for ui, wi in zip(u, w))
-        factor = math.prod(table[target[i]] for i, table in slots)
+        factor = math.prod(table[p + q * target[i]] for i, p, q, table in slots)
         if factor == 0:
             raise ContiguityError(f"zero falling factorial at offset {u}")
         terms[target] = c * scale / factor
@@ -399,7 +404,7 @@ def inverse_contiguity(S: FormalSeries, w) -> FormalSeries:
         shifted = tuple(o - wi for o, wi in zip(offset, w))
         if S.coefficient_known(shifted) is None:
             return False
-        return all(table[offset[i]] for i, table in slots)
+        return all(table[p + q * offset[i]] for i, p, q, table in slots)
 
     # int offsets and nonzero Fractions (c != 0, factor != 0): taken as they are
     return FormalSeries._built(S.base, terms, S.truncation, WindowSupport(trusted_at))

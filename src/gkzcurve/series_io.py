@@ -33,15 +33,24 @@ def _json_list(x, what: str) -> list:
     return x
 
 
+def _shown(x) -> str:
+    """repr(x)[:40] for an error line, or x's type where the repr would hold an
+    int past CPython's 4 300-digit limit, which only cli.main lifts."""
+    try:
+        return repr(x)[:40]
+    except ValueError:
+        return type(x).__name__
+
+
 def _json_int(x, what: str) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
-        raise CurveError(f"{what} {x!r} is not an integer")
+        raise CurveError(f"{what} {_shown(x)} is not an integer")
     return x
 
 
 def _json_rational(x, what: str) -> Fraction:
     if isinstance(x, bool) or not isinstance(x, (int, str)):
-        raise CurveError(f"{what} {repr(x)[:40]} is not an integer or a rational string")
+        raise CurveError(f"{what} {_shown(x)} is not an integer or a rational string")
     if isinstance(x, int):
         return Fraction(x)
     try:
@@ -77,11 +86,11 @@ def series_from_json(data: dict, matrix: CurveMatrix | None = None) -> FormalSer
     terms = {}
     for t in _json_list(data["terms"], "terms"):
         if not isinstance(t, dict) or "offset" not in t or "coeff" not in t:
-            raise CurveError(f"series term {t!r} lacks 'offset' or 'coeff'")
+            raise CurveError(f"terms entry {_shown(t)} lacks 'offset' or 'coeff'")
         offset = tuple(_json_int(x, "offset entry")
                        for x in _json_list(t["offset"], "offset"))
         if len(offset) != len(base):
-            raise CurveError(f"offset {list(offset)} has length {len(offset)}, "
+            raise CurveError(f"offset {_shown(list(offset))} has length {len(offset)}, "
                              f"base_exponent has {len(base)}")
         terms[offset] = _json_rational(t["coeff"], "coeff")
     kind = data.get("descriptor", "finite")
@@ -121,7 +130,7 @@ def series_from_json(data: dict, matrix: CurveMatrix | None = None) -> FormalSer
         stored = frozenset(terms)
         descriptor = WindowSupport(lambda off, _s=stored: tuple(off) in _s)
     else:
-        raise CurveError(f"cannot rebuild a series with descriptor {kind!r}")
+        raise CurveError(f"cannot rebuild a series with descriptor {_shown(kind)}")
     # validated above: taken as they are, only the zero coefficients dropped
     return FormalSeries._built(base, {off: c for off, c in terms.items() if c},
                                truncation, descriptor)

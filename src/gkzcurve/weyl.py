@@ -7,6 +7,7 @@ operators.py.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import struct
 from bisect import bisect_left
@@ -22,7 +23,7 @@ from .core import (
     record,
 )
 from .curves import LatticeBasis, lattice_basis, lattice_points
-from .operators import WeylOperator, box_operator, euler_operator, toric_generators
+from .operators import WeylOperator, euler_operator, toric_generators
 
 
 # A kernel keys every offset by one int: coordinate i sits in bits
@@ -39,38 +40,62 @@ def _pack(offset) -> int:
     key = 0
     for c in reversed(offset):
         if not -OFFSET_LIMIT <= c <= OFFSET_LIMIT:
-            raise CurveError(f"offset coordinate {c} is outside the kernel's "
+            raise CurveError(f"offset coordinate {clip(c)} is outside the kernel's "
                              f"range [-2^61, 2^61]")
         key = key << _WIDTH | c + _BIAS
     return key
 
 
-_FIELDS: dict[int, tuple] = {}     # nvars -> (its struct unpack, every field's top bit, bytes)
+_FIELDS: dict[int, tuple] = {}     # nvars -> (its struct, every field's top bit, bytes)
+
+
+def _fields(nvars: int) -> tuple:
+    # field i, u_i + 2^63, is u_i's two's complement with its top bit flipped
+    out = _FIELDS.get(nvars)
+    if out is None:
+        out = _FIELDS[nvars] = (struct.Struct(f"<{nvars}q"),
+                                int.from_bytes(b"\0\0\0\0\0\0\0\x80" * nvars, "little"),
+                                8 * nvars)
+    return out
 
 
 def _unpack(key: int, nvars: int) -> tuple[int, ...]:
-    # field i, u_i + 2^63, is u_i's two's complement with its top bit flipped
-    fields = _FIELDS.get(nvars)
-    if fields is None:
-        fields = _FIELDS[nvars] = (struct.Struct(f"<{nvars}q").unpack,
-                                   int.from_bytes(b"\0\0\0\0\0\0\0\x80" * nvars, "little"),
-                                   8 * nvars)
-    unpack, flips, size = fields
-    return unpack((key ^ flips).to_bytes(size, "little"))
+    layout, flips, size = _fields(nvars)
+    return layout.unpack((key ^ flips).to_bytes(size, "little"))
 
 
 class _Certainty(dict):
     """packed offset -> None where the series certifies its coefficient, else
     the offset's coordinates; filled on demand, so each offset is classified by
-    the series' descriptor at most once.  Stored offsets are certified."""
+    the series' descriptor at most once.  Stored offsets are certified.
 
-    def __init__(self, S: _series.FormalSeries, keys):
+    On a lattice support an offset's coordinates and level, sum |m_i| over its
+    kernel coordinates or None off L_A, are the same for every series of the
+    lattice: levels keeps them, so each offset is unpacked and decomposed once
+    per basis, and only the truncation and the support bounds are checked per
+    series."""
+
+    def __init__(self, S: _series.FormalSeries, keys, levels: dict):
         super().__init__(dict.fromkeys(keys))
         self.series = S
+        self.levels = (levels.setdefault(S.descriptor.basis, {})
+                       if type(S.descriptor) is _series.LatticeGammaSupport else None)
 
     def __missing__(self, key: int):
-        offset = _unpack(key, self.series.nvars)
-        out = self[key] = None if self.series.certifies(offset) else offset
+        S = self.series
+        if self.levels is None:
+            offset = _unpack(key, S.nvars)
+            certified = S.certifies(offset)
+        else:
+            known = self.levels.get(key)
+            if known is None:
+                offset = _unpack(key, S.nvars)
+                m = _series.lattice_decompose(S.descriptor.basis, offset)
+                known = self.levels[key] = offset, None if m is None else sum(map(abs, m))
+            offset, level = known
+            certified = (level is None or level <= S.truncation
+                         or S.descriptor.placed(offset, level) is None)
+        out = self[key] = None if certified else offset
         return out
 
 
@@ -80,6 +105,23 @@ class _Certainty(dict):
 # which are filled directly.  The verify windows ask for g up to 24.
 _CHAIN_LIMIT = 32
 
+# Inside _basis_tables() every kernel reads one falling-factor table per (q, g),
+# one packed shift per monomial key (a, g) and one level per offset of a lattice
+# (_Certainty), which depend on nothing else, so the members of a basis fill
+# each entry once; outside, a kernel holds its own.
+_shared = None
+
+
+@contextlib.contextmanager
+def _basis_tables():
+    global _shared
+    outer = _shared
+    _shared = outer or ({}, {}, {})
+    try:
+        yield
+    finally:
+        _shared = outer
+
 
 class _SeriesKernel:
     """Integer-scaled view of one series, shared by every operator
@@ -88,22 +130,34 @@ class _SeriesKernel:
     With the base exponent p_i/q_i per coordinate, the falling factor of the
     exponent at offset u is
 
-        (p_i/q_i + u_i)_g = prod_{j<g} (p_i + q_i u_i - q_i j) / q_i^g,
+        (p_i/q_i + u_i)_g = prod_{j<g} (z_i - q_i j) / q_i^g,   z_i = p_i + q_i u_i,
 
     an integer over q_i^g, and the stored coefficients are integers over one
     common denominator; so an operator image accumulates integers over one
-    denominator per operator.  Offsets are packed ints (see _pack)."""
+    denominator per operator.  The kernel holds each stored offset packed (see
+    _pack) and by its z-coordinates, in which the falling-factor tables are
+    keyed."""
 
     def __init__(self, S: _series.FormalSeries):
+        self.tables, self.shifts, levels = _shared or ({}, {}, {})
         self.num = tuple(b.numerator for b in S.base)
         self.den = tuple(b.denominator for b in S.base)
         self.scale = math.lcm(*(c.denominator for c in S.terms.values()))
-        self.terms = [(_pack(u), u, c.numerator * (self.scale // c.denominator))
-                      for u, c in S.terms.items()]
-        self.known = _Certainty(S, (key for key, _, _ in self.terms))
-        # i -> the distinct stored u_i, where each table of coordinate i is filled
-        self.values = [set(column) for column in zip(*S.terms)] or [()] * S.nvars
-        self.by_coordinate = {}     # i -> (the terms sorted by u_i, their u_i)
+        # _pack's range check on the least and the largest value of each
+        # coordinate, then one struct pack per offset
+        columns = list(zip(*S.terms))
+        for bound in (min, max):
+            _pack(list(map(bound, columns)))
+        layout, flips, _ = _fields(S.nvars)
+        keys = [int.from_bytes(layout.pack(*u), "little") ^ flips for u in S.terms]
+        columns = [column if q == 1 and not p else [p + q * u for u in column]
+                   for p, q, column in zip(self.num, self.den, columns)]
+        self.terms = [(key, z, c.numerator * (self.scale // c.denominator))
+                      for key, z, c in zip(keys, zip(*columns), S.terms.values())]
+        self.known = _Certainty(S, keys, levels)
+        # i -> the distinct stored z_i, where each table of coordinate i is filled
+        self.values = [set(column) for column in columns] or [set()] * S.nvars
+        self.by_coordinate = {}     # integer i -> (the terms sorted by z_i, their z_i)
         for i, q in enumerate(self.den):
             if q == 1:
                 ordered = sorted(self.terms, key=lambda t: t[1][i])
@@ -114,48 +168,54 @@ class _SeriesKernel:
         self._zero = _pack((0,) * S.nvars)
 
     def table(self, i: int, g: int) -> _series._FallingFactors:
-        """The falling-factor table of (i, g), memoized: filled at the stored
-        values of u_i from the table of (i, g - 1), one multiply per entry.
-        Up to g = _CHAIN_LIMIT that table is built first, the same way; past
-        it, a table the kernel does not hold is filled directly."""
+        """The falling-factor table of (q_i, g), holding every stored z_i: the
+        entries it lacks are filled from the table of (i, g - 1), one multiply
+        each.  Up to g = _CHAIN_LIMIT that table is completed first, the same
+        way; past it, where the kernel holds none, they are formed directly."""
         out = self.falling.get((i, g))
         if out is None:
-            below = (self.table(i, g - 1) if 1 < g <= _CHAIN_LIMIT
-                     else self.falling.get((i, g - 1)))
-            out = self.falling[i, g] = _series._FallingFactors(
-                self.num[i], self.den[i], g, self.values[i], below)
+            key = self.den[i], g
+            out = self.tables.get(key)
+            if out is None:
+                out = self.tables[key] = _series._FallingFactors(*key)
+            if not self.values[i] <= out.keys():
+                out.fill(self.values[i], self.table(i, g - 1) if 1 < g <= _CHAIN_LIMIT
+                         else self.falling.get((i, g - 1)))
+            self.falling[i, g] = out
         return out
 
     def monomial(self, key):
-        """(shift, q^g, slots, image) of the monomial key = (a, g), memoized
+        """(shift, q^g, vanishing, image) of the monomial key = (a, g), memoized
         whichever operators hold it.  image maps each offset where a stored
-        term lands with a nonzero falling factor to the integer product.  Where
-        p_i/q_i is an integer the factor vanishes exactly for
-        -p_i <= u_i < g_i - p_i, and the scan skips that slice of the terms
-        sorted by u_i.  The falling-factor tables come from table."""
+        term lands with a nonzero falling factor to the integer product.  A
+        factor vanishes exactly where p_i/q_i is an integer and 0 <= z_i < g_i,
+        that is -p_i <= u_i < g_i - p_i: vanishing holds these ranges, and the
+        scan skips the largest such slice of the terms sorted by z_i."""
         a, g = key
-        scan, skipped, slots = self.terms, 0, []
+        scan, skipped, slots, vanishing, qg = self.terms, 0, [], [], 1
         for i, gi in enumerate(g):
             if gi:
                 slots.append((i, self.table(i, gi)))
+                qg *= self.den[i] ** gi
             if gi and i in self.by_coordinate:
+                vanishing.append((i, -self.num[i], gi - self.num[i]))
                 ordered, coords = self.by_coordinate[i]
-                lo = bisect_left(coords, -self.num[i])
-                hi = bisect_left(coords, gi - self.num[i])
+                lo, hi = bisect_left(coords, 0), bisect_left(coords, gi)
                 if hi - lo > skipped:
                     scan, skipped = ordered[:lo] + ordered[hi:], hi - lo
-        shift = _pack([ai - gi for ai, gi in zip(a, g)]) - self._zero
+        shift = self.shifts.get(key)
+        if shift is None:
+            shift = self.shifts[key] = _pack([ai - gi for ai, gi in zip(a, g)]) - self._zero
         image = {}
-        for w, u, f in scan:
+        for w, z, f in scan:
             for i, table in slots:
-                f *= table[u[i]]
+                f *= table[z[i]]
                 if not f:
                     break
             else:
                 image[w + shift] = f
         self.formed += len(scan)
-        out = self.monomials[key] = (
-            shift, math.prod(q ** gi for q, gi in zip(self.den, g)), slots, image)
+        out = self.monomials[key] = shift, qg, vanishing, image
         return out
 
     def check(self, P: WeylOperator):
@@ -181,15 +241,16 @@ class _SeriesKernel:
                 sums[w] = get(w, 0) + f * mult
         return sums, self.scale * lcm, plan
 
-    def missed_exact(self, key: int, slots) -> bool:
+    def missed_exact(self, key: int, vanishing) -> bool:
         """Whether a monomial that did not land at an offset leaves the image
         exact there: its contributor, the packed key, is certified or has a
-        zero falling factor.  The one exactness rule of the kernel."""
+        zero falling factor (see monomial).  The one exactness rule of the
+        kernel."""
         contrib = self.known[key]
         if contrib is None:
             return True
-        for i, table in slots:
-            if not table[contrib[i]]:
+        for i, lo, hi in vanishing:
+            if lo <= contrib[i] < hi:
                 return True
         return False
 
@@ -198,8 +259,8 @@ class _SeriesKernel:
         some monomial missed them (one that landed has a stored contributor)
         and missed_exact says no."""
         exact = self.missed_exact
-        return {w for shift, _, slots, image in plan
-                for w in keys - image.keys() if not exact(w - shift, slots)}
+        return {w for shift, _, vanishing, image in plan
+                for w in keys - image.keys() if not exact(w - shift, vanishing)}
 
     def binomial(self, P: WeylOperator):
         """A two-term P's row in one pass over its two monomial images:
@@ -207,8 +268,8 @@ class _SeriesKernel:
         and inexact give them, over the offsets where the image of P is exact."""
         self.check(P)
         (k1, c1), (k2, c2) = P.terms.items()
-        shift1, q1, slots1, image1 = self.monomials.get(k1) or self.monomial(k1)
-        shift2, q2, slots2, image2 = self.monomials.get(k2) or self.monomial(k2)
+        shift1, q1, vanishing1, image1 = self.monomials.get(k1) or self.monomial(k1)
+        shift2, q2, vanishing2, image2 = self.monomials.get(k2) or self.monomial(k2)
         s1, s2 = c1.denominator * q1, c2.denominator * q2
         lcm = math.lcm(s1, s2)
         mult1, mult2 = c1.numerator * (lcm // s1), c2.numerator * (lcm // s2)
@@ -218,7 +279,7 @@ class _SeriesKernel:
             g = image2.get(w)
             if g is not None:
                 n = f * mult1 + g * mult2
-            elif exact(w - shift2, slots2):
+            elif exact(w - shift2, vanishing2):
                 n = f * mult1
             else:
                 continue
@@ -231,7 +292,7 @@ class _SeriesKernel:
                     lo = n
         # a monomial image holds nonzero products only, so a lone one is nonzero
         for w, g in image2.items():
-            if w not in image1 and exact(w - shift1, slots1):
+            if w not in image1 and exact(w - shift1, vanishing1):
                 certified += 1
                 trusted += 1
                 n = g * mult2
@@ -301,7 +362,7 @@ def annihilation_report(generators, S: _series.FormalSeries) -> AnnihilationRepo
     # a monomial's image is dropped after the last generator that holds it
     last = {key: idx for idx, (_, op) in enumerate(generators) for key in op.terms}
     rows = []
-    zero = Fraction(0)
+    zero = worst = Fraction(0)
     for idx, (name, op) in enumerate(generators):
         if len(op.terms) == 2:
             top, trusted, certified, den = kernel.binomial(op)
@@ -310,12 +371,14 @@ def annihilation_report(generators, S: _series.FormalSeries) -> AnnihilationRepo
             inexact = kernel.inexact(sums.keys(), plan)
             tops = [abs(n) for w, n in sums.items() if n and w not in inexact]
             top, trusted, certified = max(tops, default=0), len(tops), len(sums) - len(inexact)
-        rows.append(GeneratorViolation(name, Fraction(top, den) if top else zero,
-                                       trusted, certified))
+        violation = Fraction(top, den) if top else zero
+        if top and violation > worst:
+            worst = violation
+        rows.append(GeneratorViolation(name, violation, trusted, certified))
         for key in op.terms:
             if last[key] == idx:
                 del kernel.monomials[key]
-    return AnnihilationReport(max((r.violation for r in rows), default=zero), tuple(rows))
+    return AnnihilationReport(worst, tuple(rows))
 
 
 # Largest checking set built, counted before any operator is made: (1,...,6)
@@ -344,10 +407,17 @@ def named_generators(A: CurveMatrix, beta, ball_radius: int = 3):
             out.append((f"toric[{i}]", op))
     # m = (0, ..., 0, c, tail) with c > 0 in lexicographic order: the later its
     # first nonzero coordinate k, the earlier m comes; the tail runs over the
-    # ball of radius - c spanned by the rows after k
+    # ball of radius - c spanned by the rows after k.  Each u(m) is a nonzero
+    # vector of L_A, so its box operator is built as box_operator would build
+    # it, without the checks and the normalising of its two coefficients.
+    z, one, minus_one = (0,) * A.n, Fraction(1), Fraction(-1)
     for k in range(len(rows) - 1, -1, -1):
         for c in range(1, ball_radius + 1):
             for m, u in lattice_points(LatticeBasis(A, rows[k + 1:]), ball_radius - c):
-                u = tuple(c * a + b for a, b in zip(rows[k], u))
-                out.append((f"box{[0] * k + [c, *m]}", box_operator(A, u)))
+                u = [c * a + b for a, b in zip(rows[k], u)]
+                op = object.__new__(WeylOperator)
+                op.nvars, op.terms = A.n, {
+                    (z, tuple(x if x > 0 else 0 for x in u)): one,
+                    (z, tuple(-x if x < 0 else 0 for x in u)): minus_one}
+                out.append((f"box{[0] * k + [c, *m]}", op))
     return out

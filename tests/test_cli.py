@@ -459,7 +459,19 @@ def test_verify_input_offset_past_the_kernel_range_is_a_domain_error(tmp_path, c
 @pytest.mark.parametrize("field,value", [("coeff", "x"), ("truncation", "ten"),
                                          ("terms", 5), ("offset", [0, 1.5, 0]),
                                          ("offset", 5), ("coeff", "1/0"),
-                                         ("coeff", "1e5"), ("truncation", -5)])
+                                         ("coeff", "1e5"), ("truncation", -5),
+                                         # the error lines once echoed these
+                                         # values whole
+                                         pytest.param("offset", [0, "x" * 100_000, 0],
+                                                      id="offset-long-entry"),
+                                         pytest.param("offset", [0] * 100_000,
+                                                      id="offset-long"),
+                                         pytest.param("terms", [{"offset": [0] * 100_000}],
+                                                      id="terms-long-entry"),
+                                         pytest.param("offset", [0, 10 ** 4000, 0],
+                                                      id="offset-long-integer"),
+                                         pytest.param("descriptor", "x" * 100_000,
+                                                      id="descriptor-long")])
 def test_verify_input_bad_value_is_a_domain_error(tmp_path, capsys, solved, field,
                                                   value):
     series = solved["basis"][0]["series"]
@@ -469,7 +481,7 @@ def test_verify_input_bad_value_is_a_domain_error(tmp_path, capsys, solved, fiel
     path.write_text(json.dumps(solved))
     code, out, err = _verify_file(capsys, path)
     _one_line_error(code, out, err, 1)
-    assert field in err
+    assert field in err and len(err.encode()) <= 200
 
 
 @pytest.mark.parametrize("field,value", [("label", 5), ("label", None),

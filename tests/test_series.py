@@ -694,6 +694,23 @@ def test_a_negative_truncation_is_refused_at_read_time(truncation):
         series_from_json(data, A)
 
 
+@pytest.mark.parametrize("term, match", [
+    ({"offset": [10 ** 5000, 0], "coeff": 1}, "^offset list has length 2, "),
+    ({"offset": [[10 ** 5000], 0, 0], "coeff": 1}, "^offset entry list is not an integer$"),
+    ({"offset": [0, 0, 0], "coeff": [10 ** 5000]}, "^coeff list is not an integer or "),
+    ({"offset": [10 ** 5000]}, "^terms entry dict lacks 'offset' or 'coeff'$"),
+    ({"offset": list(range(10 ** 5)), "coeff": 1}, r"^offset \[0, 1, 2, .* has length 100000"),
+], ids=["length-long-integer", "entry-long-integer", "coeff-long-integer",
+        "no-coeff-long-integer", "length-long"])
+def test_a_bad_term_is_a_short_curve_error(term, match):
+    # each line echoed the value whole, and where it held an int past CPython's
+    # 4 300-digit str limit, series_from_json raised ValueError instead
+    data = {"base_exponent": ["1/2", 0, 0], "truncation": 2, "terms": [term]}
+    with pytest.raises(CurveError, match=match) as info:
+        series_from_json(data)
+    assert len(str(info.value)) <= 120
+
+
 def test_series_from_json_takes_the_validated_values_as_they_are():
     # the same series as the converting constructor builds from the raw values:
     # p/q strings reduced, zero coefficients dropped, a repeated offset's last

@@ -174,7 +174,8 @@ def test_the_operator_algebra_leaves_the_kernel_and_the_series_out():
 
 # the verification kernel and the support guard it classifies with
 INTEGER_ONLY = {"weyl.py": ("_SeriesKernel", "_Certainty"),
-                "series.py": ("_FallingFactors", "LatticeGammaSupport.classify")}
+                "series.py": ("_FallingFactors", "LatticeGammaSupport.classify",
+                              "LatticeGammaSupport.placed")}
 
 
 def test_the_verification_kernel_names_no_fraction_helper():

@@ -383,13 +383,35 @@ def test_kernel_matches_fraction_reference(entries, beta):
         for level in (0, 4):
             A, series = basis_series(entries, beta, point, level)
             gens = named_generators(A, beta, 2) + random_generators(rng, A.n)
-            # the first members and the last, which is the witness when there is one
-            for S in series[:2] + series[2:][-1:]:
-                for variant in ("plain", "perturbed", "chained"):
-                    report = assert_kernel_matches_reference(
-                        gens, series_variant(S, variant, rng), rng)
-                    violations += sum(r.violation != 0 for r in report.per_generator)
+            # the first members and the last, which is the witness when there
+            # is one, sharing their tables, shifts and levels as verify_basis has
+            # the members of a basis share them
+            with weyl._basis_tables():
+                for S in series[:2] + series[2:][-1:]:
+                    for variant in ("plain", "perturbed", "chained"):
+                        report = assert_kernel_matches_reference(
+                            gens, series_variant(S, variant, rng), rng)
+                        violations += sum(r.violation != 0 for r in report.per_generator)
     assert violations > 0
+
+
+def test_an_unstored_offset_at_the_truncation_level_is_a_certified_zero():
+    # a lattice series read without one of its top-level terms: the support
+    # puts that offset at the truncation level, so its coefficient is
+    # certified 0 for every member, as the reference has it
+    A, series = basis_series((1, 2, 3, 4), Fraction(1, 2), PointClass.SMOOTH_STRATUM, 3)
+    gens = named_generators(A, Fraction(1, 2), 2)
+    dropped = 0
+    with weyl._basis_tables():
+        for S in series:
+            top = [u for u in S.terms if S.descriptor.classify(u) == S.truncation]
+            for u in top[:2]:
+                terms = {v: c for v, c in S.terms.items() if v != u}
+                thinned = FormalSeries(S.base, terms, S.truncation, S.descriptor)
+                assert (list(annihilation_report(gens, thinned).per_generator)
+                        == reference_rows(gens, thinned))
+                dropped += 1
+    assert dropped > 0
 
 
 @st.composite
@@ -464,6 +486,19 @@ def test_kernel_rejects_offsets_and_shifts_past_the_range():
         apply(long_shift, monomial_series(2, (0, 0)))
 
 
+def test_a_coordinate_past_the_range_is_a_clipped_curve_error():
+    # str() of an int past CPython's 4 300-digit limit raises ValueError outside
+    # cli.main, so the range error was a ValueError there, and inside it echoed
+    # all the digits; a stored offset is checked at the kernel's set-up
+    for c in (10 ** 5000, -10 ** 5000, 10 ** 4000):
+        with pytest.raises(CurveError, match="outside the kernel's range") as info:
+            _pack((c, 0, 0))
+        assert len(str(info.value)) <= 120
+        far = FormalSeries((Fraction(1, 2),) * 2, {(0, c): 1}, 0, FiniteSupport())
+        with pytest.raises(CurveError, match="outside the kernel's range"):
+            annihilation_report([WeylOperator.d(2, 0)], far)
+
+
 def test_window_predicate_checks_the_range():
     A = make_curve((1, 2, 3))
     phi = exponent_series(A, Fraction(1, 2), 0, 4)
@@ -474,28 +509,29 @@ def test_window_predicate_checks_the_range():
             predicate(bad)
 
 
-def test_each_offset_is_classified_at_most_once_per_series():
+def test_each_offset_is_classified_at_most_once_per_series(monkeypatch):
+    # an offset is placed where the kernel first asks about it: by the series'
+    # descriptor, or on a lattice by the level kept for the basis and the bounds
     rng = random.Random(7)
+    calls = collections.Counter()
+    classify = weyl._Certainty.__missing__
+
+    def counting(known, key):
+        calls[id(known.series), key] += 1
+        return classify(known, key)
+
+    monkeypatch.setattr(weyl._Certainty, "__missing__", counting)
     classified = 0
     for entries, beta in KERNEL_SWEEP:
         A, series = basis_series(entries, beta, PointClass.SMOOTH_STRATUM, 4)
         gens = named_generators(A, beta, 2)
         for S in series:
             for S in (S, series_variant(S, "chained", rng)):
-                descriptor = S.descriptor
-                calls = collections.Counter()
-
-                def counting(offset, _classify=descriptor.classify, _calls=calls):
-                    _calls[tuple(offset)] += 1
-                    return _classify(offset)
-
-                descriptor.classify = counting
-                try:
-                    annihilation_report(gens, S)
-                finally:
-                    del descriptor.classify
+                calls.clear()
+                annihilation_report(gens, S)
                 assert max(calls.values(), default=1) == 1, entries
-                assert not set(calls) & set(S.terms), entries
+                stored = {_pack(u) for u in S.terms}
+                assert not {key for _, key in calls} & stored, entries
                 classified += len(calls)
     assert classified > 0
 
@@ -528,8 +564,10 @@ def test_the_kernel_fills_tables_at_the_stored_values_and_decomposes_each_offset
         monkeypatch):
     # verify (1,...,6) beta = 1/2 L4 at radius 3: filled one entry at a time,
     # the falling-factor tables took 1 647 on-demand fills; filled at the
-    # stored values, only 267 entries at window contributors are left.
-    # Each of the 692 offsets classified is decomposed once.
+    # stored values, 267 entries at window contributors were left, and with
+    # the zero-factor rule read from the vanishing ranges none is.  Each
+    # offset classified was decomposed once per series, 692 in all; with one
+    # level per offset of the basis, 161.
     counts = collections.Counter()
     fill = weyl._series._FallingFactors.__missing__
     decompose = weyl._series.lattice_decompose
@@ -549,7 +587,16 @@ def test_the_kernel_fills_tables_at_the_stored_values_and_decomposes_each_offset
                              level=4)
     for _, report in verify_basis(A, members, Fraction(1, 2), 3):
         assert report.max_violation == 0
-    assert counts == {"on_demand": 267, "decompose": 692}
+    assert counts == {"decompose": 161}
+
+
+def falling_table_entries_are_products(kernels):
+    for kernel in kernels:
+        for (i, g), table in kernel.falling.items():
+            q = kernel.den[i]
+            assert table.q == q and table.g == g and kernel.values[i] <= table.keys()
+            for z, f in table.items():
+                assert f == falling_product([Fraction(z, q)], [g]) * q ** g, (q, g, z)
 
 
 @settings(max_examples=60, deadline=None)
@@ -559,20 +606,49 @@ def test_the_kernel_fills_tables_at_the_stored_values_and_decomposes_each_offset
        queries=st.lists(st.integers(-20, 20), max_size=8))
 def test_every_falling_factor_table_entry_is_the_product(p, q, values, gs, queries):
     # one coordinate at p/q (an integer when q = 1, so its vanishing range is
-    # cut); tables in the drawn order are filled at the stored values from the
-    # table of g - 1 or, past the chain limit, directly, and other entries on
-    # demand
+    # cut); tables in the drawn order are filled at the stored z = p + q u from
+    # the table of g - 1 or, past the chain limit, directly, and other entries
+    # on demand
     assume(math.gcd(p, q) == 1)
     S = FormalSeries((Fraction(p, q),), {(t,): 1 for t in values}, 0, FiniteSupport())
     kernel = weyl._SeriesKernel(S)
     for g in gs:
-        table = kernel.monomial(((0,), (g,)))[2][0][1]
+        kernel.monomial(((0,), (g,)))
         for t in queries:
-            table[t]
-    for (i, g), table in kernel.falling.items():
-        assert i == 0 and set(values) <= set(table)
-        for t, f in table.items():
-            assert f == math.prod(range(p + q * t, p + q * t - q * g, -q)), (g, t)
+            kernel.table(0, g)[p + q * t]
+    assert kernel.values[0] == {p + q * t for t in values}
+    falling_table_entries_are_products([kernel])
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.integers(1, 4), members=st.lists(
+           st.tuples(st.integers(-3, 3), st.integers(0, 1),
+                     st.sets(st.integers(-10, 10), min_size=1, max_size=8)),
+           min_size=2, max_size=4),
+       gs=st.lists(st.integers(1, weyl._CHAIN_LIMIT + 6), min_size=1, max_size=5),
+       queries=st.lists(st.integers(-40, 40), max_size=8))
+def test_a_table_filled_for_one_member_answers_every_other(q, members, gs, queries):
+    # members of one basis at base exponents p/q in lowest terms, checked in
+    # turn, share one table per (q, g) keyed by z: whatever one member filled,
+    # at its stored z or on demand, another reads as prod_{j<g} (z - q j), the
+    # falling product of z/q times q^g
+    residues = [r for r in range(q) if math.gcd(r, q) == 1]
+    kernels = []
+    with weyl._basis_tables():
+        for k, r, values in members:
+            p = k * q + residues[r % len(residues)]
+            S = FormalSeries((Fraction(p, q),), {(t,): 1 for t in values}, 0,
+                             FiniteSupport())
+            kernels.append(weyl._SeriesKernel(S))
+            for g in gs:
+                kernels[-1].monomial(((0,), (g,)))
+        tables = {(kernel.den[0], g): kernel.table(0, g) for kernel in kernels for g in gs}
+        for kernel in kernels:
+            for g in gs:
+                assert kernel.table(0, g) is tables[q, g]
+                for z in queries:
+                    assert tables[q, g][z] == falling_product([Fraction(z, q)], [g]) * q ** g
+    falling_table_entries_are_products(kernels)
 
 
 def test_a_vanishing_range_cut_off_by_one_is_caught(monkeypatch):
