@@ -21,7 +21,6 @@ _EXPORTS = {
     ),
     "core": (
         "CurveError",
-        "CurveKind",
         "CurveMatrix",
         "GcdNotOneError",
         "NotIncreasingError",

@@ -16,26 +16,30 @@ import re
 import sys
 from types import SimpleNamespace
 
-from .cli_flags import UsageError
-from .core import RATIONAL_TEXT, CurveError, read_integer
+from .cli_flags import (UsageError, parse_count, parse_int, parse_matrix, parse_order,
+                        parse_rational)
+from .core import RATIONAL_TEXT, CurveError
 
 
 # ---------------------------------------------------------------------------
 # Flags.  Each command maps to its handler's "module.function" name, its
 # description and its flag table.  The handlers live in one module per engine
 # family, which main imports only for the command it runs.  A flag table maps
-# a flag's attribute name (`--ball-radius` -> ball_radius) to its kind
-# (int, str, or a tuple of choices), its default and whether it is required.
+# a flag's attribute name (`--ball-radius` -> ball_radius) to its kind, its
+# default and whether it is required.  A kind is str (text), a tuple of
+# choices, or a cli_flags reader: int, count (an int >= 0), matrix, rational,
+# or order (a rational or inf).
 
-_TEXT, _INT = (str, None, False), (int, None, False)
+_TEXT, _INT = (str, None, False), (parse_int, None, False)
+_RATIONAL, _ORDER = (parse_rational, None, False), (parse_order, None, False)
 _POINT = (("generic", "smooth", "deep"), "smooth", False)
 
 
 def _flags(beta_required, formats=("json",), **own) -> dict:
     """--matrix, --beta (required, optional, or absent if None), --format, own flags."""
-    table = {"matrix": (str, None, True)}
+    table = {"matrix": (parse_matrix, None, True)}
     if beta_required is not None:
-        table["beta"] = (str, None, beta_required)
+        table["beta"] = (parse_rational, None, beta_required)
     table["format"] = (formats, "json", False)
     table.update(own)
     return table
@@ -45,20 +49,21 @@ _COMMANDS = {
     "exponents": ("cli_curve.exponents", "starting exponents of the solution series",
                   _flags(True, point=(("smooth", "generic"), "smooth", False))),
     "solve": ("cli_basis.solve", "basis series for a point class",
-              _flags(True, point=_POINT, s=_TEXT, truncation=(int, 12, False))),
+              _flags(True, point=_POINT, s=_ORDER, truncation=(parse_count, 12, False))),
     "verify": ("cli_basis.verify", "annihilation check of a basis (built or from file)",
-               _flags(True, point=_POINT, truncation=(int, 12, False),
-                      ball_radius=(int, 3, False), input=_TEXT)),
+               _flags(True, point=_POINT, truncation=(parse_count, 12, False),
+                      ball_radius=(parse_count, 3, False), input=_TEXT)),
     "gevrey-index": ("cli_gevrey.gevrey_index",
                      "growth-rate fit of a coefficient stream",
                      _flags(False, stream=(("witness", "exponent", "factorial",
                                             "inverse-factorial"), "witness", False),
-                            terms=(int, 200, False), j=(int, 0, False), csv=_TEXT)),
+                            terms=(parse_count, 200, False), j=(parse_int, 0, False),
+                            csv=_TEXT)),
     "irregularity-table": ("cli_irregularity.irregularity_table",
                            "germ dimension table; with "
                            "--beta-special/--beta-generic diffs the published table",
-                           _flags(False, ("json", "table"), s=_TEXT, beta_special=_TEXT,
-                                  beta_generic=_TEXT, ext_degree=_INT)),
+                           _flags(False, ("json", "table"), s=_ORDER, beta_special=_RATIONAL,
+                                  beta_generic=_RATIONAL, ext_degree=_INT)),
     "restrict": ("cli_restriction.restrict", "restriction decompositions",
                  _flags(True, mode=(("hyperplane", "x1", "plane", "aux"), None, True),
                         index=_INT)),
@@ -69,7 +74,6 @@ _COMMANDS = {
                   _flags(False, member=_INT)),
 }
 
-_RATIONAL_FLAGS = ("beta", "s", "beta_special", "beta_generic")
 # a token that reads as a negative number (-N or -N.M) is a value, not a flag
 _NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
 
@@ -85,7 +89,7 @@ def _help(args):
         head = [f"usage: gkz {args.command} [--flag value ...]", text]
         rows = [f"  --{dest.replace('_', '-')} "
                 + ("{" + ",".join(kind) + "}" if isinstance(kind, tuple)
-                   else "INT" if kind is int else "TEXT")
+                   else "INT" if kind in (parse_int, parse_count) else "TEXT")
                 + ("  (required)" if required else "" if default is None
                    else f"  (default {default})")
                 for dest, (kind, default, required) in table.items()]
@@ -95,7 +99,9 @@ def _help(args):
 
 def _parse(argv: list[str]):
     """The command's handler and flag values, read as argparse reads `--flag value`,
-    `--flag=value` and a unique prefix, the last of a repeated flag winning."""
+    `--flag=value` and a unique prefix, the last of a repeated flag winning.
+    Every given value is read by its flag's kind, in table order, once the
+    required flags are known to be there."""
     if argv[:1] in (["-h"], ["--help"]):
         return _help, SimpleNamespace(command=None)
     if not argv or argv[0] not in _COMMANDS:
@@ -104,7 +110,7 @@ def _parse(argv: list[str]):
     command, tokens = argv[0], iter(argv[1:])
     handler, _, table = _COMMANDS[command]
     flags = {"--" + dest.replace("_", "-"): dest for dest in table}
-    values = {dest: default for dest, (_, default, _) in table.items()}
+    texts = {}                              # dest -> the texts given it, in argv order
     for token in tokens:
         if token in ("-h", "--help"):
             return _help, SimpleNamespace(command=command)
@@ -121,22 +127,21 @@ def _parse(argv: list[str]):
             value = next(tokens, "-")      # none left reads as a missing value
             if value.startswith("-") and not (
                     _NEGATIVE_NUMBER.fullmatch(value)
-                    or dest in _RATIONAL_FLAGS and RATIONAL_TEXT.fullmatch(value)):
+                    or table[dest][0] in (parse_rational, parse_order)
+                    and RATIONAL_TEXT.fullmatch(value)):
                 raise UsageError(f"argument {flag}: expected one argument")
-        kind = table[dest][0]
-        if kind is int:
-            try:
-                value = read_integer(value)
-            except (ValueError, OverflowError):
-                raise UsageError(f"argument {flag}: invalid int value: {value[:40]!r}") from None
-        elif kind is not str and value not in kind:
-            raise UsageError(f"argument {flag}: invalid choice: {value!r} "
-                             f"(choose from {', '.join(kind)})")
-        values[dest] = value
-    # a required flag has no default, and a given value is never None
-    missing = [flag for flag, dest in flags.items() if table[dest][2] and values[dest] is None]
+        texts.setdefault(dest, []).append(value)
+    missing = [flag for flag, dest in flags.items() if table[dest][2] and dest not in texts]
     if missing:
         raise UsageError(f"{command} needs {', '.join(missing)}")
+    values = {dest: default for dest, (_, default, _) in table.items()}
+    for flag, dest in flags.items():
+        kind = table[dest][0]
+        for value in texts.get(dest, ()):
+            if isinstance(kind, tuple) and value not in kind:
+                raise UsageError(f"argument {flag}: invalid choice: {value!r} "
+                                 f"(choose from {', '.join(kind)})")
+            values[dest] = value if kind is str or isinstance(kind, tuple) else kind(value, flag)
     return handler, SimpleNamespace(**values)
 
 

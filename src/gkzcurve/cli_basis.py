@@ -7,8 +7,7 @@ from fractions import Fraction
 
 from . import basis as _basis
 from . import series_io as _series_io
-from .cli_flags import (UsageError, emit, max_terms, nonnegative, parse_matrix,
-                        parse_order, parse_rational)
+from .cli_flags import UsageError, emit, max_terms
 from .core import CurveError, CurveMatrix, PointClass, read_integer, slope
 
 
@@ -57,18 +56,15 @@ def _read_members(path: str, A: CurveMatrix) -> list[_basis.BasisMember]:
 
 
 def solve(args):
-    A = parse_matrix(args.matrix)
-    beta = parse_rational(args.beta)
-    s = parse_order(args.s) if args.s else slope(A)
-    point = PointClass(args.point)
-    members = _basis.solution_basis(
-        A, beta, point, s=s, level=nonnegative(args.truncation, "--truncation"),
-        max_terms=max_terms())
+    A, point = args.matrix, PointClass(args.point)
+    s = slope(A) if args.s is None else args.s      # no --s: the slope
+    members = _basis.solution_basis(A, args.beta, point, s=None if s == "inf" else s,
+                                    level=args.truncation, max_terms=max_terms())
     payload = {
         "matrix": list(A.entries),
-        "beta": str(beta),
+        "beta": str(args.beta),
         "point": point.value,
-        "s": "inf" if s is None else str(s),
+        "s": str(s),
         "truncation": args.truncation,
         "slope": str(slope(A)),
         "basis": [_serialize_member(m) for m in members],
@@ -81,19 +77,15 @@ def solve(args):
 
 
 def verify(args):
-    A = parse_matrix(args.matrix)
-    beta = parse_rational(args.beta)
-    radius = nonnegative(args.ball_radius, "--ball-radius")
-    level = nonnegative(args.truncation, "--truncation")
+    A, beta = args.matrix, args.beta
     if args.input:
         members = _read_members(args.input, A)
     else:
-        point = PointClass(args.point)
-        members = _basis.solution_basis(A, beta, point, s=slope(A),
-                                        level=level, max_terms=max_terms())
+        members = _basis.solution_basis(A, beta, PointClass(args.point), s=slope(A),
+                                        level=args.truncation, max_terms=max_terms())
     rows = []
     worst = Fraction(0)
-    for member, report in _basis.verify_basis(A, members, beta, radius):
+    for member, report in _basis.verify_basis(A, members, beta, args.ball_radius):
         worst = max(worst, report.max_violation)
         row = {"label": member.label}
         if not args.input:              # the --input row format has no is_solution
@@ -105,7 +97,7 @@ def verify(args):
     payload = {
         "matrix": list(A.entries),
         "beta": str(beta),
-        "ball_radius": radius,
+        "ball_radius": args.ball_radius,
         "max_violation": str(worst),
         "series": rows,
     }

@@ -8,15 +8,13 @@ import sys
 # time, so it compiles only that module
 from . import exponents as _exponents
 from . import semigroup as _semigroup
-from .cli_flags import emit, parse_matrix, parse_rational, rat_json
+from .cli_flags import emit, rat_json
 
 
 def exponents(args):
-    A = parse_matrix(args.matrix)
-    beta = parse_rational(args.beta)
     find = (_exponents.generic_exponents if args.point == "generic"
             else _exponents.singular_exponents)
-    vectors = find(A, beta)
+    vectors = find(args.matrix, args.beta)
     payload = [[rat_json(x) for x in e.vector] for e in vectors]
     if vectors and vectors[0].auxiliary:
         sys.stderr.write(
@@ -26,16 +24,15 @@ def exponents(args):
 
 
 def semigroup(args):
-    A = parse_matrix(args.matrix)
+    A = args.matrix
     payload = {"matrix": list(A.entries), "frobenius": _semigroup.frobenius_number(A),
                "gaps": list(_semigroup.semigroup_gaps(A))}
     if args.member is not None:
         payload["value"] = args.member
         payload["is_member"] = _semigroup.semigroup_member(A, args.member)
     if args.beta is not None:
-        beta = parse_rational(args.beta)
-        cls = _semigroup.beta_class(A, beta)
-        payload["beta"] = str(beta)
+        cls = _semigroup.beta_class(A, args.beta)
+        payload["beta"] = str(args.beta)
         payload["beta_class"] = cls.category.value
         if cls.residue is not None:
             payload["residue"] = str(cls.residue)

@@ -1,4 +1,4 @@
-"""Flag readers and the output writer shared by cli and its handler modules."""
+"""Flag readers of cli's table, and the output writer shared by the handler modules."""
 
 from __future__ import annotations
 
@@ -13,25 +13,41 @@ class UsageError(Exception):
     """Bad flag combination; maps to exit code 2."""
 
 
-def parse_matrix(text: str) -> CurveMatrix:
+# The readers of the flag kinds in cli's table: each reads the text given to
+# `flag` and raises UsageError naming the flag when the text is malformed.
+def parse_int(text: str, flag: str) -> int:
+    try:
+        return read_integer(text)
+    except (ValueError, OverflowError):
+        raise UsageError(f"argument {flag}: invalid int value: {text[:40]!r}") from None
+
+
+def parse_count(text: str, flag: str) -> int:
+    return nonnegative(parse_int(text, flag), flag)
+
+
+def parse_matrix(text: str, flag: str) -> CurveMatrix:
     try:
         entries = [read_integer(x) for x in text.split(",") if x.strip() != ""]
     except (ValueError, OverflowError) as exc:
-        raise UsageError(f"--matrix expects comma-separated integers: {exc}")
+        raise UsageError(f"{flag} expects comma-separated integers: {exc}")
     return make_curve(entries)
 
 
-def parse_rational(text: str) -> Fraction:
+def parse_rational(text: str, flag: str) -> Fraction:
     try:
         return read_rational(text)
     except ValueError:
-        raise UsageError(f"not a rational number p or p/q: {text[:40]!r}") from None
+        raise UsageError(f"argument {flag}: not a rational number p or p/q: "
+                         f"{text[:40]!r}") from None
     except ArithmeticError as exc:      # past DIGIT_CAP digits, or q = 0
-        raise UsageError(f"{exc} in {text[:40]!r}") from None
+        raise UsageError(f"argument {flag}: {exc} in {text[:40]!r}") from None
 
 
-def parse_order(text: str):
-    return None if text in ("inf", "infinity", "oo") else parse_rational(text)
+def parse_order(text: str, flag: str):
+    """A rational, or the text "inf" for s = infinity, which prints as it reads
+    and stays apart from an absent flag's None."""
+    return "inf" if text in ("inf", "infinity", "oo") else parse_rational(text, flag)
 
 
 def rat_json(x: Fraction):

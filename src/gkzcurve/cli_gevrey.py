@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import gevrey as _gevrey
-from .cli_flags import UsageError, emit, nonnegative, parse_matrix, parse_rational
+from .cli_flags import UsageError, emit
 from .core import CurveError, clip, slope
 
 # Largest stream gevrey-index builds, in factors of its last coefficient:
@@ -15,12 +15,10 @@ STREAM_FACTOR_CAP = 10_000
 
 
 def gevrey_index(args):
-    A = parse_matrix(args.matrix)
-    terms = nonnegative(args.terms, "--terms")
+    A, terms = args.matrix, args.terms
     if args.stream == "exponent" and args.beta is None:
         raise UsageError("--stream exponent needs --beta")
     slope_stream = args.stream in ("witness", "exponent")
-    beta = parse_rational(args.beta) if slope_stream and args.beta else Fraction(0)
     factors = terms * A.entries[-1] if slope_stream else terms
     if factors > STREAM_FACTOR_CAP:
         raise CurveError(f"--terms {clip(terms)} gives a {args.stream} stream of "
@@ -28,7 +26,8 @@ def gevrey_index(args):
                          f"{STREAM_FACTOR_CAP}")
     if slope_stream:
         which = "witness" if args.stream == "witness" else ("exponent", args.j)
-        stream = _gevrey.slope_subseries(A, beta, which, terms)
+        # without --beta, the witness stream is the one of beta = 0
+        stream = _gevrey.slope_subseries(A, args.beta or Fraction(0), which, terms)
     else:                                   # the factorials by a running product
         stream, f = [], 1
         for k in range(terms):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from . import irregularity as _irregularity
-from .cli_flags import UsageError, emit, parse_matrix, parse_order, parse_rational
+from .cli_flags import UsageError, emit
 
 
 def _table_text(payload) -> str:
@@ -14,13 +14,11 @@ def _table_text(payload) -> str:
 
 
 def irregularity_table(args):
-    A = parse_matrix(args.matrix)
-    s = parse_order(args.s) if args.s else None
-    if args.beta_special or args.beta_generic:
-        if not (args.beta_special and args.beta_generic):
+    A, b_esp, b_gen = args.matrix, args.beta_special, args.beta_generic
+    s = None if args.s == "inf" else args.s         # None: s = inf, also without --s
+    if b_esp is not None or b_gen is not None:
+        if b_esp is None or b_gen is None:
             raise UsageError("reproduction mode needs both --beta-special and --beta-generic")
-        b_esp = parse_rational(args.beta_special)
-        b_gen = parse_rational(args.beta_generic)
         computed = _irregularity.stratum_dimension_table(A, b_esp, b_gen, s)
         expected = _irregularity.reference_dimension_table(A)
         diff = [{"cell": list(k), "computed": computed[k], "expected": expected[k]}
@@ -41,7 +39,7 @@ def irregularity_table(args):
         return 0 if not diff else 1
     if args.beta is None:
         raise UsageError("need --beta, or --beta-special with --beta-generic")
-    beta = parse_rational(args.beta)
+    beta = args.beta
     degrees = (0, 1) if args.ext_degree is None else (args.ext_degree,)
     cells = [{"sheaf": kind.value, "beta": str(beta), "point": point.value,
               "degree": degree,
@@ -55,8 +53,7 @@ def irregularity_table(args):
 
 
 def monodromy(args):
-    A = parse_matrix(args.matrix)
-    beta = parse_rational(args.beta)
+    A, beta = args.matrix, args.beta
     rotations = _irregularity.monodromy_rotations(A, beta)
     payload = {
         "matrix": list(A.entries),

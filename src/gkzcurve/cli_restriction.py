@@ -5,7 +5,7 @@ from __future__ import annotations
 import sys
 
 from . import restriction as _restriction
-from .cli_flags import UsageError, emit, parse_matrix, parse_rational, rat_json
+from .cli_flags import UsageError, emit, rat_json
 from .core import read_integer
 
 
@@ -15,9 +15,7 @@ def _descriptor_json(desc) -> dict:
 
 
 def restrict(args):
-    A = parse_matrix(args.matrix)
-    beta = parse_rational(args.beta)
-    mode = args.mode
+    A, beta, mode = args.matrix, args.beta, args.mode
     payload = {"matrix": list(A.entries), "beta": str(beta), "mode": mode}
     if mode == "hyperplane":
         if args.index is None:
@@ -48,7 +46,7 @@ def restrict(args):
 
 
 def b_function(args):
-    A = parse_matrix(args.matrix)
+    A = args.matrix
     if args.weight == "first":
         bf = _restriction.b_function(A, _restriction.WeightTag.FIRST_COORDINATE)
         weight_label = "(1,0,...,0)"

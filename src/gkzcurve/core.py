@@ -187,17 +187,12 @@ class NotSmoothError(CurveError):
 # Curve matrices
 
 
-class CurveKind(Enum):
-    SMOOTH = "smooth"
-    GENERAL = "general"
-
-
 @record
 class CurveMatrix:
     """Row matrix A = (a_1 ... a_n), 0 < a_1 < ... < a_n, n >= 2.
 
-    Smooth kind means a_1 = 1 (the curve t -> (t, t^{a_2}, ...) is smooth);
-    general kind means a_1 > 1, in which case gcd(a_1, ..., a_n) = 1 is required.
+    Smooth (`is_smooth`) means a_1 = 1 (the curve t -> (t, t^{a_2}, ...) is
+    smooth); general means a_1 > 1, in which case gcd(a_1, ..., a_n) = 1 is required.
     """
 
     entries: tuple[int, ...]
@@ -205,10 +200,6 @@ class CurveMatrix:
     @property
     def n(self) -> int:
         return len(self.entries)
-
-    @property
-    def kind(self) -> CurveKind:
-        return CurveKind.SMOOTH if self.entries[0] == 1 else CurveKind.GENERAL
 
     @property
     def is_smooth(self) -> bool:

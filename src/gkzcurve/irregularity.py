@@ -19,7 +19,6 @@ from . import gevrey as _gevrey
 from .core import (
     EXPONENT_VALUE_CAP,
     CurveError,
-    CurveKind,
     CurveMatrix,
     PointClass,
     clip,
@@ -109,7 +108,7 @@ def irregularity_dimension(A: CurveMatrix, beta, point: PointClass,
             return DimensionAnswer.of(0)
         return DimensionAnswer.of(A.entries[-2])
 
-    if A.kind is CurveKind.GENERAL:
+    if not A.is_smooth:
         return DimensionAnswer.not_covered()
     natural = _is_natural(beta)
 

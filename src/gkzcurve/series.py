@@ -267,14 +267,15 @@ class _FallingFactors(dict):
         self.q, self.g = q, g
 
     def fill(self, values, below=None):
-        """Fill the entries at values that the table lacks; below, where given,
-        holds them all."""
+        """Fill the entries at values (a set) that the table lacks; below,
+        where given, holds them all."""
+        missing = values - self.keys()
         if below is None:
             self.update({z: math.prod(range(z, z - self.q * self.g, -self.q))
-                         for z in values if z not in self})
+                         for z in missing})
         else:
             step = self.q * (self.g - 1)
-            self.update({z: below[z] * (z - step) for z in values if z not in self})
+            self.update({z: below[z] * (z - step) for z in missing})
 
     def __missing__(self, z: int) -> int:
         f = self[z] = math.prod(range(z, z - self.q * self.g, -self.q))

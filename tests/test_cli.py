@@ -2,9 +2,11 @@ import contextlib
 import copy
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -17,7 +19,8 @@ from hypothesis import strategies as st
 
 import gkzcurve
 from gkzcurve import PointClass, make_curve, series_from_json, slope, solution_basis
-from gkzcurve.cli import main
+from gkzcurve.cli import _COMMANDS, main
+from gkzcurve.cli_flags import parse_count, parse_matrix, parse_order, parse_rational
 from gkzcurve.core import DIGIT_CAP
 
 
@@ -983,6 +986,81 @@ def test_format_table_is_a_flag_error_where_no_table_renders(capsys, argv):
     assert code == 0
     assert run_cli(capsys, *argv)[1] == out
     json.loads(out)
+
+
+# Each command once in every mode its handler takes; "basis.json" stands for
+# the output of `solve --matrix 1,2,3 --beta 4 --truncation 10`.
+MODES = {
+    "exponents": ["--matrix 1,2,3 --beta 1/2", "--matrix 1,2,3 --beta 1/2 --point generic"],
+    "solve": ["--matrix 1,2,3 --beta 1/2 --truncation 2",
+              "--matrix 1,2,3 --beta 4 --s 1 --truncation 2",
+              "--matrix 1,2,3 --beta 4 --point deep --s 3/2 --truncation 2",
+              "--matrix 3,5,7 --beta 1/2 --point generic --s inf --truncation 2"],
+    "verify": ["--matrix 1,2,3 --beta 1/2 --truncation 2",
+               "--matrix 1,2,3 --beta 4 --input basis.json"],
+    "gevrey-index": ["--matrix 1,2,3 --terms 20",
+                     "--matrix 1,3,5 --stream exponent --beta 1/2 --terms 20",
+                     "--matrix 1,2,3 --stream factorial --terms 20",
+                     "--matrix 1,2,3 --stream inverse-factorial --terms 20"],
+    "irregularity-table": ["--matrix 1,2,3 --beta 4 --s 2",
+                           "--matrix 1,2,3 --beta 4 --format table",
+                           "--matrix 1,2,3 --beta-special 4 --beta-generic 1/2 --s 2"],
+    "restrict": ["--matrix 1,2,3 --beta 1 --mode hyperplane --index 2",
+                 "--matrix 1,2,3 --beta 1/2 --mode x1",
+                 "--matrix 1,3,6,8 --beta 1/3 --mode plane",
+                 "--matrix 3,5,7 --beta 1/2 --mode aux"],
+    "b-function": ["--matrix 1,4,6 --weight first", "--matrix 1,2,3 --weight e2"],
+    "monodromy": ["--matrix 1,2,3 --beta 1"],
+    "semigroup": ["--matrix 3,5,7", "--matrix 3,5,7 --beta 1 --member 8"],
+}
+# malformed values of each typed flag kind; a value like 3,2,1 is well formed
+# and a domain error
+MALFORMED = {parse_matrix: ["1,x", "1.5,2"], parse_rational: ["x", "0.5", "1/0", ""],
+             parse_order: ["x", "-inf", ""], parse_count: ["-1", "x", "2.5"]}
+
+
+def _typed_flags(command):
+    return [("--" + dest.replace("_", "-"), MALFORMED[kind])
+            for dest, (kind, _, _) in _COMMANDS[command][2].items() if kind in MALFORMED]
+
+
+def _names(flag, err):
+    return re.search(re.escape(flag) + r"(?![\w-])", err) is not None
+
+
+def test_the_modes_cover_every_command():
+    assert set(MODES) == set(_COMMANDS)
+
+
+@pytest.mark.parametrize("command,mode", [(c, m) for c, modes in MODES.items() for m in modes])
+def test_a_malformed_typed_value_is_a_flag_error_in_every_mode(capsys, tmp_path, solved,
+                                                               command, mode):
+    (tmp_path / "basis.json").write_text(json.dumps(solved))
+    argv = [command, *mode.replace("basis.json", str(tmp_path / "basis.json")).split()]
+    assert run_cli(capsys, *argv)[0] == 0
+    for flag, values in _typed_flags(command):
+        for text in values:
+            code, out, err = run_cli(capsys, *argv, f"{flag}={text}")
+            _one_line_error(code, out, err, 2)
+            assert _names(flag, err), (flag, text, err)
+
+
+@pytest.mark.parametrize("command", sorted(MODES))
+def test_of_two_malformed_flags_the_first_in_table_order_is_named(capsys, command):
+    for (first, bad_first), (second, bad_second) in itertools.combinations(
+            _typed_flags(command), 2):
+        code, out, err = run_cli(capsys, command, *MODES[command][0].split(),
+                                 f"{second}={bad_second[0]}", f"{first}={bad_first[0]}")
+        _one_line_error(code, out, err, 2)
+        assert _names(first, err) and not _names(second, err), (first, second, err)
+
+
+def test_solve_reads_no_s_as_the_slope_and_s_inf_as_inf(capsys):
+    argv = ("solve", "--matrix", "1,2,3", "--beta", "1/2", "--truncation", "2")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["s"] == json.loads(out)["slope"] == "3/2"
+    code, out, _ = run_cli(capsys, *argv, "--s", "inf")
+    assert code == 0 and json.loads(out)["s"] == "inf"
 
 
 _json_leaves = st.one_of(

@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkzcurve import semigroup
-from gkzcurve.core import CurveError, CurveKind, clip
+from gkzcurve.core import CurveError, clip
 from gkzcurve.curves import LatticeBasis, lattice_points
 from gkzcurve.semigroup import MEMBERSHIP_TABLE_CAP, _in_semigroup, _lex_witness
 from oracles import combine, isomorphic_parameters
@@ -37,8 +37,8 @@ GENERAL = [(2, 3), (3, 5, 7), (2, 3, 5), (4, 6, 9)]
 
 
 def test_make_curve_kinds():
-    assert make_curve((1, 2, 3)).kind is CurveKind.SMOOTH
-    assert make_curve((3, 5, 7)).kind is CurveKind.GENERAL
+    assert make_curve((1, 2, 3)).is_smooth
+    assert not make_curve((3, 5, 7)).is_smooth
 
 
 def test_make_curve_rejections():

@@ -230,3 +230,19 @@ def test_the_term_loop_builds_one_fraction_per_stored_term():
     assert isinstance(value, ast.Call) and getattr(value.func, "id", None) == "Fraction"
     assert all(isinstance(arg, ast.Name) for arg in value.args)
     assert _names(loop_fn).count("Fraction") == 1
+
+
+def test_no_handler_module_reads_a_typed_flag_itself():
+    # cli._parse reads every matrix, rational, order and count flag by the
+    # kind its table gives; a handler that parsed one again would hold that
+    # flag's grammar only in the modes it reads it
+    helpers = {"parse_matrix", "parse_rational", "parse_order", "parse_count", "nonnegative"}
+    found = []
+    for name in ("cli_basis", "cli_curve", "cli_gevrey", "cli_irregularity",
+                 "cli_restriction"):
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+        found += [f"{name}.py:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+                  and (getattr(node, "id", None) or getattr(node, "attr", None)
+                       or getattr(node, "name", None)) in helpers]
+    assert found == []
