@@ -138,10 +138,13 @@ def _parse(argv: list[str]):
     for flag, dest in flags.items():
         kind = table[dest][0]
         for value in texts.get(dest, ()):
-            if isinstance(kind, tuple) and value not in kind:
-                raise UsageError(f"argument {flag}: invalid choice: {value!r} "
-                                 f"(choose from {', '.join(kind)})")
-            values[dest] = value if kind is str or isinstance(kind, tuple) else kind(value, flag)
+            if isinstance(kind, tuple):
+                if value not in kind:
+                    raise UsageError(f"argument {flag}: invalid choice: {value!r} "
+                                     f"(choose from {', '.join(kind)})")
+            elif kind is not str:
+                value = kind(value, flag)
+            values[dest] = value
     return handler, SimpleNamespace(**values)
 
 
