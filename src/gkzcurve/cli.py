@@ -5,7 +5,8 @@ The environment variable GKZ_MAX_TERMS caps stored series terms as a safety
 valve for accidental huge truncations; since only support points are
 enumerated (for a general curve, only those of the x_0 = 0 section), it
 bounds the build work as well.  A reader that closes stdout early ends the
-command with exit 1 and no traceback.
+command with exit 1 and no traceback; running out of memory, with exit 1 and
+one line.
 """
 
 from __future__ import annotations
@@ -173,8 +174,14 @@ def main(argv=None) -> int:
     except CurveError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
+    except MemoryError:
+        pass
     finally:
         sys.set_int_max_str_digits(limit)
+    # out of memory: leaving the except clause dropped the error, its traceback
+    # and the frames that held what the command built, so that is freed first
+    sys.stderr.write("error: MemoryError: out of memory\n")
+    return 1
 
 
 if __name__ == "__main__":

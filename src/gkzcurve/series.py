@@ -260,22 +260,10 @@ class _GammaFactor:
 
 class _FallingFactors(dict):
     """z -> prod_{j<g} (z - q j), i.e. q^g (z/q)_g, or q^g (p/q + t)_g at
-    z = p + q t: filled at given values of z, from the table of g - 1 by one
-    multiply per entry where it is given, and on demand at any other z."""
+    z = p + q t, each entry formed when first read."""
 
     def __init__(self, q: int, g: int):
         self.q, self.g = q, g
-
-    def fill(self, values, below=None):
-        """Fill the entries at values (a set) that the table lacks; below,
-        where given, holds them all."""
-        missing = values - self.keys()
-        if below is None:
-            self.update({z: math.prod(range(z, z - self.q * self.g, -self.q))
-                         for z in missing})
-        else:
-            step = self.q * (self.g - 1)
-            self.update({z: below[z] * (z - step) for z in missing})
 
     def __missing__(self, z: int) -> int:
         f = self[z] = math.prod(range(z, z - self.q * self.g, -self.q))

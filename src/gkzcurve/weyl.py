@@ -99,15 +99,9 @@ class _Certainty(dict):
         return out
 
 
-# Largest g whose falling-factor table a kernel builds from the table of g - 1
-# when it holds none.  It bounds the recursion and the tables held: a box
-# operator of (1, 1000) at radius 3 asks for g = 1000, 2000 and 3000 alone,
-# which are filled directly.  The verify windows ask for g up to 24.
-_CHAIN_LIMIT = 32
-
 # Inside _basis_tables() every kernel reads one falling-factor table per (q, g),
 # one packed shift per monomial key (a, g) and one level per offset of a lattice
-# (_Certainty), which depend on nothing else, so the members of a basis fill
+# (_Certainty), which depend on nothing else, so the members of a basis form
 # each entry once; outside, a kernel holds its own.
 _shared = None
 
@@ -155,33 +149,21 @@ class _SeriesKernel:
         self.terms = [(key, z, c.numerator * (self.scale // c.denominator))
                       for key, z, c in zip(keys, zip(*columns), S.terms.values())]
         self.known = _Certainty(S, keys, levels)
-        # i -> the distinct stored z_i, where each table of coordinate i is filled
-        self.values = [set(column) for column in columns] or [set()] * S.nvars
         self.by_coordinate = {}     # integer i -> (the terms sorted by z_i, their z_i)
         for i, q in enumerate(self.den):
             if q == 1:
                 ordered = sorted(self.terms, key=lambda t: t[1][i])
                 self.by_coordinate[i] = ordered, [t[1][i] for t in ordered]
-        self.falling: dict[tuple[int, int], _series._FallingFactors] = {}
         self.monomials: dict = {}
         self.formed = 0             # falling-factor products, over all monomials
         self._zero = _pack((0,) * S.nvars)
 
     def table(self, i: int, g: int) -> _series._FallingFactors:
-        """The falling-factor table of (q_i, g), holding every stored z_i: the
-        entries it lacks are filled from the table of (i, g - 1), one multiply
-        each.  Up to g = _CHAIN_LIMIT that table is completed first, the same
-        way; past it, where the kernel holds none, they are formed directly."""
-        out = self.falling.get((i, g))
+        """The shared falling-factor table of (q_i, g), created when absent."""
+        key = self.den[i], g
+        out = self.tables.get(key)
         if out is None:
-            key = self.den[i], g
-            out = self.tables.get(key)
-            if out is None:
-                out = self.tables[key] = _series._FallingFactors(*key)
-            if not self.values[i] <= out.keys():
-                out.fill(self.values[i], self.table(i, g - 1) if 1 < g <= _CHAIN_LIMIT
-                         else self.falling.get((i, g - 1)))
-            self.falling[i, g] = out
+            out = self.tables[key] = _series._FallingFactors(*key)
         return out
 
     def monomial(self, key):

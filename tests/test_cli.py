@@ -309,6 +309,19 @@ def test_term_cap_bounds_the_build_work(capsys, monkeypatch):
     assert err.count("\n") == 1 and "TermLimitError" in err
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_running_out_of_memory_is_one_line(capsys, monkeypatch, command):
+    # the build raises at once, so the test allocates nothing
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("gkzcurve.basis.solution_basis", exhausted)
+    code, out, err = run_cli(capsys, command, "--matrix", "1,2,3", "--beta", "1/2",
+                             "--truncation", "777777777777")
+    _one_line_error(code, out, err, 1)
+    assert "out of memory" in err
+
+
 GOLDEN = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
                      / "golden.json").read_text())
 

@@ -560,24 +560,25 @@ def test_the_kernel_forms_products_only_outside_the_vanishing_range(monkeypatch)
     assert counts == {"formed": 6083, "nonzero": 4514}
 
 
-def test_the_kernel_fills_tables_at_the_stored_values_and_decomposes_each_offset_once(
+def test_the_kernel_forms_each_table_entry_once_per_basis_and_decomposes_each_offset_once(
         monkeypatch):
-    # verify (1,...,6) beta = 1/2 L4 at radius 3: filled one entry at a time,
-    # the falling-factor tables took 1 647 on-demand fills; filled at the
-    # stored values, 267 entries at window contributors were left, and with
-    # the zero-factor rule read from the vanishing ranges none is.  Each
-    # offset classified was decomposed once per series, 692 in all; with one
-    # level per offset of the basis, 161.
-    counts = collections.Counter()
+    # verify (1,...,6) beta = 1/2 L4 at radius 3: filled at every stored value
+    # from the table of g - 1, the falling-factor tables held 525 entries;
+    # formed when first read, 390, each once, as the members of the basis
+    # share one table per (q, g).  Each offset classified was decomposed once
+    # per series, 692 in all; with one level per offset of the basis, 161.
+    formed = []
     fill = weyl._series._FallingFactors.__missing__
     decompose = weyl._series.lattice_decompose
+    decomposed = 0
 
-    def counting_fill(table, t):
-        counts["on_demand"] += 1
-        return fill(table, t)
+    def counting_fill(table, z):
+        formed.append((table.q, table.g, z))
+        return fill(table, z)
 
     def counting_decompose(basis, u):
-        counts["decompose"] += 1
+        nonlocal decomposed
+        decomposed += 1
         return decompose(basis, u)
 
     monkeypatch.setattr(weyl._series._FallingFactors, "__missing__", counting_fill)
@@ -587,14 +588,15 @@ def test_the_kernel_fills_tables_at_the_stored_values_and_decomposes_each_offset
                              level=4)
     for _, report in verify_basis(A, members, Fraction(1, 2), 3):
         assert report.max_violation == 0
-    assert counts == {"decompose": 161}
+    assert len(formed) == 390
+    assert len(set(formed)) == len(formed)
+    assert decomposed == 161
 
 
 def falling_table_entries_are_products(kernels):
     for kernel in kernels:
-        for (i, g), table in kernel.falling.items():
-            q = kernel.den[i]
-            assert table.q == q and table.g == g and kernel.values[i] <= table.keys()
+        for (q, g), table in kernel.tables.items():
+            assert table.q == q and table.g == g
             for z, f in table.items():
                 assert f == falling_product([Fraction(z, q)], [g]) * q ** g, (q, g, z)
 
@@ -602,13 +604,12 @@ def falling_table_entries_are_products(kernels):
 @settings(max_examples=60, deadline=None)
 @given(p=st.integers(-12, 12), q=st.integers(1, 4),
        values=st.sets(st.integers(-15, 15), min_size=1, max_size=12),
-       gs=st.lists(st.integers(1, weyl._CHAIN_LIMIT + 6), min_size=1, max_size=6),
+       gs=st.lists(st.integers(1, 38), min_size=1, max_size=6),
        queries=st.lists(st.integers(-20, 20), max_size=8))
 def test_every_falling_factor_table_entry_is_the_product(p, q, values, gs, queries):
     # one coordinate at p/q (an integer when q = 1, so its vanishing range is
-    # cut); tables in the drawn order are filled at the stored z = p + q u from
-    # the table of g - 1 or, past the chain limit, directly, and other entries
-    # on demand
+    # cut); tables in the drawn order are read at the stored z = p + q u by a
+    # monomial and at other z by the queries, each entry formed when first read
     assume(math.gcd(p, q) == 1)
     S = FormalSeries((Fraction(p, q),), {(t,): 1 for t in values}, 0, FiniteSupport())
     kernel = weyl._SeriesKernel(S)
@@ -616,7 +617,6 @@ def test_every_falling_factor_table_entry_is_the_product(p, q, values, gs, queri
         kernel.monomial(((0,), (g,)))
         for t in queries:
             kernel.table(0, g)[p + q * t]
-    assert kernel.values[0] == {p + q * t for t in values}
     falling_table_entries_are_products([kernel])
 
 
@@ -625,13 +625,13 @@ def test_every_falling_factor_table_entry_is_the_product(p, q, values, gs, queri
            st.tuples(st.integers(-3, 3), st.integers(0, 1),
                      st.sets(st.integers(-10, 10), min_size=1, max_size=8)),
            min_size=2, max_size=4),
-       gs=st.lists(st.integers(1, weyl._CHAIN_LIMIT + 6), min_size=1, max_size=5),
+       gs=st.lists(st.integers(1, 38), min_size=1, max_size=5),
        queries=st.lists(st.integers(-40, 40), max_size=8))
 def test_a_table_filled_for_one_member_answers_every_other(q, members, gs, queries):
     # members of one basis at base exponents p/q in lowest terms, checked in
-    # turn, share one table per (q, g) keyed by z: whatever one member filled,
-    # at its stored z or on demand, another reads as prod_{j<g} (z - q j), the
-    # falling product of z/q times q^g
+    # turn, share one table per (q, g) keyed by z: whatever entry one member
+    # formed, at a stored z or at a query, another reads as prod_{j<g} (z - q j),
+    # the falling product of z/q times q^g
     residues = [r for r in range(q) if math.gcd(r, q) == 1]
     kernels = []
     with weyl._basis_tables():
