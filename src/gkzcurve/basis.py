@@ -181,27 +181,42 @@ def solution_basis(A: CurveMatrix, beta, point: PointClass, s=None,
     return _smooth_singular_basis(A, beta, s, build)
 
 
+def _is_witness(A: CurveMatrix, beta, member: BasisMember) -> bool:
+    """Whether member has the base exponent and defect generator of the witness
+    solution_basis builds for (A, beta)."""
+    aux = A if A.is_smooth else A.auxiliary()
+    if polynomial_exponent_index(aux, beta) is None or aux.n < 3:
+        return False
+    base = _series.witness_base(aux, beta)[aux.n - A.n:]
+    return member.series.base == base and member.defect_generator == _witness_defect_name(aux)
+
+
 def verify_basis(A: CurveMatrix, members, beta, ball_radius: int = 3):
     """Annihilation reports for every basis member against the checking set.
 
-    Solutions are checked against the full set; the witness is checked against
-    everything except its defect generator.  Returns a list of
-    (member, AnnihilationReport) pairs.  An empty basis, or a member with no
-    nonzero term, is a CurveError: nothing would be checked."""
+    Solutions are checked against the full set.  The witness is checked against
+    Euler and the toric generators, named_generators(A, beta, 0), less its
+    defect generator, and so against no box operator; on a general curve A has
+    no toric generators, so that is Euler alone.  Returns a list of
+    (member, AnnihilationReport) pairs.  An empty basis, a member with no
+    nonzero term, and a member marked as no solution that is not the witness of
+    (A, beta) are each a CurveError: nothing, or too little, would be checked."""
     if not members:
         raise CurveError("the basis is empty: nothing was checked")
     for m in members:
         if m.series.is_zero():
             raise CurveError(f"series {m.label!r} has no nonzero term: "
                              f"nothing was checked")
+        if not m.is_solution and not _is_witness(A, beta, m):
+            raise CurveError(f"series {m.label!r} is marked as no solution but is not "
+                             f"the witness of the matrix and beta: only the witness "
+                             f"skips generators")
     gens = _weyl.named_generators(A, beta, ball_radius)
     out = []
     with _weyl._basis_tables():
         for m in members:
-            if m.is_solution:
-                subset = gens
-            else:
-                subset = [(name, op) for name, op in gens
-                          if name != m.defect_generator and not name.startswith("box")]
+            subset = gens if m.is_solution else [
+                (name, op) for name, op in _weyl.named_generators(A, beta, 0)
+                if name != m.defect_generator]
             out.append((m, _weyl.annihilation_report(subset, m.series)))
     return out

@@ -66,6 +66,17 @@ class WeylOperator:
     def theta(cls, nvars: int, i: int) -> "WeylOperator":
         return cls.monomial(nvars, _unit(nvars, i), _unit(nvars, i))
 
+    @classmethod
+    def box(cls, nvars: int, u) -> "WeylOperator":
+        """d^{u_+} - d^{u_-} for a nonzero integer vector u of length nvars,
+        taken as it is: box_operator checks u first."""
+        z = (0,) * nvars
+        self = object.__new__(cls)
+        self.nvars = nvars
+        self.terms = {(z, tuple(x if x > 0 else 0 for x in u)): Fraction(1),
+                      (z, tuple(-x if x < 0 else 0 for x in u)): Fraction(-1)}
+        return self
+
     # -- ring structure -----------------------------------------------------
 
     def _check(self, other: "WeylOperator"):
@@ -149,9 +160,7 @@ def box_operator(A: CurveMatrix, u) -> WeylOperator:
         raise NotInKernelError(f"{u} is not in ker_Z{A.entries}")
     if not any(u):
         return WeylOperator.zero(A.n)
-    z = (0,) * A.n
-    return WeylOperator(A.n, {(z, tuple(max(x, 0) for x in u)): 1,
-                              (z, tuple(max(-x, 0) for x in u)): -1})
+    return WeylOperator.box(A.n, u)
 
 
 def toric_generators(A: CurveMatrix) -> list[WeylOperator]:

@@ -41,17 +41,12 @@ class ContiguityError(CurveError):
     """Formal division by a derivative hit a zero falling factorial."""
 
 
-UNKNOWN = object()   # sentinel for "outside the certifiable window"
-
-
 # ---------------------------------------------------------------------------
 # Support descriptors
 #
-# classify(offset) returns
-#   - an int: the enumeration level of a potential support point (it is stored
-#     whenever its level is <= the truncation level),
-#   - None: provably outside the support, exact coefficient 0,
-#   - UNKNOWN: nothing can be certified about this offset.
+# certifies(offset, truncation) says whether the coefficient at an offset that
+# is not stored is certified to be exactly 0: the offset is provably outside
+# the support, or a support point whose enumeration level is <= truncation.
 
 
 class LatticeGammaSupport:
@@ -63,19 +58,26 @@ class LatticeGammaSupport:
         self._bounds = tuple((i, lo, hi) for i, (lo, hi)
                              in _support_bounds(self.base).items())
 
-    def classify(self, offset):
-        """The negative-support guard of Gamma[v; u] in integers: the bounds
-        gamma_series enumerates with (_support_bounds).  The Fraction form of
-        the guard is gamma_coefficient in tests/oracles.py."""
+    def level(self, offset):
+        """sum |m_i| over the kernel coordinates of the offset, or None off
+        L_A: the part of certifies that depends on the lattice alone."""
         m = lattice_decompose(self.basis, offset)
-        return None if m is None else self.placed(offset, sum(map(abs, m)))
+        return None if m is None else sum(map(abs, m))
 
-    def placed(self, offset, level: int):
-        """classify at an offset of L_A whose level sum |m_i| is known."""
+    def certifies_at(self, offset, level, truncation: int) -> bool:
+        """certifies at an offset whose level is known.  The negative-support
+        guard of Gamma[v; u] in integers: the bounds gamma_series enumerates
+        with (_support_bounds).  The Fraction form of the guard is
+        gamma_coefficient in tests/oracles.py."""
+        if level is None or level <= truncation:
+            return True
         for i, lo, hi in self._bounds:
             if lo is not None and offset[i] < lo or hi is not None and offset[i] > hi:
-                return None
-        return level
+                return True
+        return False
+
+    def certifies(self, offset, truncation: int) -> bool:
+        return self.certifies_at(offset, self.level(offset), truncation)
 
     def json_fields(self) -> dict:
         return {"descriptor": "lattice"}
@@ -95,8 +97,8 @@ class SectionSupport:
             raise WrongAuxiliaryShapeError("parent base must have integer x_0 exponent")
         self.x0_offset = -int(j)
 
-    def classify(self, offset):
-        return self.parent.classify((self.x0_offset,) + tuple(offset))
+    def certifies(self, offset, truncation: int) -> bool:
+        return self.parent.certifies((self.x0_offset,) + tuple(offset), truncation)
 
     def json_fields(self) -> dict:
         return {
@@ -109,8 +111,8 @@ class SectionSupport:
 class FiniteSupport:
     """A complete finite series: everything not stored is exactly 0."""
 
-    def classify(self, offset):
-        return None
+    def certifies(self, offset, truncation: int) -> bool:
+        return True
 
     def json_fields(self) -> dict:
         return {"descriptor": "finite"}
@@ -119,13 +121,13 @@ class FiniteSupport:
 class WindowSupport:
     """Trust decided by an explicit predicate (the output of an operator
     application).  Certified offsets that were not stored are exactly 0;
-    everything outside the predicate is unknown."""
+    nothing outside the predicate is certified, whatever the truncation."""
 
     def __init__(self, predicate):
         self.predicate = predicate
 
-    def classify(self, offset):
-        return None if self.predicate(offset) else UNKNOWN
+    def certifies(self, offset, truncation: int) -> bool:
+        return self.predicate(offset)
 
     def json_fields(self) -> dict:
         return {"descriptor": "window"}
@@ -184,12 +186,7 @@ class FormalSeries:
     def certifies(self, offset: tuple[int, ...]) -> bool:
         """Whether the descriptor proves the coefficient at an offset that is
         not stored to be exactly 0."""
-        level = self.descriptor.classify(offset)
-        if level is None:
-            return True
-        if level is UNKNOWN:
-            return False
-        return level <= self.truncation
+        return self.descriptor.certifies(offset, self.truncation)
 
     def sorted_terms(self):
         return sorted(self.terms.items())

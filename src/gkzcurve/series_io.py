@@ -113,7 +113,7 @@ def series_from_json(data: dict, matrix: CurveMatrix | None = None) -> FormalSer
             raise CurveError(f"x0_section of {aux.n} auxiliary variables needs an "
                              f"aux_base of length {aux.n} and a base_exponent of "
                              f"length {aux.n - 1}")
-        # the descriptor classifies with aux_matrix and aux_base, the kernel
+        # the descriptor certifies with aux_matrix and aux_base, the kernel
         # computes with base_exponent: they must describe one series
         if matrix is not None and aux.entries != (1,) + matrix.entries:
             raise CurveError("x0_section aux_matrix is not (1, a_1, ..., a_n) of the "

@@ -69,11 +69,10 @@ class _Certainty(dict):
     the offset's coordinates; filled on demand, so each offset is classified by
     the series' descriptor at most once.  Stored offsets are certified.
 
-    On a lattice support an offset's coordinates and level, sum |m_i| over its
-    kernel coordinates or None off L_A, are the same for every series of the
-    lattice: levels keeps them, so each offset is unpacked and decomposed once
-    per basis, and only the truncation and the support bounds are checked per
-    series."""
+    On a lattice support an offset's coordinates and level (the descriptor's
+    level) are the same for every series of the lattice: levels keeps them, so
+    each offset is unpacked and decomposed once per basis, and the descriptor's
+    certifies_at decides per series."""
 
     def __init__(self, S: _series.FormalSeries, keys, levels: dict):
         super().__init__(dict.fromkeys(keys))
@@ -90,11 +89,9 @@ class _Certainty(dict):
             known = self.levels.get(key)
             if known is None:
                 offset = _unpack(key, S.nvars)
-                m = _series.lattice_decompose(S.descriptor.basis, offset)
-                known = self.levels[key] = offset, None if m is None else sum(map(abs, m))
+                known = self.levels[key] = offset, S.descriptor.level(offset)
             offset, level = known
-            certified = (level is None or level <= S.truncation
-                         or S.descriptor.placed(offset, level) is None)
+            certified = S.descriptor.certifies_at(offset, level, S.truncation)
         out = self[key] = None if certified else offset
         return out
 
@@ -304,8 +301,7 @@ def apply(P: WeylOperator, S: _series.FormalSeries) -> _series.FormalSeries:
             for w in landed if sums[w] and w not in inexact}
 
     def exact(offset) -> bool:          # the same rule at any offset
-        key = _pack([int(x) for x in offset])
-        return key not in (inexact if key in sums else kernel.inexact({key}, plan))
+        return not kernel.inexact({_pack([int(x) for x in offset])}, plan)
     return _series.FormalSeries(S.base, kept, S.truncation, _series.WindowSupport(exact))
 
 
@@ -390,16 +386,10 @@ def named_generators(A: CurveMatrix, beta, ball_radius: int = 3):
     # m = (0, ..., 0, c, tail) with c > 0 in lexicographic order: the later its
     # first nonzero coordinate k, the earlier m comes; the tail runs over the
     # ball of radius - c spanned by the rows after k.  Each u(m) is a nonzero
-    # vector of L_A, so its box operator is built as box_operator would build
-    # it, without the checks and the normalising of its two coefficients.
-    z, one, minus_one = (0,) * A.n, Fraction(1), Fraction(-1)
+    # vector of L_A, so it needs none of box_operator's checks.
     for k in range(len(rows) - 1, -1, -1):
         for c in range(1, ball_radius + 1):
             for m, u in lattice_points(LatticeBasis(A, rows[k + 1:]), ball_radius - c):
                 u = [c * a + b for a, b in zip(rows[k], u)]
-                op = object.__new__(WeylOperator)
-                op.nvars, op.terms = A.n, {
-                    (z, tuple(x if x > 0 else 0 for x in u)): one,
-                    (z, tuple(-x if x < 0 else 0 for x in u)): minus_one}
-                out.append((f"box{[0] * k + [c, *m]}", op))
+                out.append((f"box{[0] * k + [c, *m]}", WeylOperator.box(A.n, u)))
     return out

@@ -533,6 +533,25 @@ def test_verify_input_does_not_read_a_solution_flag_by_truthiness(tmp_path, caps
     assert "'is_solution' must be true or false, got 0" in err
 
 
+@pytest.mark.parametrize("matrix", ["1,2,3", "3,5,7"])
+def test_verify_input_refuses_a_member_flipped_to_no_solution(tmp_path, capsys, matrix):
+    # a member marked as no solution is checked as the witness, against fewer
+    # rows: with every entry flipped, (1,2,3) beta = 1/2 L8 was checked against
+    # 3 rows instead of 15 and (3,5,7) against Euler alone instead of 13, and
+    # the --input rows, which do not print is_solution, did not show it
+    flags = ["--matrix", matrix, "--beta", "1/2", "--truncation", "8"]
+    code, out, _ = run_cli(capsys, "solve", *flags)
+    assert code == 0
+    document = json.loads(out)
+    for entry in document["basis"]:
+        entry["is_solution"] = False
+    path = tmp_path / "flipped.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, "verify", *flags, "--input", str(path))
+    _one_line_error(code, out, err, 1)
+    assert "is marked as no solution but is not the witness" in err
+
+
 def test_verify_input_of_another_matrix_is_a_domain_error(tmp_path, capsys, solved):
     # the (1,2,3) lattice series against a 4-entry matrix: refused where it is
     # read, not at the first operator
@@ -714,14 +733,21 @@ def test_exponent_values_over_the_cap_are_a_domain_error(capsys, argv, values):
 
 
 def test_verify_exits_1_on_a_violation(tmp_path, capsys, solved):
+    # the beta = 4 basis read at beta = 5: its solution exponent[1] violates
+    # the rows of beta = 5, and its witness, which is not the witness of
+    # beta = 5, is refused
     path = tmp_path / "basis.json"
-    path.write_text(json.dumps(solved))
+    path.write_text(json.dumps(solved["basis"][:1]))
     code, out, _ = _verify_file(capsys, path, beta="5")
     assert code == 1
     data = json.loads(out)
     assert data["max_violation"] != "0"
-    assert [row["label"] for row in data["series"]] == ["exponent[1]", "witness"]
+    assert [row["label"] for row in data["series"]] == ["exponent[1]"]
     assert all("is_solution" not in row for row in data["series"])
+    path.write_text(json.dumps(solved))
+    code, out, err = _verify_file(capsys, path, beta="5")
+    _one_line_error(code, out, err, 1)
+    assert "'witness' is marked as no solution but is not the witness" in err
     code, out, _ = _verify_file(capsys, path, beta="4")
     assert code == 0 and json.loads(out)["max_violation"] == "0"
 

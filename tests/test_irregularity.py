@@ -1,3 +1,4 @@
+import ast
 import collections
 import math
 import random
@@ -24,9 +25,11 @@ from gkzcurve import (
     verify_basis,
 )
 from gkzcurve.core import CurveError, IndexOutOfRangeError
+from gkzcurve.curves import lattice_basis
 from gkzcurve.basis import BasisMember, SlopeTooSmallError
 from gkzcurve.gevrey import InsufficientDataError, _log_abs
 from gkzcurve.series import FormalSeries
+from gkzcurve.weyl import annihilation_report, named_generators
 
 
 def test_slope_values():
@@ -188,6 +191,72 @@ def test_verify_basis_refuses_to_check_nothing():
                        member.defect_generator)
     with pytest.raises(CurveError, match=re.escape(f"series {member.label!r} has no nonzero")):
         verify_basis(A, basis + [zero], 4)
+
+
+def test_verify_basis_checks_the_witness_against_euler_and_the_toric_rows():
+    # the witness skips its defect and every box row; on a general curve A has
+    # no toric rows and the defect names one of the auxiliary matrix, so Euler
+    # is left
+    for entries, beta, rows in [((1, 2, 3), 4, ["euler", "toric[3]"]),
+                                ((1, 3, 6, 8), 3, ["euler", "toric[2]", "toric[4]"]),
+                                ((3, 5, 7), 8, ["euler"])]:
+        A = make_curve(entries)
+        basis = solution_basis(A, beta, PointClass.SMOOTH_STRATUM, s=slope(A), level=6)
+        for member, report in verify_basis(A, basis, beta, 2):
+            names = [r.name for r in report.per_generator]
+            if member.is_solution:
+                assert len(names) > len(rows) and any(n.startswith("box") for n in names)
+            else:
+                assert names == rows, entries
+
+
+def test_verify_basis_refuses_a_non_solution_that_is_not_the_witness():
+    # only the witness of (A, beta), by its base exponent and its defect
+    # generator, is checked against fewer rows than the whole checking set
+    for entries, beta, level in [((1, 2, 3), 4, 4), ((1, 2, 3), Fraction(1, 2), 4),
+                                 ((3, 5, 7), 8, 4), ((3, 5, 7), Fraction(1, 2), 4)]:
+        A = make_curve(entries)
+        basis = solution_basis(A, beta, PointClass.SMOOTH_STRATUM, s=slope(A), level=level)
+        for i, m in enumerate(basis):
+            if m.is_solution:
+                changed = [BasisMember(m.series, m.label, m.exponent, False, "euler")]
+            else:
+                changed = [BasisMember(m.series, m.label, m.exponent, False, name)
+                           for name in ("euler", "toric[9]", None)]
+            for bad in changed:
+                with pytest.raises(CurveError, match=re.escape(
+                        f"series {m.label!r} is marked as no solution but is not the "
+                        f"witness")):
+                    verify_basis(A, basis[:i] + [bad] + basis[i + 1:], beta, 2)
+
+
+@pytest.mark.parametrize("entries", [(1, 2, 3), (1, 2, 5), (1, 4, 7), (1, 5, 6),
+                                     (1, 3, 6, 8), (1, 3, 5, 9), (1, 2, 3, 4, 5, 6)])
+def test_the_witness_passes_the_box_rows_off_its_defect_direction(entries):
+    # verify_basis checks the witness against no box row.  Against them all, it
+    # fails its defect d_1^{a_{n-1}} - d_{n-1}, the box of the kernel row
+    # u = a_{n-1} e_1 - e_{n-1}, and passes every box row whose coordinate on
+    # that row is 0; a box row with a nonzero one may fail or pass, by beta
+    A = make_curve(entries)
+    n = A.n
+    rows = lattice_basis(A).rows
+    u = tuple(A.entries[n - 2] if i == 0 else -1 if i == n - 2 else 0 for i in range(n))
+    k = next(k for k, row in enumerate(rows) if row in (u, tuple(-x for x in u)))
+    for beta in (0, 2, 4, 7, 11):
+        for level in (6, 10):
+            basis = solution_basis(A, beta, PointClass.SMOOTH_STRATUM, s=slope(A),
+                                   level=level)
+            witness = next(m for m in basis if not m.is_solution)
+            report = annihilation_report(named_generators(A, beta, 3), witness.series)
+            rows_by_name = {r.name: r for r in report.per_generator}
+            assert rows_by_name[witness.defect_generator].violation != 0
+            off_defect = [r for r in report.per_generator if r.name.startswith("box")
+                          and ast.literal_eval(r.name[3:])[k] == 0]
+            assert off_defect, entries
+            for r in off_defect:
+                assert r.violation == 0, (entries, beta, level, r.name)
+                # at L10 each of them holds evidence
+                assert level < 10 or r.certified > 0, (entries, beta, r.name)
 
 
 def test_generic_basis_general_kind():

@@ -334,6 +334,18 @@ def _section_bases(A, beta):
     return bases
 
 
+def certified_level(descriptor, offset, level):
+    """What a support descriptor's certifies says of an offset whose lattice
+    level is known: None where it certifies the offset at truncation -1, below
+    every level (outside the support), else the offset's level, the truncation
+    from which on it certifies the offset."""
+    if descriptor.certifies(offset, -1):
+        return None
+    assert not descriptor.certifies(offset, level - 1), offset
+    assert descriptor.certifies(offset, level), offset
+    return level
+
+
 def assert_section_matches_substitution(A, v, level, rng):
     """section_series against substitute_x0 of the whole auxiliary series: terms
     in insertion order, base, truncation, JSON fields, and the descriptor."""
@@ -349,9 +361,11 @@ def assert_section_matches_substitution(A, v, level, rng):
     offsets += [combine(basis, [rng.randint(-level - 2, level + 2)
                                for _ in range(basis.rank)]) for _ in range(12)]
     offsets += [tuple(rng.randint(-9, 9) for _ in range(A.n)) for _ in range(4)]
+    parent = got.descriptor.parent
     for d in offsets:
-        cls = got.descriptor.classify(d)
-        assert cls == want.descriptor.classify(d), (v, d)
+        placed = parent.level((got.descriptor.x0_offset,) + tuple(d))
+        cls = certified_level(got.descriptor, d, placed)
+        assert cls == certified_level(want.descriptor, d, placed), (v, d)
         # the descriptor places an offset at level <= truncation exactly when
         # the build stored it
         assert (isinstance(cls, int) and cls <= level) == (d in got.terms), (v, d)
@@ -412,7 +426,8 @@ def test_section_term_limit_counts_section_terms():
 
 
 def negative_support_classify(descriptor, offset):
-    """LatticeGammaSupport.classify by the negative_support rule over Fractions."""
+    """None where the negative_support rule over Fractions puts an offset
+    outside the support of a LatticeGammaSupport, else its level."""
     m = lattice_decompose(descriptor.basis, offset)
     if m is None:
         return None
@@ -436,7 +451,7 @@ def test_integer_classify_matches_the_negative_support_rule(entries):
         offsets += [tuple(rng.randint(-9, 9) for _ in range(A.n)) for _ in range(20)]
         for u in offsets:
             want = negative_support_classify(descriptor, u)
-            assert descriptor.classify(u) == want, (v, u)
+            assert certified_level(descriptor, u, descriptor.level(u)) == want, (v, u)
             guarded += want is None and lattice_decompose(basis, u) is not None
     assert guarded > 0
 

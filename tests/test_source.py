@@ -172,10 +172,11 @@ def test_the_operator_algebra_leaves_the_kernel_and_the_series_out():
             if "weyl" in _package_imports(path)] == ["basis.py"]
 
 
-# the verification kernel and the support guard it classifies with
+# the verification kernel and the support guard it certifies with
 INTEGER_ONLY = {"weyl.py": ("_SeriesKernel", "_Certainty"),
-                "series.py": ("_FallingFactors", "LatticeGammaSupport.classify",
-                              "LatticeGammaSupport.placed")}
+                "series.py": ("_FallingFactors", "LatticeGammaSupport.level",
+                              "LatticeGammaSupport.certifies_at",
+                              "LatticeGammaSupport.certifies")}
 
 
 def test_the_verification_kernel_names_no_fraction_helper():
